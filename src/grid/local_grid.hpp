@@ -4,10 +4,13 @@
 // i in [-1, nloc] without branching. At physical radial boundaries the
 // ghost metric is mirrored; at rank interfaces it is the neighbour's true
 // metric (the grid is globally defined, so no communication is needed).
+// The slab's cell volumes, face areas and Laplacian coefficients are
+// tabulated once, in metric() (grid/metric.hpp).
 
 #include <algorithm>
 #include <vector>
 
+#include "grid/metric.hpp"
 #include "grid/spherical_grid.hpp"
 #include "mpisim/decomposition.hpp"
 #include "util/types.hpp"
@@ -39,6 +42,7 @@ class LocalGrid {
       rf_[static_cast<std::size_t>(i)] = g.r_face(gi);
       drf_[static_cast<std::size_t>(i)] = g.dr_face(gi);
     }
+    metric_ = Metric(*this);
   }
 
   const SphericalGrid& global() const { return g_; }
@@ -68,6 +72,9 @@ class LocalGrid {
   real stf(idx j) const { return g_.sin_th_face(clamp_tf(j)); }
   real dph() const { return g_.dph(); }
 
+  /// Cell volumes, face areas and Laplacian coefficients of this slab.
+  const Metric& metric() const { return metric_; }
+
  private:
   idx clamp_t(idx j) const {
     if (j < 0) return 0;
@@ -84,6 +91,7 @@ class LocalGrid {
   mpisim::Slab slab_;
   idx nloc_;
   std::vector<real> rc_, drc_, rf_, drf_;
+  Metric metric_;
 };
 
 }  // namespace simas::grid

@@ -46,18 +46,6 @@ SphericalGrid::SphericalGrid(const GridConfig& cfg) : cfg_(cfg) {
   for (std::size_t j = 0; j < tc_.size(); ++j) stc_[j] = std::sin(tc_[j]);
   stf_.resize(tf_.size());
   for (std::size_t j = 0; j < tf_.size(); ++j) stf_[j] = std::sin(tf_[j]);
-
-  vol_r_.resize(rc_.size());
-  vol_r_lin_.resize(rc_.size());
-  for (std::size_t i = 0; i < rc_.size(); ++i) {
-    const real a = rf_[i], b = rf_[i + 1];
-    vol_r_[i] = (b * b * b - a * a * a) / 3.0;
-    vol_r_lin_[i] = (b * b - a * a) / 2.0;
-  }
-  vol_t_.resize(tc_.size());
-  for (std::size_t j = 0; j < tc_.size(); ++j) {
-    vol_t_[j] = std::cos(tf_[j]) - std::cos(tf_[j + 1]);
-  }
 }
 
 }  // namespace simas::grid

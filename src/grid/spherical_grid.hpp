@@ -66,33 +66,13 @@ class SphericalGrid {
   real sin_th(idx j) const { return stc_[static_cast<std::size_t>(j)]; }
   real sin_th_face(idx j) const { return stf_[static_cast<std::size_t>(j)]; }
 
-  /// Cell volume: ∫ r² sinθ dr dθ dφ (exact for the cell).
-  real volume(idx i, idx j) const {
-    return vol_r_[static_cast<std::size_t>(i)] *
-           vol_t_[static_cast<std::size_t>(j)] * dph_;
-  }
-
-  /// Face areas for flux-form divergence.
-  real area_r(idx i, idx j) const {  // r-face at r_face(i)
-    return sq(r_face(i)) * vol_t_[static_cast<std::size_t>(j)] * dph_;
-  }
-  real area_t(idx i, idx j) const {  // θ-face at th_face(j)
-    return vol_r_lin_[static_cast<std::size_t>(i)] *
-           sin_th_face(j) * dph_;
-  }
-  real area_p(idx i, idx j) const {  // φ-face
-    return vol_r_lin_[static_cast<std::size_t>(i)] *
-           dtc_[static_cast<std::size_t>(j)];
-  }
+  // Cell volumes and face areas live in grid::Metric (per LocalGrid).
 
  private:
   GridConfig cfg_;
   std::vector<real> rf_, rc_, drc_, drf_;
   std::vector<real> tf_, tc_, dtc_, dtf_;
   std::vector<real> stc_, stf_;
-  std::vector<real> vol_r_;      ///< ∫ r² dr over cell i
-  std::vector<real> vol_r_lin_;  ///< ∫ r dr over cell i
-  std::vector<real> vol_t_;      ///< ∫ sinθ dθ over cell j
   real dph_ = 0.0;
 };
 

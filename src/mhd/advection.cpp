@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <cmath>
 
 #include "mhd/ops.hpp"
 
@@ -31,18 +30,10 @@ inline real upwind_p(const field::Field& q, const grid::LocalGrid& lg, real v,
 /// Centered velocity divergence in flux form (exact cell areas/volume).
 inline real div_v(const State& st, const grid::LocalGrid& lg, idx i, idx j,
                   idx k) {
-  const real dph = lg.dph();
-  const real ctj0 = std::cos(lg.tf(j)), ctj1 = std::cos(lg.tf(j + 1));
-  const real vol =
-      (std::pow(lg.rf(i + 1), 3) - std::pow(lg.rf(i), 3)) / 3.0 *
-      (ctj0 - ctj1) * dph;
-  const real alin =
-      (sq(lg.rf(i + 1)) - sq(lg.rf(i))) / 2.0;  // ∫ r dr over the cell
-  const real ar0 = sq(lg.rf(i)) * (ctj0 - ctj1) * dph;
-  const real ar1 = sq(lg.rf(i + 1)) * (ctj0 - ctj1) * dph;
-  const real at0 = alin * lg.stf(j) * dph;
-  const real at1 = alin * lg.stf(j + 1) * dph;
-  const real ap = alin * lg.dtc(j);
+  const grid::Metric& mt = lg.metric();
+  const real ar0 = mt.area_r(i, j), ar1 = mt.area_r(i + 1, j);
+  const real at0 = mt.area_t(i, j), at1 = mt.area_t(i, j + 1);
+  const real ap = mt.area_p(i, j);
 
   const real vr0 = 0.5 * (st.vr(i - 1, j, k) + st.vr(i, j, k));
   const real vr1 = 0.5 * (st.vr(i, j, k) + st.vr(i + 1, j, k));
@@ -52,7 +43,7 @@ inline real div_v(const State& st, const grid::LocalGrid& lg, idx i, idx j,
   const real vp1 = 0.5 * (st.vp(i, j, k) + st.vp(i, j, k + 1));
 
   return (ar1 * vr1 - ar0 * vr0 + at1 * vt1 - at0 * vt0 + ap * (vp1 - vp0)) /
-         vol;
+         mt.vol(i, j);
 }
 
 }  // namespace
@@ -128,7 +119,7 @@ void advect_and_forces(MhdContext& c, real dt, int pending_center) {
 
   auto vt_body = [&, dt](idx i, idx j, idx k) {
         const real r = lg.rc(i);
-        const real cot = std::cos(lg.tc(j)) / lg.stc(j);
+        const real cot = lg.metric().cot(j);
         const real rho = std::max<real>(st.rho(i, j, k), 1.0e-12);
         const real vr0 = st.vr(i, j, k);
         const real vt0 = st.vt(i, j, k);
@@ -151,7 +142,7 @@ void advect_and_forces(MhdContext& c, real dt, int pending_center) {
 
   auto vp_body = [&, dt](idx i, idx j, idx k) {
         const real r = lg.rc(i);
-        const real cot = std::cos(lg.tc(j)) / lg.stc(j);
+        const real cot = lg.metric().cot(j);
         const real rho = std::max<real>(st.rho(i, j, k), 1.0e-12);
         const real vr0 = st.vr(i, j, k);
         const real vt0 = st.vt(i, j, k);

@@ -26,7 +26,7 @@ int conduction_update(MhdContext& c, real dt) {
   const real kappa0 = ph.kappa0;
   const idx nloc = st.nloc, nt = st.nt, np = st.np;
   const par::Range3 interior{0, nloc, 0, nt, 0, np};
-  const real dph = lg.dph();
+  const grid::Metric& mt = lg.metric();
 
   static const par::KernelSite& site_kap =
       SIMAS_SITE("cond_face_kappa_setup", SiteKind::ParallelLoop, 0);
@@ -57,44 +57,37 @@ int conduction_update(MhdContext& c, real dt) {
 
   // Diffusion cell body, shared by the interior and boundary-shell
   // launches of the overlapped path.
-  auto diff_cell = [&, nloc, nt, dph](field::Field& x, field::Field& y,
-                                      idx i, idx j, idx k) {
-          const real ctj0 = std::cos(lg.tf(j)), ctj1 = std::cos(lg.tf(j + 1));
-          const real vol =
-              (std::pow(lg.rf(i + 1), 3) - std::pow(lg.rf(i), 3)) / 3.0 *
-              (ctj0 - ctj1) * dph;
-          const real alin = (sq(lg.rf(i + 1)) - sq(lg.rf(i))) / 2.0;
+  auto diff_cell = [&, nloc, nt](field::Field& x, field::Field& y, idx i,
+                                 idx j, idx k) {
           const real xc = x(i, j, k);
           const real kc = st.wrk2(i, j, k);
           real flux = 0.0;
           if (!(lg.at_inner_boundary() && i == 0)) {
             const real kf = 0.5 * (kc + st.wrk2(i - 1, j, k));
-            flux -= sq(lg.rf(i)) * (ctj0 - ctj1) * dph * kf *
-                    (xc - x(i - 1, j, k)) / lg.drf(i);
+            flux -= mt.area_r(i, j) * kf * (xc - x(i - 1, j, k)) / lg.drf(i);
           }
           if (!(lg.at_outer_boundary() && i == nloc - 1)) {
             const real kf = 0.5 * (kc + st.wrk2(i + 1, j, k));
-            flux += sq(lg.rf(i + 1)) * (ctj0 - ctj1) * dph * kf *
-                    (x(i + 1, j, k) - xc) / lg.drf(i + 1);
+            flux += mt.area_r(i + 1, j) * kf * (x(i + 1, j, k) - xc) /
+                    lg.drf(i + 1);
           }
           if (j > 0) {
             const real kf = 0.5 * (kc + st.wrk2(i, j - 1, k));
-            flux -= alin * lg.stf(j) * dph * kf * (xc - x(i, j - 1, k)) /
+            flux -= mt.area_t(i, j) * kf * (xc - x(i, j - 1, k)) /
                     (lg.rc(i) * lg.dtf(j));
           }
           if (j < nt - 1) {
             const real kf = 0.5 * (kc + st.wrk2(i, j + 1, k));
-            flux += alin * lg.stf(j + 1) * dph * kf *
-                    (x(i, j + 1, k) - xc) / (lg.rc(i) * lg.dtf(j + 1));
+            flux += mt.area_t(i, j + 1) * kf * (x(i, j + 1, k) - xc) /
+                    (lg.rc(i) * lg.dtf(j + 1));
           }
           {
-            const real ap = alin * lg.dtc(j) / (lg.rc(i) * lg.stc(j) * dph);
             const real kf0 = 0.5 * (kc + st.wrk2(i, j, k - 1));
             const real kf1 = 0.5 * (kc + st.wrk2(i, j, k + 1));
-            flux += ap * (kf1 * (x(i, j, k + 1) - xc) -
-                          kf0 * (xc - x(i, j, k - 1)));
+            flux += mt.coef_p(i, j) * (kf1 * (x(i, j, k + 1) - xc) -
+                                       kf0 * (xc - x(i, j, k - 1)));
           }
-          y(i, j, k) = flux / vol;
+          y(i, j, k) = flux / mt.vol(i, j);
   };
 
   // Diffusion operator L(x) = ∇·(κ ∇x) in flux form (zero-flux physical

@@ -9,21 +9,14 @@ using par::SiteKind;
 
 real div_b_cell(const grid::LocalGrid& lg, const State& st, idx i, idx j,
                 idx k) {
-  const real dph = lg.dph();
-  const real ctj0 = std::cos(lg.tf(j)), ctj1 = std::cos(lg.tf(j + 1));
-  const real vol = (std::pow(lg.rf(i + 1), 3) - std::pow(lg.rf(i), 3)) / 3.0 *
-                   (ctj0 - ctj1) * dph;
-  const real alin = (sq(lg.rf(i + 1)) - sq(lg.rf(i))) / 2.0;
-  const real ar0 = sq(lg.rf(i)) * (ctj0 - ctj1) * dph;
-  const real ar1 = sq(lg.rf(i + 1)) * (ctj0 - ctj1) * dph;
-  const real at0 = alin * lg.stf(j) * dph;
-  const real at1 = alin * lg.stf(j + 1) * dph;
-  const real ap = alin * lg.dtc(j);
+  const grid::Metric& mt = lg.metric();
   // bp face k+1 is the wrapped ghost at k = np-1.
-  return (ar1 * st.br(i + 1, j, k) - ar0 * st.br(i, j, k) +
-          at1 * st.bt(i, j + 1, k) - at0 * st.bt(i, j, k) +
-          ap * (st.bp(i, j, k + 1) - st.bp(i, j, k))) /
-         vol;
+  return (mt.area_r(i + 1, j) * st.br(i + 1, j, k) -
+          mt.area_r(i, j) * st.br(i, j, k) +
+          mt.area_t(i, j + 1) * st.bt(i, j + 1, k) -
+          mt.area_t(i, j) * st.bt(i, j, k) +
+          mt.area_p(i, j) * (st.bp(i, j, k + 1) - st.bp(i, j, k))) /
+         mt.vol(i, j);
 }
 
 // Mean temperature per local radial shell: the array-reduction loop class
@@ -47,12 +40,7 @@ GlobalDiagnostics global_diagnostics(MhdContext& c) {
   const grid::LocalGrid& lg = c.lg;
   const real gm1 = c.phys.gamma - 1.0;
   const par::Range3 interior{0, st.nloc, 0, st.nt, 0, st.np};
-  const real dph = lg.dph();
-
-  auto cell_vol = [&](idx i, idx j) {
-    return (std::pow(lg.rf(i + 1), 3) - std::pow(lg.rf(i), 3)) / 3.0 *
-           (std::cos(lg.tf(j)) - std::cos(lg.tf(j + 1))) * dph;
-  };
+  const grid::Metric& mt = lg.metric();
 
   static const par::KernelSite& site_mass =
       SIMAS_SITE("diag_total_mass", SiteKind::ScalarReduction, 0,
@@ -82,7 +70,7 @@ GlobalDiagnostics global_diagnostics(MhdContext& c) {
   GlobalDiagnostics d;
   d.total_mass = c.comm.allreduce_sum(c.eng.reduce_sum(
       site_mass, interior, {par::in(st.rho.id())},
-      [&](idx i, idx j, idx k) { return st.rho(i, j, k) * cell_vol(i, j); }));
+      [&](idx i, idx j, idx k) { return st.rho(i, j, k) * mt.vol(i, j); }));
   d.kinetic_energy = c.comm.allreduce_sum(c.eng.reduce_sum(
       site_ke, interior,
       {par::in(st.rho.id()), par::in(st.vr.id()), par::in(st.vt.id()),
@@ -91,7 +79,7 @@ GlobalDiagnostics global_diagnostics(MhdContext& c) {
         return 0.5 * st.rho(i, j, k) *
                (sq(st.vr(i, j, k)) + sq(st.vt(i, j, k)) +
                 sq(st.vp(i, j, k))) *
-               cell_vol(i, j);
+               mt.vol(i, j);
       }));
   d.magnetic_energy = c.comm.allreduce_sum(c.eng.reduce_sum(
       site_me, interior,
@@ -100,13 +88,13 @@ GlobalDiagnostics global_diagnostics(MhdContext& c) {
         return 0.5 *
                (sq(st.bcr(i, j, k)) + sq(st.bct(i, j, k)) +
                 sq(st.bcp(i, j, k))) *
-               cell_vol(i, j);
+               mt.vol(i, j);
       }));
   d.thermal_energy = c.comm.allreduce_sum(c.eng.reduce_sum(
       site_te, interior,
       {par::in(st.rho.id()), par::in(st.temp.id())},
       [&, gm1](idx i, idx j, idx k) {
-        return st.rho(i, j, k) * st.temp(i, j, k) / gm1 * cell_vol(i, j);
+        return st.rho(i, j, k) * st.temp(i, j, k) / gm1 * mt.vol(i, j);
       }));
   d.max_div_b = c.comm.allreduce_max(c.eng.reduce_max(
       site_divb, interior,

@@ -31,7 +31,7 @@ struct PfssOperator {
     const grid::LocalGrid& lg = c.lg;
     State& st = c.st;
     const idx nloc = st.nloc, nt = st.nt, np = st.np;
-    const real dph = lg.dph();
+    const grid::Metric& mt = lg.metric();
 
     c.halo.exchange_r({&x});
     c.halo.wrap_phi({&x});
@@ -41,36 +41,29 @@ struct PfssOperator {
     c.eng.for_each(
         site, par::Range3{0, nloc, 0, nt, 0, np},
         {par::in(x.id()), par::out(y.id())},
-        [&, nloc, nt, dph](idx i, idx j, idx k) {
-          const real ctj0 = std::cos(lg.tf(j)), ctj1 = std::cos(lg.tf(j + 1));
-          const real vol =
-              (std::pow(lg.rf(i + 1), 3) - std::pow(lg.rf(i), 3)) / 3.0 *
-              (ctj0 - ctj1) * dph;
-          const real alin = (sq(lg.rf(i + 1)) - sq(lg.rf(i))) / 2.0;
+        [&, nloc, nt](idx i, idx j, idx k) {
           const real xc = x(i, j, k);
           real flux = 0.0;
           if (!(lg.at_inner_boundary() && i == 0)) {
-            flux -= sq(lg.rf(i)) * (ctj0 - ctj1) * dph *
-                    (xc - x(i - 1, j, k)) / lg.drf(i);
+            flux -= mt.area_r(i, j) * (xc - x(i - 1, j, k)) / lg.drf(i);
           }
           if (lg.at_outer_boundary() && i == nloc - 1) {
             // Dirichlet Φ = 0 at the source surface: half-cell gradient.
-            flux += sq(lg.rf(i + 1)) * (ctj0 - ctj1) * dph *
-                    (0.0 - xc) / (0.5 * lg.drc(i));
+            flux += mt.area_r(i + 1, j) * (0.0 - xc) / (0.5 * lg.drc(i));
           } else {
-            flux += sq(lg.rf(i + 1)) * (ctj0 - ctj1) * dph *
-                    (x(i + 1, j, k) - xc) / lg.drf(i + 1);
+            flux += mt.area_r(i + 1, j) * (x(i + 1, j, k) - xc) /
+                    lg.drf(i + 1);
           }
           if (j > 0)
-            flux -= alin * lg.stf(j) * dph * (xc - x(i, j - 1, k)) /
+            flux -= mt.area_t(i, j) * (xc - x(i, j - 1, k)) /
                     (lg.rc(i) * lg.dtf(j));
           if (j < nt - 1)
-            flux += alin * lg.stf(j + 1) * dph * (x(i, j + 1, k) - xc) /
+            flux += mt.area_t(i, j + 1) * (x(i, j + 1, k) - xc) /
                     (lg.rc(i) * lg.dtf(j + 1));
-          const real ap = alin * lg.dtc(j) / (lg.rc(i) * lg.stc(j) * dph);
-          flux += ap * (x(i, j, k + 1) - 2.0 * xc + x(i, j, k - 1));
+          flux += mt.coef_p(i, j) *
+                  (x(i, j, k + 1) - 2.0 * xc + x(i, j, k - 1));
           // PCG solves A x = b with A = -∇·∇ (positive definite).
-          y(i, j, k) = -flux / vol;
+          y(i, j, k) = -flux / mt.vol(i, j);
         });
   }
 };
@@ -82,7 +75,7 @@ PfssResult pfss_initialize(MhdContext& c, const SurfaceBrFn& surface_br,
   State& st = c.st;
   const grid::LocalGrid& lg = c.lg;
   const idx nloc = st.nloc, nt = st.nt, np = st.np;
-  const real dph = lg.dph();
+  const grid::Metric& mt = lg.metric();
 
   static const par::KernelSite& site_rhs =
       SIMAS_SITE("pfss_build_rhs", SiteKind::ParallelLoop, 0);
@@ -104,21 +97,15 @@ PfssResult pfss_initialize(MhdContext& c, const SurfaceBrFn& surface_br,
   c.eng.for_each(
       site_rhs, par::Range3{0, nloc, 0, nt, 0, np},
       {par::out(rhs.id()), par::out(phi.id())},
-      [&, dph](idx i, idx j, idx k) {
+      [&](idx i, idx j, idx k) {
         phi(i, j, k) = 0.0;
         real b = 0.0;
         if (lg.at_inner_boundary() && i == 0) {
-          const real ctj0 = std::cos(lg.tf(j)),
-                     ctj1 = std::cos(lg.tf(j + 1));
-          const real vol =
-              (std::pow(lg.rf(i + 1), 3) - std::pow(lg.rf(i), 3)) / 3.0 *
-              (ctj0 - ctj1) * dph;
-          const real area = sq(lg.rf(0)) * (ctj0 - ctj1) * dph;
           const real br = surface_br(lg.tc(j), lg.global().ph_center(k));
           // div B = 0 over the boundary cell: the interior fluxes (the
           // operator, which omits the inner face) must balance the
           // prescribed inner-face flux: -flux_op = A0 br  =>  b = +A0 br/V.
-          b = br * area / vol;
+          b = br * mt.area_r(0, j) / mt.vol(0, j);
         }
         rhs(i, j, k) = b;
       });

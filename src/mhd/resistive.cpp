@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <cmath>
 
 #include "mhd/ops.hpp"
 
@@ -121,8 +120,7 @@ void ct_update(MhdContext& c, real dt) {
       {par::in(st.et.id()), par::in(st.ep.id()), par::out(st.br.id())},
       [&, dt, dph](idx i, idx j, idx k) {
         const real rf = lg.rf(i);
-        const real ctj0 = std::cos(lg.tf(j)), ctj1 = std::cos(lg.tf(j + 1));
-        const real area = sq(rf) * (ctj0 - ctj1) * dph;
+        const real area = lg.metric().area_r(i, j);
         const real lp0 = rf * lg.stf(j) * dph;
         const real lp1 = rf * lg.stf(j + 1) * dph;
         const real lt = rf * lg.dtc(j);
@@ -152,8 +150,7 @@ void ct_update(MhdContext& c, real dt) {
       site_bp, par::Range3{0, nloc, 0, nt, 0, np},
       {par::in(st.er.id()), par::in(st.et.id()), par::out(st.bp.id())},
       [&, dt](idx i, idx j, idx k) {
-        const real alin = (sq(lg.rf(i + 1)) - sq(lg.rf(i))) / 2.0;
-        const real area = alin * lg.dtc(j);
+        const real area = lg.metric().area_p(i, j);
         const real lr = lg.drc(i);
         const real lt0 = lg.rf(i) * lg.dtc(j);
         const real lt1 = lg.rf(i + 1) * lg.dtc(j);

@@ -80,8 +80,7 @@ void MasSolver::initialize() {
       {par::in(st.ep.id()), par::out(st.br.id())},
       [&, dph](idx i, idx j, idx k) {
         const real rf = lg.rf(i);
-        const real area =
-            sq(rf) * (std::cos(lg.tf(j)) - std::cos(lg.tf(j + 1))) * dph;
+        const real area = lg.metric().area_r(i, j);
         const real lp0 = rf * lg.stf(j) * dph;
         const real lp1 = rf * lg.stf(j + 1) * dph;
         st.br(i, j, k) =

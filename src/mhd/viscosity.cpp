@@ -1,49 +1,9 @@
-#include <algorithm>
-#include <cmath>
-
 #include "mhd/ops.hpp"
 #include "solvers/pcg.hpp"
 
 namespace simas::mhd {
 
 using par::SiteKind;
-
-namespace {
-
-// Flux-form scalar Laplacian coefficients at a cell, shared by the matvec
-// and the Jacobi preconditioner. Physical boundaries are zero-flux (the
-// face coefficient vanishes); rank boundaries and the periodic φ direction
-// read exchanged ghosts.
-struct LapCoeffs {
-  real cr0 = 0.0, cr1 = 0.0;  // A_face / (d_center * V) for i∓1/2 faces
-  real ct0 = 0.0, ct1 = 0.0;
-  real cp = 0.0;
-};
-
-LapCoeffs lap_coeffs(const grid::LocalGrid& lg, idx i, idx j, idx nloc,
-                     idx nt) {
-  const real dph = lg.dph();
-  const real ctj0 = std::cos(lg.tf(j)), ctj1 = std::cos(lg.tf(j + 1));
-  const real vol = (std::pow(lg.rf(i + 1), 3) - std::pow(lg.rf(i), 3)) / 3.0 *
-                   (ctj0 - ctj1) * dph;
-  const real alin = (sq(lg.rf(i + 1)) - sq(lg.rf(i))) / 2.0;
-
-  LapCoeffs cf;
-  const bool inner = lg.at_inner_boundary() && i == 0;
-  const bool outer = lg.at_outer_boundary() && i == nloc - 1;
-  if (!inner)
-    cf.cr0 = sq(lg.rf(i)) * (ctj0 - ctj1) * dph / (lg.drf(i) * vol);
-  if (!outer)
-    cf.cr1 = sq(lg.rf(i + 1)) * (ctj0 - ctj1) * dph / (lg.drf(i + 1) * vol);
-  if (j > 0)
-    cf.ct0 = alin * lg.stf(j) * dph / (lg.rc(i) * lg.dtf(j) * vol);
-  if (j < nt - 1)
-    cf.ct1 = alin * lg.stf(j + 1) * dph / (lg.rc(i) * lg.dtf(j + 1) * vol);
-  cf.cp = alin * lg.dtc(j) / (lg.rc(i) * lg.stc(j) * dph * vol);
-  return cf;
-}
-
-}  // namespace
 
 // Implicit viscous update: solve the single 3-component vector system
 //   (I - dt ν ∇²) v = v*
@@ -53,6 +13,9 @@ LapCoeffs lap_coeffs(const grid::LocalGrid& lg, idx i, idx j, idx nloc,
 int viscous_update(MhdContext& c, real dt) {
   State& st = c.st;
   const grid::LocalGrid& lg = c.lg;
+  // Laplacian coefficients (walls zeroed), shared by the matvec and the
+  // Jacobi preconditioner.
+  const grid::Metric& mt = lg.metric();
   const real nu = c.phys.nu;
   if (nu <= 0.0) return 0;
   const idx nloc = st.nloc, nt = st.nt, np = st.np;
@@ -70,9 +33,9 @@ int viscous_update(MhdContext& c, real dt) {
   solvers::Pcg pcg(c.eng, c.comm, lg, "viscosity");
 
   // Matvec cell body, shared by the interior and boundary-shell launches.
-  auto mv_cell = [&, dt, nu, nloc, nt](field::Field& xf, field::Field& yf,
-                                       idx i, idx j, idx k) {
-    const LapCoeffs cf = lap_coeffs(lg, i, j, nloc, nt);
+  auto mv_cell = [&, dt, nu](field::Field& xf, field::Field& yf, idx i, idx j,
+                             idx k) {
+    const grid::LapCoeffs& cf = mt.lap(i, j);
     const real xc = xf(i, j, k);
     const real lap = cf.cr1 * (xf(i + 1, j, k) - xc) -
                      cf.cr0 * (xc - xf(i - 1, j, k)) +
@@ -153,8 +116,8 @@ int viscous_update(MhdContext& c, real dt) {
       field::Field& zf = *z[comp];
       c.eng.for_each(site_pc, interior,
                      {par::in(rf.id()), par::out(zf.id())},
-                     [&, dt, nu, nloc, nt](idx i, idx j, idx k) {
-                       const LapCoeffs cf = lap_coeffs(lg, i, j, nloc, nt);
+                     [&, dt, nu](idx i, idx j, idx k) {
+                       const grid::LapCoeffs& cf = mt.lap(i, j);
                        const real diag =
                            1.0 + dt * nu *
                                      (cf.cr0 + cf.cr1 + cf.ct0 + cf.ct1 +

@@ -20,8 +20,7 @@ real Pcg::dot(const Fields& a, const Fields& b) {
                  /*async_capable=*/false);
   if (a.size() != b.size())
     throw std::invalid_argument("Pcg::dot: component mismatch");
-  const grid::LocalGrid& lg = lg_;
-  const real dph = lg.dph();
+  const grid::Metric& mt = lg_.metric();
   real local = 0.0;
   for (std::size_t c = 0; c < a.size(); ++c) {
     const field::Field& fa = *a[c];
@@ -29,11 +28,8 @@ real Pcg::dot(const Fields& a, const Fields& b) {
     local += eng_.reduce_sum(
         site, par::Range3{0, fa.a().n1(), 0, fa.a().n2(), 0, fa.a().n3()},
         {par::in(fa.id()), par::in(fb.id())},
-        [&, dph](idx i, idx j, idx k) -> real {
-          const real vol =
-              (std::pow(lg.rf(i + 1), 3) - std::pow(lg.rf(i), 3)) / 3.0 *
-              (std::cos(lg.tf(j)) - std::cos(lg.tf(j + 1))) * dph;
-          return fa(i, j, k) * fb(i, j, k) * vol;
+        [&](idx i, idx j, idx k) -> real {
+          return fa(i, j, k) * fb(i, j, k) * mt.vol(i, j);
         });
   }
   return comm_.allreduce_sum(local);

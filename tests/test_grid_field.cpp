@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "field/array3.hpp"
 #include "grid/local_grid.hpp"
@@ -50,6 +52,11 @@ TEST(Stretching, RejectsBadInput) {
                std::invalid_argument);
 }
 
+/// One rank owning the whole radial extent.
+grid::LocalGrid whole_slab(const SphericalGrid& g) {
+  return grid::LocalGrid(g, mpisim::radial_slab(g.nr(), 1, 0));
+}
+
 class SphericalGridTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(SphericalGridTest, VolumesSumToWedgeVolume) {
@@ -59,10 +66,12 @@ TEST_P(SphericalGridTest, VolumesSumToWedgeVolume) {
   cfg.np = 14;
   cfg.r_stretch = GetParam();
   const SphericalGrid g(cfg);
+  const grid::LocalGrid lg = whole_slab(g);
+  const grid::Metric& mt = lg.metric();
   double total = 0.0;
   for (idx i = 0; i < cfg.nr; ++i)
     for (idx j = 0; j < cfg.nt; ++j)
-      total += g.volume(i, j) * static_cast<double>(cfg.np);
+      total += mt.vol(i, j) * static_cast<double>(cfg.np);
   const double expected = 2.0 * kPi *
                           (std::pow(cfg.r1, 3) - std::pow(cfg.r0, 3)) / 3.0 *
                           (std::cos(cfg.theta0) - std::cos(cfg.theta1));
@@ -75,11 +84,19 @@ INSTANTIATE_TEST_SUITE_P(Stretch, SphericalGridTest,
 TEST(SphericalGrid, AreasAndMetricPositive) {
   GridConfig cfg;
   const SphericalGrid g(cfg);
+  const grid::LocalGrid lg = whole_slab(g);
+  const grid::Metric& mt = lg.metric();
   for (idx i = 0; i <= cfg.nr; i += 7) {
     for (idx j = 0; j < cfg.nt; j += 3) {
-      EXPECT_GT(g.area_r(i, j), 0.0);
+      EXPECT_GT(mt.area_r(i, j), 0.0);
     }
   }
+  for (idx i = 0; i < cfg.nr; ++i)
+    for (idx j = 0; j < cfg.nt; ++j) {
+      EXPECT_GT(mt.vol(i, j), 0.0);
+      EXPECT_GT(mt.area_t(i, j), 0.0);
+      EXPECT_GT(mt.area_p(i, j), 0.0);
+    }
   for (idx j = 0; j <= cfg.nt; ++j) EXPECT_GT(g.sin_th_face(j), 0.0);
   for (idx j = 0; j < cfg.nt; ++j) EXPECT_GT(g.sin_th(j), 0.0);
 }
@@ -90,13 +107,104 @@ TEST(SphericalGrid, GaussDivergenceIdentity) {
   // zero cell by cell: A_r(i+1)/r_f(i+1)^2 == A_r(i)/r_f(i)^2.
   GridConfig cfg;
   const SphericalGrid g(cfg);
+  const grid::LocalGrid lg = whole_slab(g);
+  const grid::Metric& mt = lg.metric();
   for (idx i = 0; i < cfg.nr; ++i)
     for (idx j = 0; j < cfg.nt; ++j) {
-      const double f0 = g.area_r(i, j) / sq(g.r_face(i));
-      const double f1 = g.area_r(i + 1, j) / sq(g.r_face(i + 1));
+      const double f0 = mt.area_r(i, j) / sq(g.r_face(i));
+      const double f1 = mt.area_r(i + 1, j) / sq(g.r_face(i + 1));
       EXPECT_NEAR(f0, f1, 1e-12 * f0);
     }
 }
+
+// grid::Metric must reproduce, bit for bit, the cell geometry the kernels
+// used to evaluate inline: the expressions below are those inline forms.
+// Bitwise equality assumes no FMA contraction, which SIMAS builds with
+// (-ffp-contract=off on the simas target, propagated to its consumers).
+u64 bits(real v) { return std::bit_cast<u64>(v); }
+
+grid::LapCoeffs inline_lap_coeffs(const grid::LocalGrid& lg, idx i, idx j) {
+  const idx nloc = lg.nloc(), nt = lg.nt();
+  const real dph = lg.dph();
+  const real ctj0 = std::cos(lg.tf(j)), ctj1 = std::cos(lg.tf(j + 1));
+  const real vol = (std::pow(lg.rf(i + 1), 3) - std::pow(lg.rf(i), 3)) / 3.0 *
+                   (ctj0 - ctj1) * dph;
+  const real alin = (sq(lg.rf(i + 1)) - sq(lg.rf(i))) / 2.0;
+  grid::LapCoeffs cf;
+  if (!(lg.at_inner_boundary() && i == 0))
+    cf.cr0 = sq(lg.rf(i)) * (ctj0 - ctj1) * dph / (lg.drf(i) * vol);
+  if (!(lg.at_outer_boundary() && i == nloc - 1))
+    cf.cr1 = sq(lg.rf(i + 1)) * (ctj0 - ctj1) * dph / (lg.drf(i + 1) * vol);
+  if (j > 0)
+    cf.ct0 = alin * lg.stf(j) * dph / (lg.rc(i) * lg.dtf(j) * vol);
+  if (j < nt - 1)
+    cf.ct1 = alin * lg.stf(j + 1) * dph / (lg.rc(i) * lg.dtf(j + 1) * vol);
+  cf.cp = alin * lg.dtc(j) / (lg.rc(i) * lg.stc(j) * dph * vol);
+  return cf;
+}
+
+class MetricBitwise : public ::testing::TestWithParam<int> {};
+
+TEST_P(MetricBitwise, EntriesEqualInlineExpressions) {
+  GridConfig cfg;
+  cfg.nr = 13;
+  cfg.nt = 7;
+  cfg.np = 8;
+  cfg.r_stretch = 6.0;
+  cfg.t_stretch = 1.5;
+  const SphericalGrid g(cfg);
+  const int nranks = GetParam();
+  for (int rank = 0; rank < nranks; ++rank) {
+    const grid::LocalGrid lg(g, mpisim::radial_slab(cfg.nr, nranks, rank));
+    const grid::Metric& mt = lg.metric();
+    const idx nloc = lg.nloc(), nt = lg.nt();
+    const real dph = lg.dph();
+    SCOPED_TRACE("rank " + std::to_string(rank) + " of " +
+                 std::to_string(nranks));
+    for (idx j = 0; j < nt; ++j) {
+      ASSERT_EQ(bits(mt.cot(j)), bits(std::cos(lg.tc(j)) / lg.stc(j)));
+      const real ctj0 = std::cos(lg.tf(j)), ctj1 = std::cos(lg.tf(j + 1));
+      for (idx i = 0; i <= nloc; ++i)
+        ASSERT_EQ(bits(mt.area_r(i, j)),
+                  bits(sq(lg.rf(i)) * (ctj0 - ctj1) * dph))
+            << "area_r " << i << "," << j;
+    }
+    for (idx j = 0; j <= nt; ++j)
+      for (idx i = 0; i < nloc; ++i) {
+        const real alin = (sq(lg.rf(i + 1)) - sq(lg.rf(i))) / 2.0;
+        ASSERT_EQ(bits(mt.area_t(i, j)), bits(alin * lg.stf(j) * dph))
+            << "area_t " << i << "," << j;
+      }
+    for (idx j = 0; j < nt; ++j)
+      for (idx i = 0; i < nloc; ++i) {
+        const real vol =
+            (std::pow(lg.rf(i + 1), 3) - std::pow(lg.rf(i), 3)) / 3.0 *
+            (std::cos(lg.tf(j)) - std::cos(lg.tf(j + 1))) * dph;
+        const real alin = (sq(lg.rf(i + 1)) - sq(lg.rf(i))) / 2.0;
+        ASSERT_EQ(bits(mt.vol(i, j)), bits(vol)) << "vol " << i << "," << j;
+        ASSERT_EQ(bits(mt.area_p(i, j)), bits(alin * lg.dtc(j)));
+        ASSERT_EQ(bits(mt.coef_p(i, j)),
+                  bits(alin * lg.dtc(j) / (lg.rc(i) * lg.stc(j) * dph)));
+        const grid::LapCoeffs want = inline_lap_coeffs(lg, i, j);
+        const grid::LapCoeffs& got = mt.lap(i, j);
+        ASSERT_EQ(bits(got.cr0), bits(want.cr0)) << "cr0 " << i << "," << j;
+        ASSERT_EQ(bits(got.cr1), bits(want.cr1)) << "cr1 " << i << "," << j;
+        ASSERT_EQ(bits(got.ct0), bits(want.ct0)) << "ct0 " << i << "," << j;
+        ASSERT_EQ(bits(got.ct1), bits(want.ct1)) << "ct1 " << i << "," << j;
+        ASSERT_EQ(bits(got.cp), bits(want.cp)) << "cp " << i << "," << j;
+      }
+    // The zero-flux walls are zeroed on the ranks that own them and only
+    // there: rank faces keep their coupling to the neighbour's ghosts.
+    EXPECT_EQ(mt.lap(0, 2).cr0 == 0.0, lg.at_inner_boundary());
+    EXPECT_EQ(mt.lap(nloc - 1, 2).cr1 == 0.0, lg.at_outer_boundary());
+    EXPECT_EQ(mt.lap(1, 0).ct0, 0.0);
+    EXPECT_EQ(mt.lap(1, nt - 1).ct1, 0.0);
+  }
+}
+
+// 1 rank: both walls on one slab; 2 ranks: an inner- and an outer-wall
+// rank; 3 ranks: adds an interior rank with no physical wall.
+INSTANTIATE_TEST_SUITE_P(Ranks, MetricBitwise, ::testing::Values(1, 2, 3));
 
 TEST(SphericalGrid, RejectsPoles) {
   GridConfig cfg;

@@ -211,7 +211,7 @@ TEST(Diagnostics, MassMatchesAtmosphereIntegral) {
     for (idx i = 0; i < st.nloc; ++i)
       for (idx j = 0; j < st.nt; ++j)
         for (idx k = 0; k < st.np; ++k)
-          mass += st.rho(i, j, k) * lg.global().volume(i, j);
+          mass += st.rho(i, j, k) * lg.metric().vol(i, j);
     EXPECT_NEAR(d.total_mass, mass, 1e-10 * mass);
   });
 }
