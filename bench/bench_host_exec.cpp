@@ -11,11 +11,9 @@
 //    per-launch allocation, and grain selection.
 //  * "triad"  — a single 2^20-cell BabelStream-style triad loop, the
 //    bandwidth-bound opposite extreme where dispatch should vanish.
-//  * "dispatch" — a pool-level launch storm (64 tiny blocks per job) run
-//    through both the shipped lock-free pool and a benchmark-local copy
-//    of the mutex-per-block pool it replaced, so the before/after of the
-//    work-distribution protocol is reproducible on any machine instead
-//    of only against archived JSON.
+//  * "dispatch" — a pool-level launch storm (64 tiny blocks per job)
+//    through the lock-free pool: the per-launch cost of the
+//    work-distribution protocol alone.
 //
 // The sweep is threads x code versions for the solver and threads for the
 // triad; results go to a machine-readable BENCH_host_exec.json so the
@@ -38,11 +36,8 @@
 // (wall-clock noise is one-sided).
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
-#include <functional>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -238,112 +233,14 @@ TriadPoint run_triad(int threads, const Options& opt) {
 // ---------------------------------------------------------------------
 // "dispatch" workload: the work-distribution protocol in isolation.
 
-/// Benchmark-only reference: the mutex-per-block fork-join pool this
-/// repo shipped before the lock-free rewrite (one lock acquisition per
-/// block claim, another per completion count, std::function job
-/// hand-off). Kept verbatim in behaviour so the dispatch comparison
-/// stays reproducible without checking out old trees.
-class LegacyPool {
- public:
-  explicit LegacyPool(int nthreads) : nthreads_(std::max(1, nthreads)) {
-    for (int t = 0; t < nthreads_ - 1; ++t)
-      workers_.emplace_back([this] { worker_loop(); });
-  }
-  ~LegacyPool() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_work_.notify_all();
-    for (auto& w : workers_) w.join();
-  }
-  LegacyPool(const LegacyPool&) = delete;
-  LegacyPool& operator=(const LegacyPool&) = delete;
-
-  void run_blocks(i64 nblocks, const std::function<void(i64)>& fn) {
-    if (nblocks <= 0) return;
-    if (nthreads_ == 1 || nblocks == 1) {
-      for (i64 b = 0; b < nblocks; ++b) fn(b);
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      job_ = &fn;
-      nblocks_ = nblocks;
-      next_block_ = 0;
-      blocks_done_ = 0;
-      ++generation_;
-    }
-    cv_work_.notify_all();
-    for (;;) {
-      i64 block;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (next_block_ >= nblocks_) break;
-        block = next_block_++;
-      }
-      (*job_)(block);
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (++blocks_done_ == nblocks_) cv_done_.notify_all();
-    }
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_done_.wait(lock, [this] { return blocks_done_ == nblocks_; });
-    job_ = nullptr;
-  }
-
- private:
-  void worker_loop() {
-    u64 seen_generation = 0;
-    for (;;) {
-      const std::function<void(i64)>* job = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_work_.wait(lock, [&] {
-          return stop_ || (job_ != nullptr && generation_ != seen_generation &&
-                           next_block_ < nblocks_);
-        });
-        if (stop_) return;
-        seen_generation = generation_;
-        job = job_;
-      }
-      for (;;) {
-        i64 block;
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          if (job_ != job || next_block_ >= nblocks_) break;
-          block = next_block_++;
-        }
-        (*job)(block);
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (++blocks_done_ == nblocks_) cv_done_.notify_all();
-      }
-    }
-  }
-
-  int nthreads_;
-  std::vector<std::thread> workers_;
-  std::mutex mutex_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  const std::function<void(i64)>* job_ = nullptr;
-  i64 nblocks_ = 0;
-  i64 next_block_ = 0;
-  i64 blocks_done_ = 0;
-  u64 generation_ = 0;
-  bool stop_ = false;
-};
-
 struct DispatchPoint {
-  std::string pool;
   int threads = 0;
   double host_seconds_per_launch = 0.0;
 };
 
 /// One job = 64 blocks of 8 cells each: the small-kernel solver regime.
-/// The legacy pool is handed a fresh std::function per launch (as the
-/// pre-rewrite engine did); the lock-free pool a fresh FunctionRef.
-template <class Pool>
-double time_dispatch(Pool& pool, int launches_per_rep, int repeats) {
+double time_dispatch(par::ThreadPool& pool, int launches_per_rep,
+                     int repeats) {
   constexpr i64 kBlocks = 64;
   constexpr int kCellsPerBlock = 8;
   std::vector<real> slots(kBlocks * kCellsPerBlock, 0.0);
@@ -384,26 +281,17 @@ double time_flight_record(const Options& opt) {
   return best;
 }
 
-std::vector<DispatchPoint> run_dispatch(int threads, const Options& opt) {
+DispatchPoint run_dispatch(int threads, const Options& opt) {
   const int launches = std::max(200, opt.triad_iters * 10);
   // Repeats are cheap here (each is a pure launch storm), so sample 3x
   // more than the solver runs: min-of-N needs the larger N to shake off
   // scheduler noise on oversubscribed machines.
   const int repeats = opt.repeats * 3;
-  DispatchPoint legacy, lockfree;
-  legacy.pool = "legacy";
-  legacy.threads = threads;
-  {
-    LegacyPool pool(threads);
-    legacy.host_seconds_per_launch = time_dispatch(pool, launches, repeats);
-  }
-  lockfree.pool = "lockfree";
-  lockfree.threads = threads;
-  {
-    par::ThreadPool pool(threads);
-    lockfree.host_seconds_per_launch = time_dispatch(pool, launches, repeats);
-  }
-  return {legacy, lockfree};
+  DispatchPoint pt;
+  pt.threads = threads;
+  par::ThreadPool pool(threads);
+  pt.host_seconds_per_launch = time_dispatch(pool, launches, repeats);
+  return pt;
 }
 
 }  // namespace
@@ -443,14 +331,10 @@ int main(int argc, char** argv) {
 
   std::vector<DispatchPoint> dispatch_points;
   for (const int t : opt.threads) {
-    const auto pts = run_dispatch(t, opt);
-    std::printf(
-        "dispatch threads=%d  legacy %.3f us/launch  lockfree %.3f us/launch"
-        "  (%.2fx)\n",
-        t, pts[0].host_seconds_per_launch * 1e6,
-        pts[1].host_seconds_per_launch * 1e6,
-        pts[0].host_seconds_per_launch / pts[1].host_seconds_per_launch);
-    dispatch_points.insert(dispatch_points.end(), pts.begin(), pts.end());
+    const DispatchPoint pt = run_dispatch(t, opt);
+    std::printf("dispatch threads=%d  %.3f us/launch\n", t,
+                pt.host_seconds_per_launch * 1e6);
+    dispatch_points.push_back(pt);
   }
 
   // Flight-recorder overhead: one record() per submitted op vs the
@@ -463,15 +347,13 @@ int main(int argc, char** argv) {
   // have).
   double fastest_dispatch = -1.0;
   for (const auto& p : dispatch_points)
-    if (p.pool == "lockfree" && p.threads > 1 &&
-        (fastest_dispatch < 0.0 ||
-         p.host_seconds_per_launch < fastest_dispatch))
+    if (p.threads > 1 && (fastest_dispatch < 0.0 ||
+                          p.host_seconds_per_launch < fastest_dispatch))
       fastest_dispatch = p.host_seconds_per_launch;
   if (fastest_dispatch < 0.0)
     for (const auto& p : dispatch_points)
-      if (p.pool == "lockfree" &&
-          (fastest_dispatch < 0.0 ||
-           p.host_seconds_per_launch < fastest_dispatch))
+      if (fastest_dispatch < 0.0 ||
+          p.host_seconds_per_launch < fastest_dispatch)
         fastest_dispatch = p.host_seconds_per_launch;
   const double flight_fraction =
       fastest_dispatch > 0.0 ? sec_per_record / fastest_dispatch : 0.0;
@@ -519,9 +401,9 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < dispatch_points.size(); ++i) {
     const auto& p = dispatch_points[i];
     std::fprintf(f,
-                 "    {\"pool\": \"%s\", \"threads\": %d, "
+                 "    {\"threads\": %d, "
                  "\"host_seconds_per_launch\": %.9f}%s\n",
-                 p.pool.c_str(), p.threads, p.host_seconds_per_launch,
+                 p.threads, p.host_seconds_per_launch,
                  i + 1 < dispatch_points.size() ? "," : "");
   }
   std::fprintf(f,

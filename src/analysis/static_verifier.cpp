@@ -71,16 +71,12 @@ std::vector<FoldedAccess> fold_accesses(const par::AccessList& accesses) {
 class Pass {
  public:
   Pass(const StreamCapture& capture, const StaticModel& model)
-      : capture_(capture) {
-    manual_gpu_ = model.memory == gpusim::MemoryMode::Manual && model.gpu;
-    unified_gpu_ = model.memory == gpusim::MemoryMode::Unified && model.gpu;
-    acc_async_ =
-        model.loops == par::LoopModel::Acc && model.async_enabled && model.gpu;
-    acc_fusion_ =
-        model.loops == par::LoopModel::Acc && model.fusion_enabled && model.gpu;
-    honors_prefetch_ = model.honors_mem_prefetch;
-    honors_advise_ = model.honors_mem_advise;
-  }
+      : capture_(capture),
+        policy_(model.policy),
+        manual_gpu_(model.memory == gpusim::MemoryMode::Manual && model.gpu),
+        unified_gpu_(model.memory == gpusim::MemoryMode::Unified &&
+                     model.gpu),
+        chain_(policy_.fuse) {}
 
   ValidationReport run() {
     for (const StreamEvent& ev : capture_.events()) {
@@ -129,9 +125,8 @@ class Pass {
 
   ArrState& state_for(gpusim::ArrayId id) { return arrays_[id]; }
 
-  void reset_chain() {
-    last_group_ = 0;
-    op_slot_ = 0;
+  void end_chain() {
+    chain_.reset();
     chain_written_.clear();
   }
 
@@ -173,7 +168,7 @@ class Pass {
       // (every modeled MPI entry point captures its payload synchronously
       // behind a FusionBreakOp) and end the open fusion chain.
       drain_async_queue();
-      reset_chain();
+      end_chain();
       return;
     }
 
@@ -199,7 +194,7 @@ class Pass {
           // accesses, so "evicted" residency is the intended state. A
           // toolchain that ignores advise leaves the array unpinned — the
           // hint grants no exemption there.
-          if (honors_advise_) {
+          if (policy_.honors_mem_advise) {
             st.preferred_host = true;
             st.prefetch_pending = false;
             st.paged_to_host = false;
@@ -216,20 +211,13 @@ class Pass {
 
     bool fused = false;
     if (kind == par::OpKind::Launch) {
-      fused = acc_fusion_ && ko.site->fusion_group != 0 &&
-              ko.site->fusion_group == last_group_ && op_slot_ < 255;
-      last_group_ = ko.site->fusion_group;
-      if (fused) {
-        ++op_slot_;
-      } else {
-        op_slot_ = 0;
-        chain_written_.clear();
-      }
+      fused = chain_.launch(ko.site->fusion_group);
+      if (!fused) chain_written_.clear();
     } else {
       // Reductions are synchronous under every model: they end the chain
       // and drain the async queue before the host consumes the result.
-      reset_chain();
-      if (acc_async_ && ko.site->async_capable) {
+      end_chain();
+      if (policy_.async_launch(*ko.site)) {
         diagnose(Check::AsyncReductionNoWait, site, {},
                  "reduction result is consumed on the host immediately, but "
                  "the site is declared async-capable: under async launches "
@@ -240,8 +228,8 @@ class Pass {
       drain_async_queue();
     }
 
-    const bool launch_async = kind == par::OpKind::Launch && acc_async_ &&
-                              ko.site->async_capable;
+    const bool launch_async =
+        kind == par::OpKind::Launch && policy_.async_launch(*ko.site);
 
     for (const FoldedAccess& a : folded) {
       // DC-legality: a scatter-declared write means several unordered
@@ -303,7 +291,7 @@ class Pass {
           if (!covered) {
             diagnose(Check::PrefetchSpanMismatch, site,
                      capture_.array_name(a.id),
-                     honors_prefetch_
+                     policy_.honors_mem_prefetch
                          ? "device prefetch span does not cover this "
                            "kernel's declared access span: the uncovered "
                            "pages still demand-fault, so the prefetch hides "
@@ -315,12 +303,12 @@ class Pass {
                            "the hint is inert and the mismatch costs "
                            "nothing here — fix it for toolchains that "
                            "honor it)",
-                     loc, /*demoted=*/!honors_prefetch_);
+                     loc, /*demoted=*/!policy_.honors_mem_prefetch);
           }
           hs.prefetch_pending = false;
         } else if (hs.paged_to_host && !hs.preferred_host) {
           diagnose(Check::UseAfterEvict, site, capture_.array_name(a.id),
-                   honors_prefetch_
+                   policy_.honors_mem_prefetch
                        ? "kernel accesses an array prefetched to the host "
                          "with no intervening device prefetch: every touch "
                          "is a fresh demand migration back (ping-pong) — "
@@ -332,7 +320,7 @@ class Pass {
                          "modeled toolchain ignores prefetch hints, so no "
                          "eviction happened and no ping-pong occurs here — "
                          "fix it for toolchains that honor it)",
-                   loc, /*demoted=*/!honors_prefetch_);
+                   loc, /*demoted=*/!policy_.honors_mem_prefetch);
         }
         // Either way the demand touch re-establishes device residency.
         hs.paged_to_host = false;
@@ -501,16 +489,12 @@ class Pass {
   }
 
   const StreamCapture& capture_;
-  bool manual_gpu_ = false;
-  bool unified_gpu_ = false;
-  bool acc_async_ = false;
-  bool acc_fusion_ = false;
-  bool honors_prefetch_ = true;
-  bool honors_advise_ = true;
+  const par::LoweringPolicy policy_;
+  const bool manual_gpu_;
+  const bool unified_gpu_;
 
   std::unordered_map<gpusim::ArrayId, ArrState> arrays_;
-  int last_group_ = 0;
-  u64 op_slot_ = 0;
+  par::FusionChain chain_;
   std::vector<ChainWrite> chain_written_;
   i64 op_index_ = 0;
 

@@ -6,11 +6,12 @@
 // trace (analysis/stream_capture.hpp) through a happens-before dataflow
 // analysis over the *declared* Access lists: O(stream size), zero kernels
 // executed. It constructs the same op-level machinery the runtime
-// validator maintains — ACC fusion chains, the single async queue, the
-// Manual-mode coherence state machine, halo begin/finish windows — and
-// derives element-level conclusions from the declared radial spans and
-// write patterns (par::Span / Access::scatter) instead of observed
-// touches:
+// validator maintains — ACC fusion chains (the scheduler's own
+// par::FusionChain under the same par::LoweringPolicy), the single async
+// queue, the Manual-mode coherence state machine, halo begin/finish
+// windows — and derives element-level conclusions from the declared radial
+// spans and write patterns (par::Span / Access::scatter) instead of
+// observed touches:
 //
 //   * WAW/RAW races across fused kernels: a kernel whose declared pure
 //     write (or pure read) overlaps — by span — an array pure-written by
@@ -43,35 +44,17 @@
 
 namespace simas::analysis {
 
-/// The model facts the static pass resolves from an engine configuration
-/// (the facts the runtime validator snapshots, folded with the compiler
-/// personality's lowering: a toolchain that never fuses cannot have
-/// fused-chain races, and a toolchain that ignores a hint class turns
-/// that class's correctness findings into notes).
+/// The model facts the static pass resolves from an engine configuration:
+/// the scheduler's LoweringPolicy (a toolchain that never fuses cannot
+/// have fused-chain races; one that ignores a hint class turns that
+/// class's findings into notes) plus the memory mode and target.
 struct StaticModel {
-  par::LoopModel loops = par::LoopModel::Acc;
+  par::LoweringPolicy policy;
   gpusim::MemoryMode memory = gpusim::MemoryMode::Manual;
   bool gpu = true;
-  bool fusion_enabled = true;
-  bool async_enabled = true;
-  /// Hint lowering of the modeled toolchain. When a class is ignored the
-  /// recorded MemHintOps are inert at run time, so the corresponding
-  /// hint-correctness findings (PrefetchSpanMismatch, UseAfterEvict)
-  /// downgrade to Info — the span may be wrong, but the hint buys nothing
-  /// either way under this personality.
-  bool honors_mem_prefetch = true;
-  bool honors_mem_advise = true;
 
   static StaticModel from(const par::EngineConfig& cfg) {
-    const par::PersonalityTraits t =
-        par::personality_traits(cfg.personality);
-    return StaticModel{cfg.loops,
-                       cfg.memory,
-                       cfg.gpu,
-                       cfg.fusion_enabled && t.fuses_acc_chains,
-                       cfg.async_enabled && t.async_launches,
-                       t.honors_mem_prefetch,
-                       t.honors_mem_advise};
+    return StaticModel{par::lowering_policy(cfg), cfg.memory, cfg.gpu};
   }
 };
 

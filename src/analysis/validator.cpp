@@ -58,13 +58,10 @@ void ShadowSlot::note_inflight(std::size_t off) {
 }
 
 Validator::Validator(const par::EngineConfig& cfg, gpusim::MemoryManager& mem)
-    : cfg_(cfg), mem_(mem) {
-  manual_gpu_ = cfg_.memory == gpusim::MemoryMode::Manual && cfg_.gpu;
-  acc_async_ =
-      cfg_.loops == par::LoopModel::Acc && cfg_.async_enabled && cfg_.gpu;
-  acc_fusion_ =
-      cfg_.loops == par::LoopModel::Acc && cfg_.fusion_enabled && cfg_.gpu;
-}
+    : mem_(mem),
+      manual_gpu_(cfg.memory == gpusim::MemoryMode::Manual && cfg.gpu),
+      policy_(par::lowering_policy(cfg)),
+      chain_(policy_.fuse) {}
 
 Validator::~Validator() = default;
 
@@ -104,6 +101,11 @@ void Validator::drain_async_queue() {
   for (auto& [id, st] : arrays_) st.pending_async = false;
 }
 
+void Validator::end_chain() {
+  chain_.reset();
+  chain_written_.clear();
+}
+
 void Validator::on_op(const par::StreamOp& op) {
   ++op_index_;
   const par::OpKind kind = par::op_kind(op);
@@ -121,37 +123,20 @@ void Validator::on_op(const par::StreamOp& op) {
     // modeled MPI entry point emits a FusionBreakOp and captures its
     // payload synchronously (see header comment).
     drain_async_queue();
-    last_group_ = 0;
-    ++chain_id_;
-    op_slot_ = 0;
-    chain_written_.clear();
+    end_chain();
     pending_.valid = false;
     return;
   }
 
   const par::KernelOp& ko = *kernel_payload(op);
 
-  // Fusion-chain bookkeeping, mirroring AccScheduler::fuse_with_previous.
   if (kind == par::OpKind::Launch) {
-    const bool fused = acc_fusion_ && ko.site->fusion_group != 0 &&
-                       ko.site->fusion_group == last_group_ &&
-                       op_slot_ < 255;
-    last_group_ = ko.site->fusion_group;
-    if (fused) {
-      ++op_slot_;
-    } else {
-      ++chain_id_;
-      op_slot_ = 0;
-      chain_written_.clear();
-    }
+    if (!chain_.launch(ko.site->fusion_group)) chain_written_.clear();
   } else {
     // Reductions are synchronous under every model: they end the fusion
     // chain and drain the async queue before the host reads the result.
-    last_group_ = 0;
-    ++chain_id_;
-    op_slot_ = 0;
-    chain_written_.clear();
-    if (acc_async_ && ko.site->async_capable) {
+    end_chain();
+    if (policy_.async_launch(*ko.site)) {
       diagnose(Check::AsyncReductionNoWait, ko.site->name, {},
                "reduction result is consumed on the host immediately, but "
                "the site is declared async-capable: under async launches "
@@ -164,8 +149,8 @@ void Validator::on_op(const par::StreamOp& op) {
 
   // Coherence checker (Manual memory mode, device execution).
   if (manual_gpu_) {
-    const bool launch_async = kind == par::OpKind::Launch && acc_async_ &&
-                              ko.site->async_capable;
+    const bool launch_async =
+        kind == par::OpKind::Launch && policy_.async_launch(*ko.site);
     for (const par::Access& a : ko.accesses) {
       ArrayState& st = state_for(a.id);
       if (!st.on_device) {
@@ -210,7 +195,7 @@ void Validator::body_begin() {
   current_site_ = pending_.site->name;
   current_location_ = pending_.site->location();
   const u64 chain_tag =
-      ((chain_id_ & 0xffffffu) << 40) | ((op_slot_ & 0xffu) << 32);
+      ((chain_.id() & 0xffffffu) << 40) | ((chain_.slot() & 0xffu) << 32);
   for (auto& [id, st] : arrays_) {
     if (!st.slot) continue;
     ShadowSlot& s = *st.slot;

@@ -22,7 +22,9 @@
 //      cost model.
 //   3. DC-legality & race checker: element write tags detect duplicate
 //      writes within one iteration space (illegal `do concurrent`) and
-//      write conflicts across kernels fused into one ACC launch; reduction
+//      write conflicts across kernels fused into one ACC launch (fusion
+//      decided by the scheduler's own par::LoweringPolicy and
+//      par::FusionChain, so personality lowering applies); reduction
 //      sites still marked async-capable are flagged, since the engine
 //      hands their result to the host with no intervening device_sync.
 //
@@ -51,7 +53,8 @@ namespace simas::analysis {
 
 class Validator final : public gpusim::MemoryObserver {
  public:
-  /// Both references are Engine members and outlive the validator.
+  /// `cfg` is read at construction only; `mem` is an Engine member and
+  /// outlives the validator.
   Validator(const par::EngineConfig& cfg, gpusim::MemoryManager& mem);
   ~Validator() override;
   Validator(const Validator&) = delete;
@@ -109,6 +112,7 @@ class Validator final : public gpusim::MemoryObserver {
   };
 
   ArrayState& state_for(gpusim::ArrayId id);
+  void end_chain();
   void diagnose(Check check, const std::string& site,
                 const std::string& array, std::string message,
                 std::string location = {});
@@ -118,20 +122,17 @@ class Validator final : public gpusim::MemoryObserver {
   /// Sink for ShadowSlot::note_inflight (runs on pool threads).
   void report_inflight(const ShadowSlot& slot);
 
-  const par::EngineConfig& cfg_;
   gpusim::MemoryManager& mem_;
 
   // Model facts resolved once from the config.
   bool manual_gpu_ = false;   ///< coherence machine active
-  bool acc_async_ = false;    ///< async launches possible (Acc model)
-  bool acc_fusion_ = false;   ///< fusion chains possible (Acc model)
+  par::LoweringPolicy policy_;  ///< the scheduler's fuse/async lowering
 
   std::unordered_map<gpusim::ArrayId, ArrayState> arrays_;
 
-  // Fusion-chain bookkeeping, mirroring AccScheduler::fuse_with_previous.
-  int last_group_ = 0;
-  u64 chain_id_ = 1;
-  u64 op_slot_ = 0;
+  // The scheduler's fusion-chain rule: chain id and op slot become the
+  // element tags' chain/slot fields.
+  par::FusionChain chain_;
   std::vector<gpusim::ArrayId> chain_written_;  ///< pure-write arrays so far
 
   // The kernel op whose body executes next.

@@ -29,7 +29,8 @@ enum class CompilerPersonality {
   Flang = 2,      ///< flang-like: atomic-block reductions, hints ignored
 };
 
-/// How a personality lowers the constructs the schedulers account for.
+/// How a personality lowers the constructs the scheduler accounts for
+/// (folded into par::LoweringPolicy by lowering_policy()).
 /// All fields are *policy* inputs — they gate launch merging, pick a
 /// reduction traffic factor, or drop a hint — and never reach a kernel
 /// body.

@@ -50,7 +50,9 @@ i32 flight_array(const StreamOp& op) {
 Engine::Engine(EngineConfig cfg)
     : cfg_(cfg),
       cost_(cfg.device),
-      mem_(cfg.memory, &cost_, &ledger_) {
+      mem_(cfg.memory, &cost_, &ledger_),
+      sched_(SchedulerContext{&cfg_, &cost_, &ledger_, &mem_, &tracer_,
+                              &metrics_, &profiler_}) {
   const SimContext& ctx = cfg_.ctx != nullptr ? *cfg_.ctx
                                               : SimContext::process();
   // Execution threads: borrow the configured/shared pool, else own one.
@@ -80,9 +82,6 @@ Engine::Engine(EngineConfig cfg)
     cfg_.validate_fatal = true;
   }
   metrics_.bind(registry_);
-  sched_ = make_scheduler(cfg_.loops,
-                          SchedulerContext{&cfg_, &cost_, &ledger_, &mem_,
-                                           &tracer_, &metrics_, &profiler_});
   // Verified-stream certificates: a certificate for this scope means an
   // engine of identical shape already ran its full stream under both the
   // runtime validator and the static verifier, clean. Skip the O(cells)
@@ -366,7 +365,7 @@ void Engine::submit(StreamOp op) {
   }
   if (capture_ != nullptr) capture_->on_op(op);
   if (validator_ != nullptr) validator_->on_op(op);
-  sched_->consume(op);
+  sched_.consume(op);
 }
 
 /// The live stream no longer matches the capture: stop replaying (the
@@ -375,7 +374,7 @@ void Engine::submit(StreamOp op) {
 void Engine::diverge() {
   graph_stats_.divergences++;
   active_graph_->invalidate();
-  sched_->set_replay_active(false);
+  sched_.set_replay_active(false);
   graph_mode_ = GraphMode::Diverged;
 }
 
@@ -397,7 +396,7 @@ void Engine::graph_begin(const std::string& name) {
   if (active_graph_->captured()) {
     graph_mode_ = GraphMode::Replay;
     replay_cursor_ = 0;
-    sched_->set_replay_active(true);
+    sched_.set_replay_active(true);
     graph_stats_.replays++;
     // One submission launches the whole instantiated graph
     // (cudaGraphLaunch): a single launch overhead, not async-hidden.
@@ -429,7 +428,7 @@ void Engine::graph_end() {
         cfg_.graph_cache->publish(cfg_.graph_cache_scope, *active_graph_);
       break;
     case GraphMode::Replay:
-      sched_->set_replay_active(false);
+      sched_.set_replay_active(false);
       if (replay_cursor_ != active_graph_->size()) {
         // The pass ended before exhausting the capture: shorter sequence.
         graph_stats_.divergences++;
@@ -516,7 +515,7 @@ telemetry::MetricsSnapshot Engine::metrics_snapshot() {
 
 GraphStats Engine::graph_stats() const {
   GraphStats s = graph_stats_;
-  s.kernel_launch_seconds_saved = sched_->replay_launch_saved();
+  s.kernel_launch_seconds_saved = sched_.replay_launch_saved();
   return s;
 }
 

@@ -4,23 +4,25 @@
 //
 // One Engine per simulated rank. The Engine is a *recording front-end*:
 // every parallel loop, reduction, sync and fusion break is reified as a
-// kernel-stream IR op (par/stream.hpp) and handed to the active Scheduler
-// backend (par/scheduler.hpp), which performs all modeled-time accounting.
+// kernel-stream IR op (par/stream.hpp) and handed to the Scheduler
+// (par/scheduler.hpp), which performs all modeled-time accounting.
 // Kernels *execute* on host threads with deterministic partitioning
 // (results are independent of thread count and execution model), while the
-// scheduler *accounts* modeled time on the configured device:
+// scheduler *accounts* modeled time on the configured device under one
+// LoweringPolicy resolved from the config:
 //
-//  * LoopModel::Acc    -> AccScheduler  — OpenACC analog: consecutive
-//    kernels in the same fusion group merge into one launch (kernel
-//    fusion); launches can be asynchronous (latency partially hidden).
-//    Reductions use the `reduction` clause; array reductions use atomics.
-//  * LoopModel::Dc2018 -> DcScheduler   — `do concurrent` within Fortran
-//    2018: plain loops become DC (one kernel per loop, synchronous —
-//    kernel fission); reductions are NOT expressible and remain OpenACC
-//    (paper Code 2/3).
-//  * LoopModel::Dc2x   -> Dc2xScheduler — Fortran 202X preview: adds the
-//    `reduce` clause; array reductions flip the loop order (paper
-//    Listing 5, Code 5/6).
+//  * LoopModel::Acc    — OpenACC analog: consecutive kernels in the same
+//    fusion group merge into one launch (kernel fusion); launches can be
+//    asynchronous (latency partially hidden). Reductions use the
+//    `reduction` clause; array reductions use atomics.
+//  * LoopModel::Dc2018 — `do concurrent` within Fortran 2018: plain loops
+//    become DC (one kernel per loop, synchronous — kernel fission);
+//    reductions are NOT expressible and remain OpenACC (paper Code 2/3).
+//  * LoopModel::Dc2x   — Fortran 202X preview: adds the `reduce` clause;
+//    array reductions flip the loop order (paper Listing 5, Code 5/6).
+//
+// The compiler personality (par/compiler_personality.hpp) and the
+// fusion/async ablation flags refine the same policy.
 //
 // On top of the IR, the Engine offers CUDA-Graph-style capture/replay
 // (EngineConfig::graph_replay): a GraphScope names a repeated op sequence
@@ -78,7 +80,6 @@ class Engine {
   gpusim::CostModel& cost() { return cost_; }
   gpusim::MemoryManager& memory() { return mem_; }
   trace::Recorder& tracer() { return tracer_; }
-  const Scheduler& scheduler() const { return *sched_; }
 
   /// Snapshot view of the engine.* counter family, synthesized from the
   /// telemetry registry (the store of record).
@@ -575,7 +576,7 @@ class Engine {
   telemetry::EngineMetrics metrics_;
   telemetry::SiteProfiler profiler_;
   gpusim::TimeCategory kernel_category_ = gpusim::TimeCategory::Compute;
-  std::unique_ptr<Scheduler> sched_;
+  Scheduler sched_;
   std::unique_ptr<analysis::Validator> validator_;
   /// Event-trace recorder; feeds static_verify() and certificate minting.
   std::unique_ptr<analysis::StreamCapture> capture_;

@@ -13,17 +13,40 @@ const char* loop_model_name(LoopModel m) {
   return "?";
 }
 
+LoweringPolicy lowering_policy(const EngineConfig& cfg) {
+  const PersonalityTraits t = personality_traits(cfg.personality);
+  LoweringPolicy p;
+  // Fusion chains and async queues exist only for OpenACC loops on the
+  // device, and only where the toolchain merges consecutive ACC regions
+  // (nvfortran); OpenMP-target lowerings launch one synchronous region per
+  // construct. DC loops fission and launch synchronously (paper Sec. IV-B).
+  const bool acc_on_device = cfg.gpu && cfg.loops == LoopModel::Acc;
+  p.fuse = acc_on_device && cfg.fusion_enabled && t.fuses_acc_chains;
+  p.async = acc_on_device && cfg.async_enabled && t.async_launches;
+  // Array reductions on the device: atomic update (ACC, F2018 DC; paper
+  // Listing 3) or the 202X reduce clause, which nvfortran flips into the
+  // atomic-free form (Listing 5) and other toolchains lower to trees or
+  // atomic blocks.
+  if (cfg.gpu)
+    p.array_reduce_traffic = cfg.loops == LoopModel::Dc2x
+                                 ? t.reduce_clause_traffic
+                                 : t.atomic_reduce_traffic;
+  p.honors_mem_prefetch = t.honors_mem_prefetch;
+  p.honors_mem_advise = t.honors_mem_advise;
+  return p;
+}
+
 void Scheduler::consume(const StreamOp& op) {
   switch (op_kind(op)) {
     case OpKind::Launch: on_launch(std::get<LaunchOp>(op)); break;
-    case OpKind::Reduce: on_reduce(std::get<ReduceOp>(op)); break;
+    // Reductions are synchronous under every model (the DC reduce clause
+    // and the OpenACC reduction clause both imply a result dependency).
+    case OpKind::Reduce: on_reduce(std::get<ReduceOp>(op), 1.0); break;
     case OpKind::ArrayReduce:
-      on_array_reduce(std::get<ArrayReduceOp>(op));
+      on_reduce(std::get<ArrayReduceOp>(op), policy_.array_reduce_traffic);
       break;
-    case OpKind::Sync: on_sync(std::get<SyncOp>(op)); break;
-    case OpKind::FusionBreak:
-      on_fusion_break(std::get<FusionBreakOp>(op));
-      break;
+    case OpKind::Sync: on_sync(); break;
+    case OpKind::FusionBreak: chain_.reset(); break;
     case OpKind::MemHint: on_mem_hint(std::get<MemHintOp>(op)); break;
   }
 }
@@ -41,7 +64,7 @@ i64 Scheduler::touch_accesses(const AccessList& accesses,
       // the pages resident and no per-page fault service is charged. A
       // personality that ignores prefetch hints leaves the pages to
       // demand-fault exactly as if hints were off.
-      if (ctx_.cfg->um_hints && traits_.honors_mem_prefetch)
+      if (ctx_.cfg->um_hints && policy_.honors_mem_prefetch)
         ctx_.mem->mem_prefetch(a.id, touched, /*to_device=*/true,
                                gpusim::TimeCategory::DataMotion);
       ctx_.mem->on_device_access(a.id, touched,
@@ -59,7 +82,7 @@ void Scheduler::on_mem_hint(const MemHintOp& op) {
   // the same; certificates are keyed by personality).
   const bool is_advise = op.hint == MemHint::AdviseReadMostly ||
                          op.hint == MemHint::AdvisePreferredHost;
-  if (is_advise ? !traits_.honors_mem_advise : !traits_.honors_mem_prefetch)
+  if (is_advise ? !policy_.honors_mem_advise : !policy_.honors_mem_prefetch)
     return;
   const double t0 = ctx_.ledger->now();
   switch (op.hint) {
@@ -120,115 +143,35 @@ void Scheduler::on_launch(const LaunchOp& op) {
   ctx_.metrics->kernel_cells.observe(static_cast<double>(op.cells));
   const i64 bytes = touch_accesses(op.accesses, op.cells);
 
-  const bool fused = fuse_with_previous(op);
+  const bool fused = chain_.launch(op.site->fusion_group);
   if (fused)
     ctx_.metrics->fused.add();
   else
     ctx_.metrics->launches.add();
-  last_fusion_group_ = op.site->fusion_group;
 
   charge_launch_and_bytes(*op.site, op.cells, bytes, op.scale, fused,
-                          launch_async(op),
+                          policy_.async_launch(*op.site),
                           1.0 + ctx_.cfg->wrapper_init_overhead, op.category);
 }
 
-void Scheduler::on_reduce(const ReduceOp& op) {
+void Scheduler::on_reduce(const KernelOp& op, double traffic_factor) {
   ctx_.metrics->loops.add();
   ctx_.metrics->reductions.add();
   ctx_.metrics->launches.add();
   ctx_.metrics->kernel_cells.observe(static_cast<double>(op.cells));
-  last_fusion_group_ = 0;  // reductions synchronize; they never fuse
-  const i64 bytes = touch_accesses(op.accesses, op.cells);
-  // Reductions are synchronous under every model (the DC reduce clause and
-  // the OpenACC reduction clause both imply a result dependency).
-  charge_launch_and_bytes(*op.site, op.cells, bytes, op.scale,
-                          /*fused=*/false, /*async=*/false, 1.0, op.category);
-}
-
-void Scheduler::on_array_reduce(const ArrayReduceOp& op) {
-  ctx_.metrics->loops.add();
-  ctx_.metrics->reductions.add();
-  ctx_.metrics->launches.add();
-  ctx_.metrics->kernel_cells.observe(static_cast<double>(op.cells));
-  last_fusion_group_ = 0;
+  chain_.reset();  // reductions synchronize; they never fuse
   const i64 bytes = touch_accesses(op.accesses, op.cells);
   charge_launch_and_bytes(*op.site, op.cells, bytes, op.scale,
-                          /*fused=*/false, /*async=*/false,
-                          array_reduce_traffic_factor(), op.category);
+                          /*fused=*/false, /*async=*/false, traffic_factor,
+                          op.category);
 }
 
-void Scheduler::on_sync(const SyncOp&) {
-  last_fusion_group_ = 0;
+void Scheduler::on_sync() {
+  chain_.reset();
   // Draining the async queue costs one launch latency on the GPU.
   if (ctx_.cfg->gpu)
     ctx_.ledger->advance(ctx_.cfg->device.launch_overhead_s * 0.5,
                          gpusim::TimeCategory::LaunchGap);
-}
-
-void Scheduler::on_fusion_break(const FusionBreakOp&) {
-  last_fusion_group_ = 0;
-}
-
-// ---------------------------------------------------------------------
-// AccScheduler: kernel fusion + async gap hiding (paper Sec. IV-B).
-
-bool AccScheduler::fuse_with_previous(const LaunchOp& op) const {
-  // Fusion chains exist only where the toolchain merges consecutive ACC
-  // regions (nvfortran); OpenMP-target lowerings launch one region per
-  // construct regardless of the fusion-group annotations.
-  return ctx_.cfg->gpu && ctx_.cfg->fusion_enabled &&
-         traits_.fuses_acc_chains && op.site->fusion_group != 0 &&
-         op.site->fusion_group == last_fusion_group_;
-}
-
-bool AccScheduler::launch_async(const LaunchOp& op) const {
-  return ctx_.cfg->gpu && ctx_.cfg->async_enabled &&
-         traits_.async_launches && op.site->async_capable;
-}
-
-double AccScheduler::array_reduce_traffic_factor() const {
-  // Atomic-update array reductions (paper Listing 3) pay extra memory
-  // traffic; how much is a lowering choice (nvfortran contention: 1.35).
-  return ctx_.cfg->gpu ? traits_.atomic_reduce_traffic : 1.0;
-}
-
-// ---------------------------------------------------------------------
-// DcScheduler: one launch per loop (fission), synchronous, DC+atomic
-// array reductions (paper Code 2/3).
-
-bool DcScheduler::fuse_with_previous(const LaunchOp&) const { return false; }
-
-bool DcScheduler::launch_async(const LaunchOp&) const { return false; }
-
-double DcScheduler::array_reduce_traffic_factor() const {
-  // DC (F2018) array reductions stay atomic-update; the contention cost
-  // follows the personality's atomic lowering.
-  return ctx_.cfg->gpu ? traits_.atomic_reduce_traffic : 1.0;
-}
-
-// ---------------------------------------------------------------------
-// Dc2xScheduler: fission like DC, but array reductions are flipped
-// (paper Listing 5) — no atomic traffic.
-
-bool Dc2xScheduler::fuse_with_previous(const LaunchOp&) const {
-  return false;
-}
-
-bool Dc2xScheduler::launch_async(const LaunchOp&) const { return false; }
-
-double Dc2xScheduler::array_reduce_traffic_factor() const {
-  // The 202X reduce clause: nvfortran flips the loop (paper Listing 5,
-  // factor 1.0); other toolchains lower it to trees or atomic blocks.
-  return ctx_.cfg->gpu ? traits_.reduce_clause_traffic : 1.0;
-}
-
-std::unique_ptr<Scheduler> make_scheduler(LoopModel m, SchedulerContext ctx) {
-  switch (m) {
-    case LoopModel::Acc: return std::make_unique<AccScheduler>(ctx);
-    case LoopModel::Dc2018: return std::make_unique<DcScheduler>(ctx);
-    case LoopModel::Dc2x: return std::make_unique<Dc2xScheduler>(ctx);
-  }
-  return std::make_unique<AccScheduler>(ctx);
 }
 
 }  // namespace simas::par

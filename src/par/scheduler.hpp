@@ -1,26 +1,29 @@
 #pragma once
-// Scheduler backends: the execution policies of the paper's code versions,
-// as consumers of the kernel-stream IR (par/stream.hpp).
+// The scheduler: the one execution policy of every paper code version, as a
+// consumer of the kernel-stream IR (par/stream.hpp).
 //
-// The Engine records ops; a Scheduler consumes them and drives the cost
-// model, clock ledger, memory manager and trace recorder. Each paper
-// mechanism is a named, independently testable policy:
+// The Engine records ops; the Scheduler consumes them and drives the cost
+// model, clock ledger, memory manager and trace recorder. The paper's three
+// loop models are lowering decisions, not backends: lowering_policy()
+// resolves them once per engine into a LoweringPolicy, from the loop model,
+// the compiler personality, the target, and the fusion/async ablations.
 //
-//  * AccScheduler  — OpenACC analog: consecutive same-group launches merge
-//    into one kernel (fusion); async-capable launches hide part of the
-//    launch latency (paper Sec. IV-B).
-//  * DcScheduler   — `do concurrent` (F2018) analog: one synchronous
-//    launch per loop (kernel fission); array reductions use atomics.
-//  * Dc2xScheduler — Fortran 202X preview: adds the `reduce` clause; array
-//    reductions flip the loop order (paper Listing 5) and avoid the
-//    atomic read-modify-write traffic.
+//  * Acc    — OpenACC analog: consecutive same-group launches merge into
+//    one kernel (fusion); async-capable launches hide part of the launch
+//    latency (paper Sec. IV-B), where the toolchain lowers them so.
+//  * Dc2018 — `do concurrent` (F2018) analog: one synchronous launch per
+//    loop (kernel fission); array reductions use atomics.
+//  * Dc2x   — Fortran 202X preview: adds the `reduce` clause; array
+//    reductions flip the loop order (paper Listing 5) and avoid the atomic
+//    read-modify-write traffic.
 //
-// All backends share the accounting core, so modeled time differs only
-// through the declared policy points — this is what the golden-equivalence
-// test (tests/test_scheduler_golden.cpp) pins against the pre-refactor
-// monolithic engine arithmetic.
+// FusionChain is the one chain rule; the Scheduler and both checkers
+// (analysis/validator.hpp, analysis/static_verifier.hpp) step the same
+// type, so "the launch the scheduler merged" and "the launch the checkers
+// race-check" cannot disagree. The golden-equivalence test
+// (tests/test_scheduler_golden.cpp) pins the accounting against the
+// pre-refactor monolithic engine arithmetic.
 
-#include <memory>
 #include <string>
 
 #include "gpusim/clock_ledger.hpp"
@@ -160,15 +163,84 @@ struct SchedulerContext {
   telemetry::SiteProfiler* profiler = nullptr;
 };
 
+/// How the modeled toolchain lowers this engine's loops: the one answer to
+/// "does this launch fuse or run async, and what does an array reduction
+/// cost?". Resolved once per engine by lowering_policy(); the Scheduler,
+/// the runtime validator and the static verifier all read the same value.
+struct LoweringPolicy {
+  /// Same-group launches may merge into one kernel (FusionChain applies
+  /// the chain rule).
+  bool fuse = false;
+  /// Async-capable launches are issued asynchronously.
+  bool async = false;
+  /// Traffic multiplier for array reductions (atomic RMW contention vs the
+  /// flipped-loop form, paper Listings 3 -> 4 -> 5).
+  double array_reduce_traffic = 1.0;
+  /// Does the runtime honor bulk prefetch / residency advice hints? An
+  /// ignored hint class is accepted and inert.
+  bool honors_mem_prefetch = true;
+  bool honors_mem_advise = true;
+
+  /// Is a launch (or reduction) at this site issued asynchronously?
+  bool async_launch(const KernelSite& site) const {
+    return async && site.async_capable;
+  }
+};
+
+/// Resolve the lowering of `cfg`: loop model x personality traits x gpu x
+/// the fusion_enabled/async_enabled ablation inputs.
+LoweringPolicy lowering_policy(const EngineConfig& cfg);
+
+/// The fusion-chain rule. A launch fuses into the open chain when the
+/// policy fuses, its site carries the chain's nonzero fusion group, and
+/// the chain has a free op slot (the checkers' element tags give a kernel
+/// an 8-bit slot, so a chain holds at most kMaxSlot + 1 kernels).
+/// Reductions, syncs and fusion breaks end the chain.
+class FusionChain {
+ public:
+  static constexpr u64 kMaxSlot = 255;
+
+  explicit FusionChain(bool fuse) : fuse_(fuse) {}
+
+  /// Step over one launch. True when it fuses into the open chain; false
+  /// when it opens a new chain (new id(), slot() 0).
+  bool launch(int fusion_group) {
+    const bool fused = fuse_ && fusion_group != 0 && fusion_group == group_ &&
+                       slot_ < kMaxSlot;
+    group_ = fusion_group;
+    if (fused) {
+      ++slot_;
+    } else {
+      ++id_;
+      slot_ = 0;
+    }
+    return fused;
+  }
+  /// End the open chain (reduction, sync, fusion break).
+  void reset() {
+    group_ = 0;
+    ++id_;
+    slot_ = 0;
+  }
+
+  /// Identity of the open chain; changes whenever a chain ends or opens.
+  u64 id() const { return id_; }
+  /// Position of the last launch within the open chain (0 = chain head).
+  u64 slot() const { return slot_; }
+
+ private:
+  bool fuse_;
+  int group_ = 0;
+  u64 id_ = 1;
+  u64 slot_ = 0;
+};
+
 class Scheduler {
  public:
   explicit Scheduler(SchedulerContext ctx)
-      : ctx_(ctx), traits_(personality_traits(ctx.cfg->personality)) {}
-  virtual ~Scheduler() = default;
+      : ctx_(ctx), policy_(lowering_policy(*ctx.cfg)), chain_(policy_.fuse) {}
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
-
-  virtual const char* name() const = 0;
 
   /// Account one op of the stream. Ops must be consumed in program order:
   /// fusion and unified-memory residency are stateful.
@@ -181,22 +253,10 @@ class Scheduler {
   /// Accumulated launch overhead elided by replay.
   double replay_launch_saved() const { return replay_launch_saved_; }
 
- protected:
-  // ---- Policy points differentiating the backends ----
-  /// May this launch merge into the immediately preceding one?
-  virtual bool fuse_with_previous(const LaunchOp& op) const = 0;
-  /// Is this launch issued asynchronously (latency partially hidden)?
-  virtual bool launch_async(const LaunchOp& op) const = 0;
-  /// Traffic multiplier for array reductions (atomic RMW contention vs
-  /// the flipped-loop form, paper Listings 3 -> 4 -> 5).
-  virtual double array_reduce_traffic_factor() const = 0;
-
-  // ---- Shared accounting core (identical under every backend) ----
+ private:
   void on_launch(const LaunchOp& op);
-  void on_reduce(const ReduceOp& op);
-  void on_array_reduce(const ArrayReduceOp& op);
-  void on_sync(const SyncOp& op);
-  void on_fusion_break(const FusionBreakOp& op);
+  void on_reduce(const KernelOp& op, double traffic_factor);
+  void on_sync();
   /// UM prefetch/advise hint: drives the page engine and charges the
   /// batched prefetch cost. Hints never break fusion chains.
   void on_mem_hint(const MemHintOp& op);
@@ -210,49 +270,10 @@ class Scheduler {
                                gpusim::TimeCategory category);
 
   SchedulerContext ctx_;
-  /// Lowering traits of cfg->personality, resolved once at construction.
-  PersonalityTraits traits_;
-  int last_fusion_group_ = 0;
+  LoweringPolicy policy_;
+  FusionChain chain_;
   bool replay_active_ = false;
   double replay_launch_saved_ = 0.0;
 };
-
-/// OpenACC analog: kernel fusion + async launch hiding.
-class AccScheduler final : public Scheduler {
- public:
-  using Scheduler::Scheduler;
-  const char* name() const override { return "acc"; }
-
- protected:
-  bool fuse_with_previous(const LaunchOp& op) const override;
-  bool launch_async(const LaunchOp& op) const override;
-  double array_reduce_traffic_factor() const override;
-};
-
-/// `do concurrent` (F2018) analog: one synchronous launch per loop.
-class DcScheduler final : public Scheduler {
- public:
-  using Scheduler::Scheduler;
-  const char* name() const override { return "dc2018"; }
-
- protected:
-  bool fuse_with_previous(const LaunchOp& op) const override;
-  bool launch_async(const LaunchOp& op) const override;
-  double array_reduce_traffic_factor() const override;
-};
-
-/// Fortran 202X preview: flipped (atomic-free) array reductions.
-class Dc2xScheduler final : public Scheduler {
- public:
-  using Scheduler::Scheduler;
-  const char* name() const override { return "dc2x"; }
-
- protected:
-  bool fuse_with_previous(const LaunchOp& op) const override;
-  bool launch_async(const LaunchOp& op) const override;
-  double array_reduce_traffic_factor() const override;
-};
-
-std::unique_ptr<Scheduler> make_scheduler(LoopModel m, SchedulerContext ctx);
 
 }  // namespace simas::par

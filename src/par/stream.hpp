@@ -4,7 +4,7 @@
 // Every operation the solver hands to the Engine — parallel loop launches,
 // scalar/array reductions, device syncs, fusion breaks — is reified as a
 // typed op before any time accounting happens. The ops form a stream that
-// a Scheduler backend (par/scheduler.hpp) consumes to drive the cost
+// the Scheduler (par/scheduler.hpp) consumes to drive the cost
 // model, and that a CapturedGraph can record for CUDA-Graph-style replay:
 // one launch overhead per *graph* instead of per *kernel*, the
 // launch-amortization technique that extends the paper's fusion/async

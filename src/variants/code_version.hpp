@@ -62,9 +62,9 @@ par::EngineConfig engine_config(CodeVersion v, gpusim::DeviceSpec device,
 /// Portability-matrix variant: the same version built by `personality`.
 /// Applies the personality's implicit-UM default (ifx-like DC offload
 /// runs managed even for manual-memory versions) on top of the version
-/// table; scheduler-level lowering differences are gated inside the
-/// schedulers by EngineConfig::personality. Nvfortran reproduces the
-/// two-argument overload exactly.
+/// table; scheduler-level lowering differences are resolved from
+/// EngineConfig::personality by par::lowering_policy(). Nvfortran
+/// reproduces the two-argument overload exactly.
 par::EngineConfig engine_config(CodeVersion v, gpusim::DeviceSpec device,
                                 par::CompilerPersonality personality,
                                 int host_threads = 1);

@@ -1,17 +1,20 @@
 // Golden-equivalence test for the scheduler refactor.
 //
 // The Engine used to be a monolith that accounted modeled time inline;
-// it is now a recording front-end feeding kernel-stream IR ops to a
-// Scheduler backend. This test pins the refactor bit-for-bit: a
+// it is now a recording front-end feeding kernel-stream IR ops to the
+// Scheduler. This test pins the refactor bit-for-bit: a
 // ReferenceAccountant below re-implements the pre-refactor arithmetic
 // verbatim (same operations, same order, same doubles), and every loop
 // model x memory mode must reproduce its clock, category totals,
-// counters, and trace stream EXACTLY (==, not near).
+// counters, and trace stream EXACTLY (==, not near). The lowering table
+// at the end pins par::lowering_policy() cell by cell.
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <iterator>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "par/engine.hpp"
@@ -376,12 +379,122 @@ TEST(SchedulerGolden, OverlapHaloFlagDoesNotChangeAccounting) {
   }
 }
 
-TEST(SchedulerGolden, BackendNamesFollowLoopModel) {
-  for (const LoopModel loops :
-       {LoopModel::Acc, LoopModel::Dc2018, LoopModel::Dc2x}) {
-    EngineConfig cfg = config_for(loops, gpusim::MemoryMode::Manual);
-    Engine eng(cfg);
-    EXPECT_STREQ(eng.scheduler().name(), loop_model_name(loops));
+// ---------------------------------------------------------------------
+// The lowering table: every loop model x personality x target x ablation
+// cell, with the expected LoweringPolicy written out (not recomputed).
+// Columns: loops, personality, target, fusion_enabled, async_enabled ->
+// {fuse, async, array_reduce_traffic, honors_mem_prefetch,
+//  honors_mem_advise}.
+
+TEST(LoweringPolicyTable, EveryCellMatchesItsLiteral) {
+  constexpr LoopModel Acc = LoopModel::Acc;
+  constexpr LoopModel Dc2018 = LoopModel::Dc2018;
+  constexpr LoopModel Dc2x = LoopModel::Dc2x;
+  constexpr CompilerPersonality Nvfortran = CompilerPersonality::Nvfortran;
+  constexpr CompilerPersonality Ifx = CompilerPersonality::Ifx;
+  constexpr CompilerPersonality Flang = CompilerPersonality::Flang;
+  constexpr bool kGpu = true;
+  constexpr bool kCpu = false;
+  struct Cell {
+    LoopModel loops;
+    CompilerPersonality personality;
+    bool gpu;
+    bool fusion_enabled;
+    bool async_enabled;
+    LoweringPolicy want;
+  };
+  const Cell cells[] = {
+      {Acc, Nvfortran, kGpu, true, true, {true, true, 1.35, true, true}},
+      {Acc, Nvfortran, kGpu, true, false, {true, false, 1.35, true, true}},
+      {Acc, Nvfortran, kGpu, false, true, {false, true, 1.35, true, true}},
+      {Acc, Nvfortran, kGpu, false, false, {false, false, 1.35, true, true}},
+      {Acc, Nvfortran, kCpu, true, true, {false, false, 1.0, true, true}},
+      {Acc, Nvfortran, kCpu, true, false, {false, false, 1.0, true, true}},
+      {Acc, Nvfortran, kCpu, false, true, {false, false, 1.0, true, true}},
+      {Acc, Nvfortran, kCpu, false, false, {false, false, 1.0, true, true}},
+      {Acc, Ifx, kGpu, true, true, {false, false, 1.12, true, false}},
+      {Acc, Ifx, kGpu, true, false, {false, false, 1.12, true, false}},
+      {Acc, Ifx, kGpu, false, true, {false, false, 1.12, true, false}},
+      {Acc, Ifx, kGpu, false, false, {false, false, 1.12, true, false}},
+      {Acc, Ifx, kCpu, true, true, {false, false, 1.0, true, false}},
+      {Acc, Ifx, kCpu, true, false, {false, false, 1.0, true, false}},
+      {Acc, Ifx, kCpu, false, true, {false, false, 1.0, true, false}},
+      {Acc, Ifx, kCpu, false, false, {false, false, 1.0, true, false}},
+      {Acc, Flang, kGpu, true, true, {false, false, 1.5, false, false}},
+      {Acc, Flang, kGpu, true, false, {false, false, 1.5, false, false}},
+      {Acc, Flang, kGpu, false, true, {false, false, 1.5, false, false}},
+      {Acc, Flang, kGpu, false, false, {false, false, 1.5, false, false}},
+      {Acc, Flang, kCpu, true, true, {false, false, 1.0, false, false}},
+      {Acc, Flang, kCpu, true, false, {false, false, 1.0, false, false}},
+      {Acc, Flang, kCpu, false, true, {false, false, 1.0, false, false}},
+      {Acc, Flang, kCpu, false, false, {false, false, 1.0, false, false}},
+      {Dc2018, Nvfortran, kGpu, true, true, {false, false, 1.35, true, true}},
+      {Dc2018, Nvfortran, kGpu, true, false, {false, false, 1.35, true, true}},
+      {Dc2018, Nvfortran, kGpu, false, true, {false, false, 1.35, true, true}},
+      {Dc2018, Nvfortran, kGpu, false, false, {false, false, 1.35, true, true}},
+      {Dc2018, Nvfortran, kCpu, true, true, {false, false, 1.0, true, true}},
+      {Dc2018, Nvfortran, kCpu, true, false, {false, false, 1.0, true, true}},
+      {Dc2018, Nvfortran, kCpu, false, true, {false, false, 1.0, true, true}},
+      {Dc2018, Nvfortran, kCpu, false, false, {false, false, 1.0, true, true}},
+      {Dc2018, Ifx, kGpu, true, true, {false, false, 1.12, true, false}},
+      {Dc2018, Ifx, kGpu, true, false, {false, false, 1.12, true, false}},
+      {Dc2018, Ifx, kGpu, false, true, {false, false, 1.12, true, false}},
+      {Dc2018, Ifx, kGpu, false, false, {false, false, 1.12, true, false}},
+      {Dc2018, Ifx, kCpu, true, true, {false, false, 1.0, true, false}},
+      {Dc2018, Ifx, kCpu, true, false, {false, false, 1.0, true, false}},
+      {Dc2018, Ifx, kCpu, false, true, {false, false, 1.0, true, false}},
+      {Dc2018, Ifx, kCpu, false, false, {false, false, 1.0, true, false}},
+      {Dc2018, Flang, kGpu, true, true, {false, false, 1.5, false, false}},
+      {Dc2018, Flang, kGpu, true, false, {false, false, 1.5, false, false}},
+      {Dc2018, Flang, kGpu, false, true, {false, false, 1.5, false, false}},
+      {Dc2018, Flang, kGpu, false, false, {false, false, 1.5, false, false}},
+      {Dc2018, Flang, kCpu, true, true, {false, false, 1.0, false, false}},
+      {Dc2018, Flang, kCpu, true, false, {false, false, 1.0, false, false}},
+      {Dc2018, Flang, kCpu, false, true, {false, false, 1.0, false, false}},
+      {Dc2018, Flang, kCpu, false, false, {false, false, 1.0, false, false}},
+      {Dc2x, Nvfortran, kGpu, true, true, {false, false, 1.0, true, true}},
+      {Dc2x, Nvfortran, kGpu, true, false, {false, false, 1.0, true, true}},
+      {Dc2x, Nvfortran, kGpu, false, true, {false, false, 1.0, true, true}},
+      {Dc2x, Nvfortran, kGpu, false, false, {false, false, 1.0, true, true}},
+      {Dc2x, Nvfortran, kCpu, true, true, {false, false, 1.0, true, true}},
+      {Dc2x, Nvfortran, kCpu, true, false, {false, false, 1.0, true, true}},
+      {Dc2x, Nvfortran, kCpu, false, true, {false, false, 1.0, true, true}},
+      {Dc2x, Nvfortran, kCpu, false, false, {false, false, 1.0, true, true}},
+      {Dc2x, Ifx, kGpu, true, true, {false, false, 1.12, true, false}},
+      {Dc2x, Ifx, kGpu, true, false, {false, false, 1.12, true, false}},
+      {Dc2x, Ifx, kGpu, false, true, {false, false, 1.12, true, false}},
+      {Dc2x, Ifx, kGpu, false, false, {false, false, 1.12, true, false}},
+      {Dc2x, Ifx, kCpu, true, true, {false, false, 1.0, true, false}},
+      {Dc2x, Ifx, kCpu, true, false, {false, false, 1.0, true, false}},
+      {Dc2x, Ifx, kCpu, false, true, {false, false, 1.0, true, false}},
+      {Dc2x, Ifx, kCpu, false, false, {false, false, 1.0, true, false}},
+      {Dc2x, Flang, kGpu, true, true, {false, false, 1.5, false, false}},
+      {Dc2x, Flang, kGpu, true, false, {false, false, 1.5, false, false}},
+      {Dc2x, Flang, kGpu, false, true, {false, false, 1.5, false, false}},
+      {Dc2x, Flang, kGpu, false, false, {false, false, 1.5, false, false}},
+      {Dc2x, Flang, kCpu, true, true, {false, false, 1.0, false, false}},
+      {Dc2x, Flang, kCpu, true, false, {false, false, 1.0, false, false}},
+      {Dc2x, Flang, kCpu, false, true, {false, false, 1.0, false, false}},
+      {Dc2x, Flang, kCpu, false, false, {false, false, 1.0, false, false}},
+  };
+  ASSERT_EQ(std::size(cells), 72u);
+  for (const Cell& c : cells) {
+    EngineConfig cfg;
+    cfg.loops = c.loops;
+    cfg.personality = c.personality;
+    cfg.gpu = c.gpu;
+    cfg.fusion_enabled = c.fusion_enabled;
+    cfg.async_enabled = c.async_enabled;
+    const LoweringPolicy got = lowering_policy(cfg);
+    SCOPED_TRACE(std::string(loop_model_name(c.loops)) + "/" +
+                 personality_tag(c.personality) + (c.gpu ? "/gpu" : "/cpu") +
+                 (c.fusion_enabled ? "/fusion" : "/no-fusion") +
+                 (c.async_enabled ? "/async" : "/no-async"));
+    EXPECT_EQ(got.fuse, c.want.fuse);
+    EXPECT_EQ(got.async, c.want.async);
+    EXPECT_EQ(got.array_reduce_traffic, c.want.array_reduce_traffic);
+    EXPECT_EQ(got.honors_mem_prefetch, c.want.honors_mem_prefetch);
+    EXPECT_EQ(got.honors_mem_advise, c.want.honors_mem_advise);
   }
 }
 

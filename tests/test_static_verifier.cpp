@@ -566,5 +566,98 @@ TEST(Personalities, HonoredPrefetchKeepsSpanMismatchAsWarning) {
   scrub(eng, {&f});
 }
 
+// The fusion and async decisions are the toolchain's lowering, and both
+// analyses must follow the launches the scheduler actually modeled. Two
+// back-to-back same-group full writes race only where the personality
+// fuses them (nvfortran-like); ifx-like and flang-like launch them
+// separately, so neither analysis may report a fused race there.
+TEST(Personalities, FusedWawFollowsTheToolchainsFusion) {
+  for (const par::CompilerPersonality p : par::all_personalities()) {
+    SCOPED_TRACE(par::personality_name(p));
+    par::EngineConfig cfg = capture_config();
+    cfg.personality = p;
+    par::Engine eng(cfg);
+    field::Field f(eng, "sv_pers_waw", 4, 4, 4);
+    f.enter_data();
+    static const par::KernelSite& s1 =
+        SIMAS_SITE("sv_pers_waw_w1", SiteKind::ParallelLoop, 94);
+    static const par::KernelSite& s2 =
+        SIMAS_SITE("sv_pers_waw_w2", SiteKind::ParallelLoop, 94);
+    const par::Range3 r3{0, 4, 0, 4, 0, 4};
+    eng.for_each(s1, r3, {par::out(f.id())},
+                 [&](idx i, idx j, idx k) { f(i, j, k) = 1.0; });
+    eng.for_each(s2, r3, {par::out(f.id())},
+                 [&](idx i, idx j, idx k) { f(i, j, k) = 2.0; });
+    const bool fuses = p == par::CompilerPersonality::Nvfortran;
+    EXPECT_EQ(eng.counters().kernel_launches, fuses ? 1 : 2);
+    EXPECT_EQ(eng.counters().fused_launches, fuses ? 1 : 0);
+    const ValidationReport st = eng.static_verify();
+    const ValidationReport rt = eng.take_validation_report();
+    EXPECT_EQ(st.has(Check::FusedConflict), fuses) << st.to_string();
+    EXPECT_EQ(rt.has(Check::FusedConflict), fuses) << rt.to_string();
+    scrub(eng, {&f});
+  }
+}
+
+// The async analogue: a reduction site still marked async_capable hands
+// the host an unfinished result only where launches are actually async.
+TEST(Personalities, AsyncReductionFollowsTheToolchainsAsync) {
+  for (const par::CompilerPersonality p : par::all_personalities()) {
+    SCOPED_TRACE(par::personality_name(p));
+    par::EngineConfig cfg = capture_config();
+    cfg.personality = p;
+    par::Engine eng(cfg);
+    field::Field f(eng, "sv_pers_async", 4, 4, 4);
+    f.enter_data();
+    static const par::KernelSite& site =
+        SIMAS_SITE("sv_pers_async_red", SiteKind::ScalarReduction, 0);
+    (void)eng.reduce_sum(site, par::Range3{0, 4, 0, 4, 0, 4},
+                         {par::in(f.id())},
+                         [&](idx i, idx j, idx k) { return f(i, j, k); });
+    const bool async = p == par::CompilerPersonality::Nvfortran;
+    const ValidationReport st = eng.static_verify();
+    const ValidationReport rt = eng.take_validation_report();
+    EXPECT_EQ(st.has(Check::AsyncReductionNoWait), async) << st.to_string();
+    EXPECT_EQ(rt.has(Check::AsyncReductionNoWait), async) << rt.to_string();
+    scrub(eng, {&f});
+  }
+}
+
+// ---------------------------------------------------------------------
+// 7. The fusion-chain slot cap. Element tags give a kernel an 8-bit slot
+//    within its chain, so a chain holds at most 256 kernels; the
+//    scheduler and both checkers break the chain at the same launch.
+
+TEST(FusionChain, SlotCapSplitsLongChainsAlikeInAllThreeConsumers) {
+  par::Engine eng(capture_config());
+  field::Field f(eng, "sv_chain_cap", 4, 4, 4);
+  f.enter_data();
+  static const par::KernelSite& site =
+      SIMAS_SITE("sv_chain_cap_w", SiteKind::ParallelLoop, 95);
+  constexpr int kLaunches = 300;
+  for (int n = 0; n < kLaunches; ++n)
+    eng.for_each(site, par::Range3{0, 1, 0, 1, 0, 1}, {par::out(f.id())},
+                 [&](idx i, idx j, idx k) { f(i, j, k) = real(n); });
+  // Chain one: a head plus 255 fused kernels; launch 257 opens chain two,
+  // which fuses the remaining 43.
+  constexpr i64 kFused = kLaunches - 2;
+  EXPECT_EQ(eng.counters().kernel_launches, 2);
+  EXPECT_EQ(eng.counters().fused_launches, kFused);
+  // Each fused kernel rewrites the one element its chain predecessor
+  // wrote: one FusedConflict occurrence per fused launch, and none for
+  // the head of chain two.
+  const auto fused_conflicts = [](const ValidationReport& r) {
+    i64 n = 0;
+    for (const analysis::Diagnostic& d : r.diagnostics)
+      if (d.check == Check::FusedConflict) n += d.count;
+    return n;
+  };
+  const ValidationReport st = eng.static_verify();
+  const ValidationReport rt = eng.take_validation_report();
+  EXPECT_EQ(fused_conflicts(st), kFused) << st.to_string();
+  EXPECT_EQ(fused_conflicts(rt), kFused) << rt.to_string();
+  scrub(eng, {&f});
+}
+
 }  // namespace
 }  // namespace simas
