@@ -3,15 +3,16 @@
 //
 // Where the runtime validator (analysis/validator.hpp) shadows every
 // element access — O(cells x steps) — this pass replays a captured event
-// trace (analysis/stream_capture.hpp) through a happens-before dataflow
-// analysis over the *declared* Access lists: O(stream size), zero kernels
-// executed. It constructs the same op-level machinery the runtime
-// validator maintains — ACC fusion chains (the scheduler's own
-// par::FusionChain under the same par::LoweringPolicy), the single async
-// queue, the Manual-mode coherence state machine, halo begin/finish
-// windows — and derives element-level conclusions from the declared radial
-// spans and write patterns (par::Span / Access::scatter) instead of
-// observed touches:
+// trace (analysis/stream_capture.hpp) over the *declared* Access lists:
+// O(stream size), zero kernels executed.
+//
+// The op-level machinery is not re-implemented here: the replay feeds the
+// same analysis::OpChecker the validator feeds live (fusion chains, the
+// async queue, the Manual-mode coherence machine, and the op-level
+// checks), so both report those findings identically. On top of it the
+// pass derives element-level conclusions from the declared radial spans
+// and write patterns (par::Span / Access::scatter) instead of observed
+// touches:
 //
 //   * WAW/RAW races across fused kernels: a kernel whose declared pure
 //     write (or pure read) overlaps — by span — an array pure-written by
@@ -21,9 +22,9 @@
 //   * reads of in-flight ghost regions: any declared access whose span
 //     covers a radial ghost column posted by an unfinished overlapped
 //     exchange (InflightGhostRead);
-//   * host pulls without sync, async reductions, and the full Manual-mode
-//     coherence machine — op-level checks mirrored from the runtime
-//     validator verbatim.
+//   * unified-memory hint correctness (PrefetchSpanMismatch,
+//     UseAfterEvict), demoted to notes under toolchains that ignore the
+//     hint class.
 //
 // The division of labor is: the static pass TRUSTS declarations and flags
 // conservatively; the runtime validator VERIFIES declarations element-
@@ -39,24 +40,10 @@
 // certificate (par/graph_cache.hpp) attests.
 
 #include "analysis/diagnostics.hpp"
+#include "analysis/op_checker.hpp"
 #include "analysis/stream_capture.hpp"
-#include "par/scheduler.hpp"
 
 namespace simas::analysis {
-
-/// The model facts the static pass resolves from an engine configuration:
-/// the scheduler's LoweringPolicy (a toolchain that never fuses cannot
-/// have fused-chain races; one that ignores a hint class turns that
-/// class's findings into notes) plus the memory mode and target.
-struct StaticModel {
-  par::LoweringPolicy policy;
-  gpusim::MemoryMode memory = gpusim::MemoryMode::Manual;
-  bool gpu = true;
-
-  static StaticModel from(const par::EngineConfig& cfg) {
-    return StaticModel{par::lowering_policy(cfg), cfg.memory, cfg.gpu};
-  }
-};
 
 /// Run the static pass over a captured trace. Pure function of its
 /// arguments: no kernel executes, no engine state is touched.

@@ -9,19 +9,8 @@ void StreamCapture::on_op(const par::StreamOp& op) {
              op);
   ++ops_;
   hash_ = par::hash_op_signature(hash_, op);
-  if (const par::KernelSite* site = par::op_site(op); site != nullptr) {
-    const auto* ko = std::visit(
-        [](const auto& o) -> const par::KernelOp* {
-          if constexpr (std::is_base_of_v<par::KernelOp,
-                                          std::decay_t<decltype(o)>>)
-            return &o;
-          else
-            return nullptr;
-        },
-        op);
-    if (ko != nullptr)
-      for (const par::Access& a : ko->accesses) remember_name(a.id);
-  }
+  if (const par::KernelOp* ko = par::kernel_payload(op); ko != nullptr)
+    for (const par::Access& a : ko->accesses) remember_name(a.id);
   if (const auto* mh = std::get_if<par::MemHintOp>(&op))
     remember_name(mh->id);
 }
@@ -39,7 +28,6 @@ void StreamCapture::on_halo_end(gpusim::ArrayId id) {
 void StreamCapture::on_data_event(gpusim::DataEvent ev, gpusim::ArrayId id) {
   remember_name(id);
   events_.emplace_back(DataEventRec{ev, id});
-  if (next_ != nullptr) next_->on_data_event(ev, id);
 }
 
 const std::string& StreamCapture::array_name(gpusim::ArrayId id) const {

@@ -7,17 +7,17 @@
 // channels. StreamCapture merges all three into ONE ordered event trace:
 //
 //   * every IR op, via on_op() — fed by Engine::submit in program order;
-//   * every Manual-mode data directive / host-device access note, via the
-//     MemoryObserver hook (the capture chains to the runtime validator
-//     when both are active: the MemoryManager has a single observer slot);
+//   * every Manual-mode data directive / host-device access note, via
+//     on_data_event() — fed by the Engine's memory observer, which hands
+//     the same event to the runtime validator;
 //   * halo begin/finish pairs, via on_halo_begin()/on_halo_end() — fed by
 //     Engine::note_halo_begin/note_halo_end from mpisim::HaloExchanger.
 //
 // All three channels fire on the rank thread, so the recorded order IS the
 // program order the runtime validator observes. The static verifier
-// (analysis/static_verifier.hpp) replays this trace through a dataflow
-// pass without executing a single kernel: O(stream size), not
-// O(cells x steps).
+// (analysis/static_verifier.hpp) replays this trace through the same
+// analysis::OpChecker the validator feeds live, without executing a
+// single kernel: O(stream size), not O(cells x steps).
 //
 // The capture also folds a running signature hash over the op channel
 // (par::hash_op_signature) — the integrity fingerprint stored in a
@@ -56,22 +56,17 @@ struct HaloEndRec {
 using StreamEvent =
     std::variant<par::StreamOp, DataEventRec, HaloBeginRec, HaloEndRec>;
 
-class StreamCapture final : public gpusim::MemoryObserver {
+class StreamCapture {
  public:
   /// `mem` resolves array names at record time (the verifier runs after
   /// the arrays may be gone). Must outlive the capture.
   explicit StreamCapture(gpusim::MemoryManager& mem) : mem_(mem) {}
 
-  /// Chain a downstream observer (the runtime validator): every data
-  /// event is recorded AND forwarded, so capture never hides events from
-  /// the validator sharing the MemoryManager's single observer slot.
-  void set_next(gpusim::MemoryObserver* next) { next_ = next; }
-
   // ---- Recording hooks (rank thread, program order) ----
   void on_op(const par::StreamOp& op);
   void on_halo_begin(gpusim::ArrayId id, bool lo_inflight, bool hi_inflight);
   void on_halo_end(gpusim::ArrayId id);
-  void on_data_event(gpusim::DataEvent ev, gpusim::ArrayId id) override;
+  void on_data_event(gpusim::DataEvent ev, gpusim::ArrayId id);
 
   // ---- The recorded trace ----
   const std::vector<StreamEvent>& events() const { return events_; }
@@ -86,7 +81,6 @@ class StreamCapture final : public gpusim::MemoryObserver {
   void remember_name(gpusim::ArrayId id);
 
   gpusim::MemoryManager& mem_;
-  gpusim::MemoryObserver* next_ = nullptr;
   std::vector<StreamEvent> events_;
   std::unordered_map<gpusim::ArrayId, std::string> names_;
   i64 ops_ = 0;

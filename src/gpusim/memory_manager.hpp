@@ -96,7 +96,8 @@ class MemoryManager {
                          bool derived_type_member = false);
   void unregister_array(ArrayId id);
 
-  /// The observer (the kernel-stream validator) is notified of every data
+  /// The observer (the Engine's, which feeds the flight recorder, the
+  /// stream capture and the validator) is notified of every data
   /// directive and access note. Pass nullptr to detach.
   void set_observer(MemoryObserver* obs) { observer_ = obs; }
 

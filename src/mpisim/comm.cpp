@@ -56,7 +56,7 @@ std::pair<double, double> World::collective(int rank, double value,
     double latest = coll_.clocks[0];
     for (int r = 1; r < nranks_; ++r) {
       const double v = coll_.values[static_cast<std::size_t>(r)];
-      acc = take_max ? std::max(acc, v) : acc + v;
+      acc = take_max ? nan_max(acc, v) : acc + v;
       latest = std::max(latest, coll_.clocks[static_cast<std::size_t>(r)]);
     }
     coll_.result = acc;

@@ -103,17 +103,11 @@ Engine::Engine(EngineConfig cfg)
     shadow_exec_ = true;
     shadow_ctx_.owner = validator_.get();
   }
-  if (cfg_.capture_stream && !certified_) {
+  if (cfg_.capture_stream && !certified_)
     capture_ = std::make_unique<analysis::StreamCapture>(mem_);
-    // The MemoryManager has a single observer slot: the capture records
-    // every data event and forwards it to the validator.
-    capture_->set_next(validator_.get());
-    flight_obs_.next = capture_.get();
-  } else if (validator_ != nullptr) {
-    flight_obs_.next = validator_.get();
-  }
-  // The flight recorder always observes coherence transitions, forwarding
-  // to whatever the capture/validator chain would have received directly.
+  // The MemoryManager has a single observer slot: the flight observer
+  // records every coherence transition and fans it out to the capture and
+  // the validator.
   flight_obs_.engine = this;
   mem_.set_observer(&flight_obs_);
 }
@@ -124,7 +118,8 @@ void Engine::FlightMemObserver::on_data_event(gpusim::DataEvent ev,
       telemetry::FlightKind::DataEvent, engine->cfg_.trace_id,
       engine->cfg_.flight_rank, engine->ledger_.now(), /*site=*/-1,
       static_cast<i32>(id), /*payload=*/0, static_cast<unsigned char>(ev));
-  if (next != nullptr) next->on_data_event(ev, id);
+  if (engine->capture_ != nullptr) engine->capture_->on_data_event(ev, id);
+  if (engine->validator_ != nullptr) engine->validator_->on_data_event(ev, id);
 }
 
 Engine::~Engine() {

@@ -475,7 +475,7 @@ class Engine {
         for (idx i = r.i0; i < r.i1; ++i) {
           const real v = term(i, j, k);
           if (take_max) {
-            if (v > acc) acc = v;
+            acc = nan_max(acc, v);
           } else {
             acc += v;
           }
@@ -490,7 +490,7 @@ class Engine {
     real total = take_max ? max_identity() : 0.0;
     for (i64 b = 0; b < nblocks; ++b) {
       if (take_max) {
-        if (partial[b] > total) total = partial[b];
+        total = nan_max(total, partial[b]);
       } else {
         total += partial[b];
       }
@@ -548,12 +548,10 @@ class Engine {
 
   /// Always-installed memory observer: records every coherence transition
   /// (data directives, host/device access notes) into the process flight
-  /// recorder, then forwards to the capture/validator chain. Recording is
-  /// O(1) and lock-free; `next` is the observer the engine would have
-  /// installed directly before the flight recorder existed.
+  /// recorder, then fans it out to the capture and the validator, like
+  /// submit() does for ops. Recording is O(1) and lock-free.
   struct FlightMemObserver final : gpusim::MemoryObserver {
     Engine* engine = nullptr;
-    gpusim::MemoryObserver* next = nullptr;
     void on_data_event(gpusim::DataEvent ev, gpusim::ArrayId id) override;
   };
 

@@ -37,16 +37,12 @@ OpKind op_kind(const StreamOp& op) {
   }
 }
 
-namespace {
-
 const KernelOp* kernel_payload(const StreamOp& op) {
   if (const auto* l = std::get_if<LaunchOp>(&op)) return l;
   if (const auto* r = std::get_if<ReduceOp>(&op)) return r;
   if (const auto* a = std::get_if<ArrayReduceOp>(&op)) return a;
   return nullptr;
 }
-
-}  // namespace
 
 const KernelSite* op_site(const StreamOp& op) {
   if (const auto* m = std::get_if<MemHintOp>(&op)) return m->site;

@@ -146,6 +146,9 @@ using StreamOp = std::variant<LaunchOp, ReduceOp, ArrayReduceOp, SyncOp,
                               FusionBreakOp, MemHintOp>;
 
 OpKind op_kind(const StreamOp& op);
+/// Payload of a launch or reduction; nullptr for SyncOp / FusionBreakOp /
+/// MemHintOp.
+const KernelOp* kernel_payload(const StreamOp& op);
 /// Site of a kernel or hint op; nullptr for SyncOp / FusionBreakOp.
 const KernelSite* op_site(const StreamOp& op);
 /// Cell count of a kernel op; 0 for SyncOp / FusionBreakOp / MemHintOp.

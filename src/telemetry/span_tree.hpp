@@ -10,7 +10,7 @@
 //   job (root span, TraceContext minted at submission)
 //   ├─ queue wait            (host wall clock, submission → pickup)
 //   └─ run                   (host wall clock, pickup → completion)
-//      └─ rank r (child span r+1, modeled clock)
+//      └─ rank r (span r + 2 = child(r + 1), modeled clock)
 //         ├─ compute          TimeCategory::Compute
 //         ├─ launch_gap       TimeCategory::LaunchGap
 //         ├─ prefetch/paging  TimeCategory::DataMotion

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -145,6 +147,25 @@ TEST(Comm, AllreduceSumAndMaxAreExactAndSynchronizing) {
       // Every rank's clock must be past the slowest participant's arrival.
       EXPECT_GE(eng.ledger().now(), 0.1 * (nranks - 1));
     });
+  }
+}
+
+TEST(Comm, AllreduceMaxPropagatesNanFromAnyRank) {
+  for (const int nranks : {2, 3}) {
+    for (int nan_rank = 0; nan_rank < nranks; ++nan_rank) {
+      World world(nranks);
+      world.run([&](int rank) {
+        par::Engine eng(manual_gpu());
+        Comm comm(world, rank, eng);
+        const double v = rank == nan_rank
+                             ? std::numeric_limits<double>::quiet_NaN()
+                             : 10.0 + rank;
+        const double m = comm.allreduce_max(v);
+        EXPECT_TRUE(std::isnan(m)) << "NaN on rank " << nan_rank << " of "
+                                   << nranks << ": rank " << rank
+                                   << " got " << m;
+      });
+    }
   }
 }
 

@@ -156,6 +156,9 @@ TEST(ObservabilitySpans, RunExperimentFillsCompleteRankSpans) {
   EXPECT_TRUE(rec.complete(1e-6, &why)) << why;
   for (const telemetry::RankSpan& rank : result.rank_spans) {
     EXPECT_EQ(rank.ctx.trace_id, cfg.trace.trace_id);
+    // Rank r is the root's child(r + 1): span r + 2, never the root's 1.
+    EXPECT_EQ(rank.ctx.span_id, static_cast<u64>(rank.rank) + 2);
+    EXPECT_NE(rank.ctx.span_id, cfg.trace.span_id);
     EXPECT_GT(rank.phases.modeled_seconds, 0.0);
   }
   // The dotted metric families ride alongside the deprecated flat fields.
@@ -499,6 +502,10 @@ TEST(ObservabilityServing, TracedJobsYieldCompleteSpanTrees) {
     EXPECT_TRUE(r.spans.complete(1e-6, &why)) << "job " << r.id << ": " << why;
     EXPECT_GE(r.spans.run_host_seconds, 0.0);
     EXPECT_EQ(r.spans.job_id, static_cast<u64>(r.id));
+    for (const telemetry::RankSpan& rank : r.spans.ranks) {
+      EXPECT_EQ(rank.ctx.span_id, static_cast<u64>(rank.rank) + 2);
+      EXPECT_NE(rank.ctx.span_id, r.spans.ctx.span_id);
+    }
   }
   EXPECT_EQ(trace_ids.size(), 6u);  // one distinct trace per job
 

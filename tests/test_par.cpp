@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <set>
 #include <stdexcept>
@@ -210,6 +212,29 @@ TEST(Engine, ReduceMaxFindsMaximum) {
                                          500.0;
                                 });
   EXPECT_DOUBLE_EQ(m, 999.0 - 500.0);
+}
+
+TEST(Engine, ReduceMaxPropagatesNanFromTheLastBlock) {
+  // 8192 cells (pool-dispatched on 4 threads) in 32 blocks. The NaN is the
+  // very last cell: finite values precede it in its own block, and finite
+  // partials precede its block in the combine, so a plain `>` drops it at
+  // both levels.
+  static const KernelSite& site =
+      SIMAS_SITE("test_engine_reduce_max_nan", SiteKind::ScalarReduction, 0,
+                 false, false, /*async_capable=*/false);
+  for (const int nthreads : {1, 4}) {
+    EngineConfig cfg = gpu_config(LoopModel::Acc, gpusim::MemoryMode::Manual);
+    cfg.host_threads = nthreads;
+    Engine eng(cfg);
+    const auto id = eng.memory().register_array("a", 1 << 20);
+    const real m = eng.reduce_max(
+        site, Range3{0, 32, 0, 16, 0, 16}, {in(id)}, [](idx i, idx j, idx k) {
+          return i == 31 && j == 15 && k == 15
+                     ? std::numeric_limits<real>::quiet_NaN()
+                     : static_cast<real>(i + j + k);
+        });
+    EXPECT_TRUE(std::isnan(m)) << nthreads << " thread(s): got " << m;
+  }
 }
 
 TEST(Engine, ArrayReduceAccumulatesPerOuterIndex) {

@@ -74,6 +74,50 @@ void expect_static_superset(const Reports& r) {
   }
 }
 
+/// The op-level checks: both analyses run them through one
+/// analysis::OpChecker (fed live by the validator, replayed by the static
+/// pass), so their findings must agree exactly.
+bool op_level(Check c) {
+  switch (c) {
+    case Check::StaleDeviceRead:
+    case Check::StaleHostRead:
+    case Check::DiscardedDeviceWrites:
+    case Check::KernelOutsideRegion:
+    case Check::UnbalancedDataRegion:
+    case Check::AsyncReductionNoWait:
+    case Check::AsyncHostAccessNoSync:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Entry-for-entry equality of the two reports' op-level findings: same
+/// check, severity, site, array, location, first op index and count, in
+/// the same order.
+void expect_op_level_equal(const Reports& r) {
+  std::vector<const analysis::Diagnostic*> rt, st;
+  for (const analysis::Diagnostic& d : r.runtime.diagnostics)
+    if (op_level(d.check)) rt.push_back(&d);
+  for (const analysis::Diagnostic& d : r.statics.diagnostics)
+    if (op_level(d.check)) st.push_back(&d);
+  ASSERT_EQ(rt.size(), st.size()) << "runtime:\n"
+                                  << r.runtime.to_string() << "static:\n"
+                                  << r.statics.to_string();
+  for (std::size_t i = 0; i < rt.size(); ++i) {
+    const analysis::Diagnostic& a = *rt[i];
+    const analysis::Diagnostic& b = *st[i];
+    SCOPED_TRACE("runtime " + a.to_string() + "\nstatic  " + b.to_string());
+    EXPECT_EQ(a.check, b.check);
+    EXPECT_EQ(a.severity, b.severity);
+    EXPECT_EQ(a.site, b.site);
+    EXPECT_EQ(a.array, b.array);
+    EXPECT_EQ(a.location, b.location);
+    EXPECT_EQ(a.op_index, b.op_index);
+    EXPECT_EQ(a.count, b.count);
+  }
+}
+
 // ---------------------------------------------------------------------
 // 1. Table-driven seeded-bug suite. Each entry plants one hazard class;
 //    both the runtime validator (element-exact) and the static verifier
@@ -195,6 +239,7 @@ TEST(SeededBugs, StaticAndRuntimeBothDetectEveryPattern) {
         << "static missed it:\n" << r.statics.to_string();
     EXPECT_GT(r.statics.errors(), 0);
     expect_static_superset(r);
+    expect_op_level_equal(r);
     // The static diagnostic must carry SiteTable provenance (file:line of
     // the registering SIMAS_SITE) so the lint report is actionable.
     const analysis::Diagnostic* d = r.statics.find(bug.expected);
@@ -322,6 +367,7 @@ TEST(RealStream, OverlappedSolverStreamVerifiesClean) {
     EXPECT_GT(st.ops_checked, 0);
     const ValidationReport rt = engine.take_validation_report();
     EXPECT_EQ(rt.errors(), 0) << rt.to_string();
+    expect_op_level_equal(Reports{rt, st});
   });
 }
 
