@@ -11,15 +11,11 @@
 //     warm job replays; no capture pass).
 //
 // The bench queues a full batch (default 10^3 jobs over a handful of
-// boundary shapes), serves it cold (caches off), warm (caches prewarmed),
-// and certified (warm caches + verified-stream certificates: the prewarm
-// validates and statically verifies each shape's kernel stream, and every
-// batch job then runs with runtime shadow checks skipped), and reports
-// runs/hour and p50/p99 latency for each regime. It *fails* (nonzero
-// exit) if the warm/cold throughput ratio drops below --min-speedup, if
-// the certified batch ever falls back to runtime validation, or if any
-// served job's physics is not bit-identical to the same config run
-// serially — serving must never change results.
+// boundary shapes), serves it cold (caches off) and warm (caches
+// prewarmed), and reports runs/hour and p50/p99 latency for each regime.
+// It *fails* (nonzero exit) if the warm/cold throughput ratio drops below
+// --min-speedup, or if any served job's physics is not bit-identical to
+// the same config run serially — serving must never change results.
 //
 //   bench_ensemble [--jobs=1000] [--shapes=8] [--workers=4] [--nranks=2]
 //                  [--steps=2] [--warmup=1] [--queue-capacity=jobs]
@@ -41,8 +37,8 @@
 // are exported as one-track-per-job Perfetto JSON next to --out.
 // --introspect starts the live TCP introspection surface
 // (/healthz /metrics /jobs) on an ephemeral localhost port for the warm
-// and certified batches. A physics divergence triggers a flight-recorder
-// dump when SIMAS_FLIGHT_DUMP is set.
+// batch. A physics divergence triggers a flight-recorder dump when
+// SIMAS_FLIGHT_DUMP is set.
 
 #include <algorithm>
 #include <cstring>
@@ -170,12 +166,10 @@ double percentile(std::vector<double> v, double p) {
 
 /// Queue `njobs` round-robin over the shapes, start the (paused) server,
 /// drain, and verify every result against its shape reference (`warm`
-/// selects which serial fingerprint to compare against; `certify` runs
-/// every job under verified-stream certificates).
+/// selects which serial fingerprint to compare against).
 PhaseStats serve_batch(service::JobServer& server, int njobs,
                        const std::vector<ShapeReference>& shapes,
-                       const char* phase, bool warm_refs,
-                       bool certify = false) {
+                       const char* phase, bool warm_refs) {
   PhaseStats stats;
   stats.jobs = njobs;
   for (int j = 0; j < njobs; ++j) {
@@ -184,7 +178,6 @@ PhaseStats serve_batch(service::JobServer& server, int njobs,
     const std::size_t s = static_cast<std::size_t>(j) % shapes.size();
     desc.name = std::string(phase) + "/shape" + std::to_string(s);
     desc.config = shapes[s].cfg;
-    desc.config.certify = certify;
     if (!server.submit(std::move(desc))) {
       std::cerr << phase << ": job " << j
                 << " rejected (queue capacity too small for the batch)\n";
@@ -349,56 +342,6 @@ int main(int argc, char** argv) {
     warm = serve_batch(server, jobs, shapes, "warm", /*warm_refs=*/true);
   }
 
-  // Certified regime: verified-stream certificates on top of the warm
-  // caches. Each shape is prewarmed twice: the first pass solves PFSS and
-  // populates the field + graph caches; the second pass hits the field
-  // cache — so it executes the exact injected-boundary stream every batch
-  // job will run — with the runtime validator AND stream capture on, and,
-  // both analyses clean, mints one certificate per rank into the server's
-  // GraphCache. (Certifying the first pass instead would cover the wrong
-  // stream: a cold run's PFSS solve is absent from field-cache-hit runs.)
-  // Every batch job then finds its certificate and runs with runtime
-  // shadow checks skipped entirely (O(1)-per-op integrity hash instead of
-  // element-exact shadowing), yet must stay bit-identical to the
-  // validated warm serial reference.
-  service::JobServerConfig cert_cfg = warm_cfg;
-  PhaseStats certified;
-  i64 cert_publishes = 0;
-  i64 cert_hits = 0;
-  {
-    service::JobServer server(cert_cfg);
-    std::unique_ptr<service::IntrospectionServer> scope;
-    if (introspect)
-      scope = std::make_unique<service::IntrospectionServer>(server);
-    for (int pass = 0; pass < 2; ++pass) {
-      for (int s = 0; s < nshapes; ++s) {
-        service::JobDescription desc;
-        desc.id = pass * nshapes + s;
-        desc.name = (pass == 0 ? "cert-warmup/shape" : "cert-prewarm/shape") +
-                    std::to_string(s);
-        desc.config = shapes[static_cast<std::size_t>(s)].cfg;
-        desc.config.certify = pass == 1;
-        const service::JobResult r = server.prewarm(std::move(desc));
-        if (!r.ok) {
-          std::cerr << "certified prewarm failed: " << r.error << "\n";
-          return 1;
-        }
-      }
-    }
-    cert_publishes = server.graph_cache().stats().cert_publishes;
-    certified = serve_batch(server, jobs, shapes, "certified",
-                            /*warm_refs=*/true, /*certify=*/true);
-    cert_hits = server.graph_cache().stats().cert_hits;
-  }
-  // Every rank engine of every batch job must have found its certificate —
-  // that is what "shadow checks skipped" means operationally.
-  const i64 expected_cert_hits =
-      static_cast<i64>(jobs) * static_cast<i64>(nranks);
-  const bool all_certified = cert_hits >= expected_cert_hits;
-  if (!all_certified)
-    std::cerr << "certified: only " << cert_hits << " certificate hits for "
-              << expected_cert_hits << " rank engines\n";
-
   const double speedup =
       cold.runs_per_hour > 0.0 ? warm.runs_per_hour / cold.runs_per_hour
                                : 0.0;
@@ -422,43 +365,28 @@ int main(int argc, char** argv) {
       .cell(1e3 * warm.p99_latency, 1)
       .cell(static_cast<double>(warm.field_cache_hits), 0)
       .cell(static_cast<double>(warm.graph_cache_hits), 0);
-  table.row()
-      .cell("certified")
-      .cell(static_cast<double>(certified.jobs), 0)
-      .cell(certified.runs_per_hour, 0)
-      .cell(1e3 * certified.p50_latency, 1)
-      .cell(1e3 * certified.p99_latency, 1)
-      .cell(static_cast<double>(certified.field_cache_hits), 0)
-      .cell(static_cast<double>(certified.graph_cache_hits), 0);
   table.print(std::cout);
-
-  std::cout << "\ncertified regime: " << cert_publishes
-            << " certificates minted, " << cert_hits
-            << " certified rank runs (shadow checks skipped)\n";
 
   std::cout << "\nwarm/cold throughput ratio = ";
   std::cout.precision(2);
   std::cout << std::fixed << speedup << "x (gate: >= " << min_speedup
             << "x)\n";
 
-  const bool identical = cold.physics_identical && warm.physics_identical &&
-                         certified.physics_identical;
+  const bool identical = cold.physics_identical && warm.physics_identical;
   std::cout << "physics vs serial reference: "
             << (identical ? "bit-identical" : "MISMATCH") << "\n";
 
   // Span-tree completeness gate (--trace): every job of every regime must
   // have yielded a complete span tree whose child phases sum to the
   // modeled wall time within 1e-6 relative.
-  const bool spans_ok = cold.spans_complete && warm.spans_complete &&
-                        certified.spans_complete;
+  const bool spans_ok = cold.spans_complete && warm.spans_complete;
   if (trace) {
-    const auto total_spans =
-        cold.spans.size() + warm.spans.size() + certified.spans.size();
+    const auto total_spans = cold.spans.size() + warm.spans.size();
     std::cout << "span trees: " << total_spans << " jobs, "
               << (spans_ok ? "all complete (phase sums within 1e-6)"
                            : "INCOMPLETE")
               << "\n";
-    for (const PhaseStats* p : {&cold, &warm, &certified})
+    for (const PhaseStats* p : {&cold, &warm})
       if (!p->span_err.empty())
         std::cerr << "span gate: " << p->span_err << "\n";
   }
@@ -510,10 +438,6 @@ int main(int argc, char** argv) {
   root.emplace_back("shape_references", std::move(shapes_arr));
   root.emplace_back("cold", phase_json(cold));
   root.emplace_back("warm", phase_json(warm));
-  root.emplace_back("certified", phase_json(certified));
-  root.emplace_back("cert_publishes", static_cast<long long>(cert_publishes));
-  root.emplace_back("cert_hits", static_cast<long long>(cert_hits));
-  root.emplace_back("all_certified", all_certified);
   root.emplace_back("warm_speedup", speedup);
   std::ofstream jf(out);
   json::write(jf, doc, 2);
@@ -542,11 +466,6 @@ int main(int argc, char** argv) {
   if (trace && !spans_ok) {
     std::cerr << "FAIL: span-tree completeness gate (missing phase or "
               << "phase sum outside 1e-6 of modeled wall time)\n";
-    return 1;
-  }
-  if (!all_certified) {
-    std::cerr << "FAIL: certified regime did not skip shadow checks on "
-              << "every rank engine\n";
     return 1;
   }
   if (speedup < min_speedup) {

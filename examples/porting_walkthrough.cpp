@@ -48,7 +48,7 @@ int main() {
     if (t.needs_inline_flags) needs += "-Minline ";
     if (t.needs_launch_script) needs += "launch.sh ";
     if (t.memory == gpusim::MemoryMode::Unified) needs += "managed-mem ";
-    if (needs.empty()) needs = "-";
+    if (needs.empty()) needs.push_back('-');
 
     std::string t1 = "-", t8 = "-";
     if (v != variants::CodeVersion::Cpu) {

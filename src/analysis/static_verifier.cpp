@@ -72,17 +72,17 @@ class Pass {
         }) {}
 
   ValidationReport run() {
-    for (const StreamEvent& ev : capture_.events()) {
+    for (const par::StreamEvent& ev : capture_.events()) {
       if (const auto* op = std::get_if<par::StreamOp>(&ev)) {
         on_op(*op);
-      } else if (const auto* de = std::get_if<DataEventRec>(&ev)) {
+      } else if (const auto* de = std::get_if<par::DataEventRec>(&ev)) {
         checker_.on_data_event(de->event, de->id);
-      } else if (const auto* hb = std::get_if<HaloBeginRec>(&ev)) {
+      } else if (const auto* hb = std::get_if<par::HaloBeginRec>(&ev)) {
         ArrState& st = state_for(hb->id);
         st.inflight = true;
-        st.inflight_lo = hb->lo_inflight;
-        st.inflight_hi = hb->hi_inflight;
-      } else if (const auto* he = std::get_if<HaloEndRec>(&ev)) {
+        st.inflight_lo = hb->lo_inflight();
+        st.inflight_hi = hb->hi_inflight();
+      } else if (const auto* he = std::get_if<par::HaloEndRec>(&ev)) {
         ArrState& st = state_for(he->id);
         st.inflight = false;
         st.inflight_lo = st.inflight_hi = false;

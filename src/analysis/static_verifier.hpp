@@ -35,9 +35,6 @@
 // runs. Checks that need observed touches (UndeclaredAccess,
 // DeclaredWriteNotTouched) remain runtime-only — see the check matrix in
 // DESIGN.md §15.
-//
-// A clean static report over a captured stream is what a verified-stream
-// certificate (par/graph_cache.hpp) attests.
 
 #include "analysis/diagnostics.hpp"
 #include "analysis/op_checker.hpp"

@@ -2,32 +2,15 @@
 
 namespace simas::analysis {
 
-void StreamCapture::on_op(const par::StreamOp& op) {
-  // Copy via the concrete alternative, like CapturedGraph::append: GCC's
-  // -Wmaybe-uninitialized false-fires on inactive variant alternatives.
-  std::visit([this](const auto& o) { events_.emplace_back(par::StreamOp{o}); },
-             op);
-  ++ops_;
-  hash_ = par::hash_op_signature(hash_, op);
-  if (const par::KernelOp* ko = par::kernel_payload(op); ko != nullptr)
-    for (const par::Access& a : ko->accesses) remember_name(a.id);
-  if (const auto* mh = std::get_if<par::MemHintOp>(&op))
-    remember_name(mh->id);
-}
-
-void StreamCapture::on_halo_begin(gpusim::ArrayId id, bool lo_inflight,
-                                  bool hi_inflight) {
-  remember_name(id);
-  events_.emplace_back(HaloBeginRec{id, lo_inflight, hi_inflight});
-}
-
-void StreamCapture::on_halo_end(gpusim::ArrayId id) {
-  events_.emplace_back(HaloEndRec{id});
-}
-
-void StreamCapture::on_data_event(gpusim::DataEvent ev, gpusim::ArrayId id) {
-  remember_name(id);
-  events_.emplace_back(DataEventRec{ev, id});
+void StreamCapture::record(const par::StreamEvent& ev) {
+  if (const auto* op = std::get_if<par::StreamOp>(&ev)) {
+    if (const par::KernelOp* ko = par::kernel_payload(*op))
+      for (const par::Access& a : ko->accesses) remember_name(a.id);
+  }
+  // The record's own array (a hint's, a data event's, a halo window's);
+  // for a kernel op the encoder's array is its first declared access.
+  remember_name(par::flight_event(ev).array);
+  events_.push_back(ev);
 }
 
 const std::string& StreamCapture::array_name(gpusim::ArrayId id) const {

@@ -74,6 +74,18 @@ const std::string& Validator::shadow_name(const ShadowSlot& slot) const {
   return it == arrays_.end() ? none : it->second.name;
 }
 
+void Validator::on_event(const par::StreamEvent& ev) {
+  if (const auto* op = std::get_if<par::StreamOp>(&ev)) {
+    on_op(*op);
+  } else if (const auto* d = std::get_if<par::DataEventRec>(&ev)) {
+    checker_.on_data_event(d->event, d->id);
+  } else if (const auto* hb = std::get_if<par::HaloBeginRec>(&ev)) {
+    begin_inflight_recv(*hb);
+  } else {
+    end_inflight_recv(std::get<par::HaloEndRec>(ev).id);
+  }
+}
+
 void Validator::on_op(const par::StreamOp& op) {
   const OpChecker::Step step = checker_.step(op);
   if (step.new_chain) chain_written_.clear();
@@ -212,15 +224,13 @@ void Validator::report_inflight(const ShadowSlot& slot) {
                 pending_.site);
 }
 
-void Validator::begin_inflight_recv(gpusim::ArrayId id,
-                                    std::size_t radial_stride, int lo_column,
-                                    int hi_column) {
-  ArrayState& st = state_for(id);
+void Validator::begin_inflight_recv(const par::HaloBeginRec& rec) {
+  ArrayState& st = state_for(rec.id);
   if (!st.slot) return;
   ShadowSlot& s = *st.slot;
-  s.inflight_stride_ = radial_stride;
-  s.inflight_lo_ = lo_column;
-  s.inflight_hi_ = hi_column;
+  s.inflight_stride_ = rec.radial_stride;
+  s.inflight_lo_ = rec.lo_column;
+  s.inflight_hi_ = rec.hi_column;
   s.inflight_.store(true, std::memory_order_release);
 }
 

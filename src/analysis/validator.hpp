@@ -5,10 +5,11 @@
 // The Engine owns one Validator when EngineConfig::validate is on (or the
 // SIMAS_VALIDATE environment variable is set) and feeds it, in program
 // order on the rank thread:
-//   * every IR op, via on_op() — before the scheduler consumes it;
+//   * every par::StreamEvent — IR ops (before the scheduler consumes
+//     them), data-management directives and host/device access notes,
+//     and overlapped-halo windows — via on_event(), from the same engine
+//     call that writes the flight ring and the stream capture;
 //   * the execution window of each kernel body, via body_begin()/body_end();
-//   * every data-management directive and host/device access note, via
-//     on_data_event() (the Engine's memory observer fans them out);
 //   * a ShadowSlot per Field-backed array (analysis/shadow.hpp), through
 //     which Array3 reports which elements a body actually touches.
 //
@@ -54,8 +55,14 @@ class Validator {
   Validator(const Validator&) = delete;
   Validator& operator=(const Validator&) = delete;
 
-  // ---- IR hooks (called by the Engine on the rank thread) ----
-  void on_op(const par::StreamOp& op);
+  // ---- Event hooks (called by the Engine on the rank thread) ----
+  /// One stream event, in program order. A HaloBeginRec marks the radial
+  /// ghost columns of its array whose overlapped exchange has been posted
+  /// but not finished: any kernel-body access to column
+  /// off % radial_stride on a posted column is an InflightGhostRead (RAW
+  /// race against the unfinished recv); the matching HaloEndRec clears the
+  /// marks (unpack may now write them).
+  void on_event(const par::StreamEvent& ev);
   /// Bracket the execution of the body belonging to the last kernel op.
   void body_begin();
   void body_end();
@@ -69,22 +76,6 @@ class Validator {
   // ---- Shadow attachment (called by Field construction/destruction) ----
   ShadowSlot* attach_shadow(gpusim::ArrayId id, std::size_t elements);
   void detach_shadow(gpusim::ArrayId id);
-
-  // ---- In-flight halo tracking (called by mpisim::HaloExchanger) ----
-  /// Mark the radial ghost columns of `id` whose overlapped exchange has
-  /// been posted but not finished: any kernel-body access to column
-  /// off % radial_stride in {lo_column, hi_column} is an InflightGhostRead
-  /// (RAW race against the unfinished recv). Columns are (i + nghost);
-  /// pass -1 to skip a side.
-  void begin_inflight_recv(gpusim::ArrayId id, std::size_t radial_stride,
-                           int lo_column, int hi_column);
-  /// Clear the marks (the exchange finished; unpack may now write them).
-  void end_inflight_recv(gpusim::ArrayId id);
-
-  // ---- Data events (forwarded by the Engine's memory observer) ----
-  void on_data_event(gpusim::DataEvent ev, gpusim::ArrayId id) {
-    checker_.on_data_event(ev, id);
-  }
 
   // ---- Report ----
   /// Drain the findings (tests consume diagnostics before Engine teardown;
@@ -102,6 +93,9 @@ class Validator {
   };
 
   ArrayState& state_for(gpusim::ArrayId id);
+  void on_op(const par::StreamOp& op);
+  void begin_inflight_recv(const par::HaloBeginRec& rec);
+  void end_inflight_recv(gpusim::ArrayId id);
   /// Conflict sink for ShadowSlot::note_element (runs on pool threads).
   void report_conflict(const ShadowSlot& slot, u64 prev_tag, u64 new_tag);
   /// Sink for ShadowSlot::note_inflight (runs on pool threads).

@@ -209,7 +209,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     ecfg.graph_replay = cfg.graph_replay;
     ecfg.validate = cfg.validate;
     ecfg.capture_stream = cfg.capture_stream;
-    ecfg.certify = cfg.certify;
     ecfg.overlap_halo = cfg.overlap_halo;
     ecfg.um_hints = cfg.um_hints;
     ecfg.ctx = &ctx;
@@ -217,16 +216,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     ecfg.graph_cache = cfg.graph_cache;
     ecfg.trace_id = cfg.trace.trace_id;
     ecfg.flight_rank = rank;
-    if (cfg.graph_cache != nullptr) {
+    if (cfg.graph_cache != nullptr)
       ecfg.graph_cache_scope = shape + "/r" + std::to_string(rank);
-      // Certificates cover the WHOLE stream, and an injected-boundary run
-      // (field-cache hit) skips the PFSS solve a cold run performs — same
-      // graph scopes, different streams. Key the certificate by which
-      // stream this engine will actually execute.
-      ecfg.cert_scope = shape +
-                        (cfg.boundary_fields != nullptr ? "+inj" : "+solve") +
-                        "/r" + std::to_string(rank);
-    }
     par::Engine engine(ecfg);
     engine.cost().set_scales(vol_scale, surf_scale);
     engine.cost().set_working_set_shrink(static_cast<double>(cfg.nranks));

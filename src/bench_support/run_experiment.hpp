@@ -111,11 +111,6 @@ struct ExperimentConfig {
   /// per-rank reports land in ExperimentResult::static_reports. No
   /// kernels are shadowed; modeled time is unaffected.
   bool capture_stream = false;
-  /// Verified-stream certificates (EngineConfig::certify): the first run
-  /// of a shape validates + captures and publishes a certificate into
-  /// `graph_cache`; later runs of the same shape skip runtime shadow
-  /// checks entirely (hash-only integrity). Requires graph_cache.
-  bool certify = false;
   /// Print the cross-rank hot-spot profile (top kernel sites by modeled
   /// time) after the run. Also forced by the SIMAS_PROFILE environment
   /// variable (via the context's EnvConfig snapshot); the merged profile
@@ -155,7 +150,7 @@ struct ExperimentConfig {
   /// flags, boundary hash). Jobs with equal shape keys share captured
   /// graphs safely. Device and personality are key components because
   /// they change the op stream (implicit UM, hint lowering, memory mode),
-  /// so certified ensemble runs stay sound across matrix cells.
+  /// so graph scopes never cross matrix cells.
   std::string shape_key() const;
 };
 

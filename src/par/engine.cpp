@@ -13,40 +13,6 @@
 
 namespace simas::par {
 
-namespace {
-
-/// OpKind -> FlightKind for the six stream-op kinds (the flight vocabulary
-/// extends the IR's with halo/data/note events).
-telemetry::FlightKind flight_kind(OpKind k) {
-  switch (k) {
-    case OpKind::Launch: return telemetry::FlightKind::Launch;
-    case OpKind::Reduce: return telemetry::FlightKind::Reduce;
-    case OpKind::ArrayReduce: return telemetry::FlightKind::ArrayReduce;
-    case OpKind::Sync: return telemetry::FlightKind::Sync;
-    case OpKind::FusionBreak: return telemetry::FlightKind::FusionBreak;
-    case OpKind::MemHint: return telemetry::FlightKind::MemHint;
-  }
-  return telemetry::FlightKind::Sync;
-}
-
-/// First declared array of a kernel op, -1 when none (sync/fusion ops).
-i32 flight_array(const StreamOp& op) {
-  return std::visit(
-      [](const auto& o) -> i32 {
-        using T = std::decay_t<decltype(o)>;
-        if constexpr (std::is_base_of_v<KernelOp, T>) {
-          return o.accesses.empty() ? -1 : static_cast<i32>(o.accesses[0].id);
-        } else if constexpr (std::is_same_v<T, MemHintOp>) {
-          return static_cast<i32>(o.id);
-        } else {
-          return -1;
-        }
-      },
-      op);
-}
-
-}  // namespace
-
 Engine::Engine(EngineConfig cfg)
     : cfg_(cfg),
       cost_(cfg.device),
@@ -82,63 +48,28 @@ Engine::Engine(EngineConfig cfg)
     cfg_.validate_fatal = true;
   }
   metrics_.bind(registry_);
-  // Verified-stream certificates: a certificate for this scope means an
-  // engine of identical shape already ran its full stream under both the
-  // runtime validator and the static verifier, clean. Skip the O(cells)
-  // shadow machinery and fall back to the O(1)-per-op integrity hash —
-  // unless validate_fatal is set (the CI validate job checks everything).
-  if (cfg_.certify && cfg_.graph_cache != nullptr &&
-      !cert_scope().empty() && !cfg_.validate_fatal) {
-    cert_ = cfg_.graph_cache->find_certificate(cert_scope());
-    certified_ = cert_ != nullptr;
-  }
-  if (cfg_.certify && !certified_) {
-    // First engine of an uncertified scope: validate + capture so the
-    // first report drain can mint the certificate.
-    cfg_.validate = true;
-    cfg_.capture_stream = true;
-  }
-  if (cfg_.validate && !certified_) {
+  if (cfg_.validate) {
     validator_ = std::make_unique<analysis::Validator>(cfg_, mem_);
     shadow_exec_ = true;
     shadow_ctx_.owner = validator_.get();
   }
-  if (cfg_.capture_stream && !certified_)
+  if (cfg_.capture_stream)
     capture_ = std::make_unique<analysis::StreamCapture>(mem_);
   // The MemoryManager has a single observer slot: the flight observer
-  // records every coherence transition and fans it out to the capture and
-  // the validator.
+  // emits every coherence transition as a data event.
   flight_obs_.engine = this;
   mem_.set_observer(&flight_obs_);
 }
 
 void Engine::FlightMemObserver::on_data_event(gpusim::DataEvent ev,
                                               gpusim::ArrayId id) {
-  telemetry::FlightRecorder::process().record(
-      telemetry::FlightKind::DataEvent, engine->cfg_.trace_id,
-      engine->cfg_.flight_rank, engine->ledger_.now(), /*site=*/-1,
-      static_cast<i32>(id), /*payload=*/0, static_cast<unsigned char>(ev));
-  if (engine->capture_ != nullptr) engine->capture_->on_data_event(ev, id);
-  if (engine->validator_ != nullptr) engine->validator_->on_data_event(ev, id);
+  engine->emit(DataEventRec{ev, id});
 }
 
 Engine::~Engine() {
   mem_.set_observer(nullptr);
-  if (certified_) {
-    // No validator ran: the integrity contract is the stream hash. A
-    // mismatch means this engine's stream was NOT the one certified for
-    // its scope — a shape-key collision or a broken scope contract. Loud.
-    if (!certified_stream_matches())
-      log_error("certified stream diverged from the certificate for scope '" +
-                cert_scope() + "' (op " +
-                std::to_string(live_ops_) + " of " +
-                std::to_string(cert_->ops) +
-                " expected): shape-key collision?");
-    return;
-  }
   if (validator_ == nullptr) return;
   const analysis::ValidationReport report = validator_->take();
-  finalize_certificate(report);
   if (!report.diagnostics.empty()) {
     for (const analysis::Diagnostic& d : report.diagnostics) {
       if (d.severity == analysis::Severity::Error)
@@ -163,7 +94,6 @@ Engine::~Engine() {
 analysis::ValidationReport Engine::take_validation_report() {
   if (validator_ == nullptr) return {};
   analysis::ValidationReport report = validator_->take();
-  finalize_certificate(report);
   maybe_flight_dump(report);
   return report;
 }
@@ -179,54 +109,18 @@ void Engine::maybe_flight_dump(const analysis::ValidationReport& report) {
   fr.dump_to_file(ctx.env().flight_dump, "validator_error");
 }
 
-void Engine::finalize_certificate(const analysis::ValidationReport& report) {
-  if (!cfg_.certify || cert_finalized_) return;
-  cert_finalized_ = true;
-  if (capture_ == nullptr || cfg_.graph_cache == nullptr) return;
-  if (report.errors() > 0) return;
-  const analysis::ValidationReport st = static_verify();
-  if (st.errors() > 0) return;
-  StreamCertificate cert;
-  cert.scope = cert_scope();
-  cert.stream_hash = capture_->stream_hash();
-  cert.ops = capture_->ops();
-  cert.runtime_clean = true;
-  cert.static_clean = true;
-  cfg_.graph_cache->publish_certificate(cert);
-}
-
 analysis::ValidationReport Engine::static_verify() const {
   if (capture_ == nullptr) return {};
   return analysis::verify_stream(*capture_, analysis::StaticModel::from(cfg_));
 }
 
-bool Engine::certified_stream_matches() const {
-  if (!certified_ || cert_ == nullptr) return true;
-  return live_hash_ == cert_->stream_hash && live_ops_ == cert_->ops;
-}
-
 void Engine::note_halo_begin(gpusim::ArrayId id, std::size_t radial_stride,
                              int lo_column, int hi_column) {
   if (lo_column < 0 && hi_column < 0) return;
-  telemetry::FlightRecorder::process().record(
-      telemetry::FlightKind::HaloBegin, cfg_.trace_id, cfg_.flight_rank,
-      ledger_.now(), /*site=*/-1, static_cast<i32>(id),
-      static_cast<i64>(radial_stride),
-      static_cast<unsigned char>((lo_column >= 0 ? 1 : 0) |
-                                 (hi_column >= 0 ? 2 : 0)));
-  if (validator_ != nullptr)
-    validator_->begin_inflight_recv(id, radial_stride, lo_column, hi_column);
-  if (capture_ != nullptr)
-    capture_->on_halo_begin(id, lo_column >= 0, hi_column >= 0);
+  emit(HaloBeginRec{id, radial_stride, lo_column, hi_column});
 }
 
-void Engine::note_halo_end(gpusim::ArrayId id) {
-  telemetry::FlightRecorder::process().record(
-      telemetry::FlightKind::HaloEnd, cfg_.trace_id, cfg_.flight_rank,
-      ledger_.now(), /*site=*/-1, static_cast<i32>(id), /*payload=*/0);
-  if (validator_ != nullptr) validator_->end_inflight_recv(id);
-  if (capture_ != nullptr) capture_->on_halo_end(id);
-}
+void Engine::note_halo_end(gpusim::ArrayId id) { emit(HaloEndRec{id}); }
 
 void Engine::body_begin() {
   if (validator_ != nullptr) {
@@ -259,7 +153,7 @@ void Engine::record_launch(const KernelSite& site, i64 cells,
   op.accesses.assign(acc.begin(), acc.end());
   op.scale = resolve_scale(site, acc);
   op.category = kernel_category_;
-  submit(StreamOp{std::move(op)});
+  emit(StreamOp{std::move(op)});
 }
 
 void Engine::record_reduce(const KernelSite& site, i64 cells,
@@ -270,7 +164,7 @@ void Engine::record_reduce(const KernelSite& site, i64 cells,
   op.accesses.assign(acc.begin(), acc.end());
   op.scale = resolve_scale(site, acc);
   op.category = kernel_category_;
-  submit(StreamOp{std::move(op)});
+  emit(StreamOp{std::move(op)});
 }
 
 void Engine::record_array_reduce(const KernelSite& site, i64 cells,
@@ -281,12 +175,12 @@ void Engine::record_array_reduce(const KernelSite& site, i64 cells,
   op.accesses.assign(acc.begin(), acc.end());
   op.scale = resolve_scale(site, acc);
   op.category = kernel_category_;
-  submit(StreamOp{std::move(op)});
+  emit(StreamOp{std::move(op)});
 }
 
-void Engine::break_fusion() { submit(StreamOp{FusionBreakOp{}}); }
+void Engine::break_fusion() { emit(StreamOp{FusionBreakOp{}}); }
 
-void Engine::device_sync() { submit(StreamOp{SyncOp{}}); }
+void Engine::device_sync() { emit(StreamOp{SyncOp{}}); }
 
 void Engine::mem_prefetch(gpusim::ArrayId id, i64 bytes, Span span,
                           bool to_device, const KernelSite* site) {
@@ -298,7 +192,7 @@ void Engine::mem_prefetch(gpusim::ArrayId id, i64 bytes, Span span,
   op.span = span;
   op.bytes = bytes;
   op.category = kernel_category_;
-  submit(StreamOp{op});
+  emit(StreamOp{op});
 }
 
 void Engine::mem_advise(gpusim::ArrayId id, MemHint advise,
@@ -314,36 +208,28 @@ void Engine::mem_advise(gpusim::ArrayId id, MemHint advise,
   op.span = Span::Full;
   op.bytes = mem_.record(id).bytes;
   op.category = kernel_category_;
-  submit(StreamOp{op});
+  emit(StreamOp{op});
 }
 
-void Engine::submit(StreamOp op) {
-  {
-    // Flight recording: one lock-free ring append per op, always on. The
-    // payload is cells for kernel ops and bytes for hint ops; detail
-    // carries the MemHint code so a dump can name the hint.
-    const OpKind k = op_kind(op);
-    const KernelSite* site = op_site(op);
-    i64 payload = op_cells(op);
-    unsigned char detail = 0;
-    if (const MemHintOp* h = std::get_if<MemHintOp>(&op)) {
-      payload = h->bytes;
-      detail = static_cast<unsigned char>(h->hint);
-    }
-    telemetry::FlightRecorder::process().record(
-        flight_kind(k), cfg_.trace_id, cfg_.flight_rank, ledger_.now(),
-        site != nullptr ? static_cast<i32>(site->id) : -1, flight_array(op),
-        payload, detail);
-  }
+void Engine::emit(StreamEvent ev) {
+  // Flight recording: one O(1) ring append per event, always on.
+  const telemetry::FlightEvent fe = flight_event(ev);
+  telemetry::FlightRecorder::process().record(
+      fe.kind, cfg_.trace_id, cfg_.flight_rank, ledger_.now(), fe.site,
+      fe.array, fe.payload, fe.detail);
+  if (capture_ != nullptr) capture_->record(ev);
+  if (validator_ != nullptr) validator_->on_event(ev);
+  const StreamOp* op = std::get_if<StreamOp>(&ev);
+  if (op == nullptr) return;
   switch (graph_mode_) {
     case GraphMode::Capture:
-      active_graph_->append(op);
+      active_graph_->append(*op);
       break;
     case GraphMode::Replay:
       if (replay_cursor_ < active_graph_->size() &&
-          same_signature(active_graph_->ops()[replay_cursor_], op)) {
+          same_signature(active_graph_->ops()[replay_cursor_], *op)) {
         ++replay_cursor_;
-        if (op_site(op) != nullptr) graph_stats_.replayed_ops++;
+        if (op_site(*op) != nullptr) graph_stats_.replayed_ops++;
       } else {
         diverge();
       }
@@ -352,15 +238,7 @@ void Engine::submit(StreamOp op) {
     case GraphMode::Diverged:
       break;
   }
-  if (certified_) {
-    // Shadow checks are skipped under a certificate; fold the O(1)
-    // integrity fingerprint instead (compared at teardown).
-    live_hash_ = hash_op_signature(live_hash_, op);
-    ++live_ops_;
-  }
-  if (capture_ != nullptr) capture_->on_op(op);
-  if (validator_ != nullptr) validator_->on_op(op);
-  sched_.consume(op);
+  sched_.consume(*op);
 }
 
 /// The live stream no longer matches the capture: stop replaying (the
@@ -496,14 +374,6 @@ telemetry::MetricsSnapshot Engine::metrics_snapshot() {
       .set(gs.graph_launch_seconds);
   registry_.gauge("graph.launch_seconds_saved", telemetry::Merge::Sum)
       .set(gs.kernel_launch_seconds_saved);
-
-  if (cfg_.certify) {
-    // cert.certified_runs: this engine ran under a certificate (shadow
-    // checks skipped); cert.certified_ops: ops covered by the hash-only
-    // integrity fold instead of element shadowing.
-    registry_.counter("cert.certified_runs").set(certified_ ? 1 : 0);
-    registry_.counter("cert.certified_ops").set(certified_ ? live_ops_ : 0);
-  }
 
   return registry_.snapshot();
 }

@@ -65,8 +65,6 @@ class Validator;
 
 namespace simas::par {
 
-struct StreamCertificate;
-
 class Engine {
  public:
   explicit Engine(EngineConfig cfg);
@@ -106,31 +104,21 @@ class Engine {
   /// Live kernel-stream validator; nullptr when validation is off.
   analysis::Validator* validator() { return validator_.get(); }
   /// Drain the validator's findings (empty report when validation is off).
-  /// Draining before teardown also disarms the validate_fatal abort — and,
-  /// under cfg.certify, mints the scope's verified-stream certificate when
-  /// the drained report and the static pass are both clean (the drained
-  /// stream must therefore be the complete run).
+  /// Draining before teardown also disarms the validate_fatal abort.
   analysis::ValidationReport take_validation_report();
 
-  /// Recorded event trace (cfg.capture_stream / uncertified cfg.certify);
-  /// nullptr when capture is off.
+  /// Recorded event trace (cfg.capture_stream); nullptr when capture is
+  /// off.
   analysis::StreamCapture* stream_capture() { return capture_.get(); }
   /// Run the static verifier over the recorded trace (empty report when
   /// capture is off). Pure: executes no kernels, touches no engine state.
   analysis::ValidationReport static_verify() const;
 
-  /// This engine found a verified-stream certificate for its scope and is
-  /// running with runtime shadow checks skipped.
-  bool certified() const { return certified_; }
-  /// Certified mode: the live stream folded so far matches the
-  /// certificate's fingerprint (always true otherwise). Checked again at
-  /// teardown, loudly.
-  bool certified_stream_matches() const;
-
-  /// Halo-exchange window notes (called by mpisim::HaloExchanger).
-  /// Forwarded to the runtime validator's in-flight tracking and recorded
-  /// in the stream capture; no-ops when neither is active. Columns are
-  /// (i + nghost); pass -1 to skip a side.
+  /// Halo-exchange window notes (called by mpisim::HaloExchanger), emitted
+  /// as HaloBeginRec / HaloEndRec events: flight-recorded, captured, and
+  /// fed to the runtime validator's in-flight tracking. Columns are
+  /// (i + nghost); pass -1 to skip a side (a begin with neither side
+  /// posted is not an event).
   void note_halo_begin(gpusim::ArrayId id, std::size_t radial_stride,
                        int lo_column, int hi_column);
   void note_halo_end(gpusim::ArrayId id);
@@ -160,8 +148,8 @@ class Engine {
   // ------------------------------------------------------------------
   // Modeled unified-memory hints (cudaMemPrefetchAsync / cudaMemAdvise).
   //
-  // Recorded as MemHintOp stream ops so capture/replay, certificates and
-  // the static verifier all see them. No-ops — not even recorded — unless
+  // Recorded as MemHintOp stream ops so capture/replay and the static
+  // verifier see them. No-ops — not even recorded — unless
   // the engine runs Unified memory on a GPU, so manual and host streams
   // are untouched. Hints never break fusion chains and never touch
   // physics data; they only move modeled pages and time.
@@ -284,27 +272,22 @@ class Engine {
   const CapturedGraph* find_graph(const std::string& name) const;
 
  private:
-  // Op recording (front-end): build the IR op and submit it to the
-  // scheduler (and to the active graph capture/replay, if any).
+  // Op recording (front-end): build the IR op and emit it.
   void record_launch(const KernelSite& site, i64 cells,
                      std::initializer_list<Access> acc);
   void record_reduce(const KernelSite& site, i64 cells,
                      std::initializer_list<Access> acc);
   void record_array_reduce(const KernelSite& site, i64 cells,
                            std::initializer_list<Access> acc);
-  void submit(StreamOp op);
+  /// The one place the engine's observers learn about an event: every op,
+  /// data event and halo window is encoded into the flight ring, appended
+  /// to the stream capture and fed to the validator here, in program
+  /// order. Ops then go on to graph capture/replay and the scheduler.
+  void emit(StreamEvent ev);
   void diverge();
   /// Dump the process flight recorder when a drained validation report
   /// carries errors and the context's SIMAS_FLIGHT_DUMP path is set.
   void maybe_flight_dump(const analysis::ValidationReport& report);
-  /// Mint the scope's verified-stream certificate from a drained runtime
-  /// report + a static pass over the capture (once; first drain wins).
-  void finalize_certificate(const analysis::ValidationReport& report);
-  /// Certificate partition key (cfg_.cert_scope, falling back to the graph
-  /// scope when unset — see EngineConfig::cert_scope).
-  const std::string& cert_scope() const {
-    return cfg_.cert_scope.empty() ? cfg_.graph_cache_scope : cfg_.cert_scope;
-  }
   // Validator body brackets (no-ops when validation is off); defined in
   // engine.cpp so this header needs only the forward declaration.
   void body_begin();
@@ -546,10 +529,8 @@ class Engine {
     });
   }
 
-  /// Always-installed memory observer: records every coherence transition
-  /// (data directives, host/device access notes) into the process flight
-  /// recorder, then fans it out to the capture and the validator, like
-  /// submit() does for ops. Recording is O(1) and lock-free.
+  /// Always-installed memory observer: emits every coherence transition
+  /// (data directives, host/device access notes) as a DataEventRec.
   struct FlightMemObserver final : gpusim::MemoryObserver {
     Engine* engine = nullptr;
     void on_data_event(gpusim::DataEvent ev, gpusim::ArrayId id) override;
@@ -576,17 +557,8 @@ class Engine {
   gpusim::TimeCategory kernel_category_ = gpusim::TimeCategory::Compute;
   Scheduler sched_;
   std::unique_ptr<analysis::Validator> validator_;
-  /// Event-trace recorder; feeds static_verify() and certificate minting.
+  /// Event-trace recorder; feeds static_verify().
   std::unique_ptr<analysis::StreamCapture> capture_;
-  /// Certificate this engine runs under (nullptr when uncertified).
-  const StreamCertificate* cert_ = nullptr;
-  bool certified_ = false;
-  /// Certificate minted/attempted already (first drain wins; teardown
-  /// does not re-mint).
-  bool cert_finalized_ = false;
-  /// Certified-mode integrity fold over the live op stream.
-  u64 live_hash_ = kStreamHashSeed;
-  i64 live_ops_ = 0;
   /// Validation on: the execute loops publish per-iteration ids so shadow
   /// slots can tag touched elements.
   bool shadow_exec_ = false;

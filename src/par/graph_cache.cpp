@@ -29,32 +29,6 @@ bool GraphCache::publish(const std::string& scope,
   return true;
 }
 
-const StreamCertificate* GraphCache::find_certificate(
-    const std::string& scope) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = certs_.find(scope);
-  if (it == certs_.end()) {
-    stats_.cert_misses++;
-    return nullptr;
-  }
-  stats_.cert_hits++;
-  return it->second.get();
-}
-
-bool GraphCache::publish_certificate(const StreamCertificate& cert) {
-  if (cert.scope.empty() || !cert.runtime_clean || !cert.static_clean)
-    return false;
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto [it, inserted] = certs_.try_emplace(cert.scope, nullptr);
-  if (!inserted) {
-    stats_.cert_duplicates++;
-    return false;
-  }
-  it->second = std::make_unique<StreamCertificate>(cert);
-  stats_.cert_publishes++;
-  return true;
-}
-
 GraphCache::Stats GraphCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;

@@ -26,23 +26,6 @@
 
 namespace simas::par {
 
-/// A verified-stream certificate: one engine of this scope ran its FULL op
-/// stream under the runtime validator AND the static verifier
-/// (analysis/static_verifier.hpp) and both came back clean. Under the same
-/// contract that makes graph sharing sound — equal scopes record identical
-/// op streams — later engines of the scope may skip runtime shadow checks
-/// entirely and fall back to an O(1)-per-op integrity hash: they re-fold
-/// par::hash_op_signature over their live stream and compare against
-/// `stream_hash` at teardown, so a shape-key collision is loud, not
-/// silent.
-struct StreamCertificate {
-  std::string scope;     ///< shape_key() + "/r<rank>" partition key
-  u64 stream_hash = 0;   ///< folded op-signature hash of the verified stream
-  i64 ops = 0;           ///< ops in the verified stream
-  bool runtime_clean = false;  ///< runtime validator found zero errors
-  bool static_clean = false;   ///< static verifier found zero errors
-};
-
 class GraphCache {
  public:
   struct Stats {
@@ -50,10 +33,6 @@ class GraphCache {
     i64 misses = 0;     ///< lookups that found nothing
     i64 publishes = 0;  ///< graphs stored
     i64 duplicates = 0; ///< publishes dropped (first-wins)
-    i64 cert_hits = 0;      ///< certificate lookups that found one
-    i64 cert_misses = 0;    ///< certificate lookups that found nothing
-    i64 cert_publishes = 0; ///< certificates stored
-    i64 cert_duplicates = 0;///< certificate publishes dropped (first-wins)
   };
 
   /// Captured graph for (scope, name), or nullptr. The returned pointer
@@ -65,16 +44,6 @@ class GraphCache {
   /// (first publisher wins).
   bool publish(const std::string& scope, const CapturedGraph& graph);
 
-  /// Verified-stream certificate for `scope`, or nullptr. The returned
-  /// pointer stays valid for the cache's lifetime (entries are never
-  /// removed).
-  const StreamCertificate* find_certificate(const std::string& scope);
-
-  /// Store a certificate; returns false if one already exists for its
-  /// scope (first publisher wins — benign, like graph publication: equal
-  /// scopes certify identical streams).
-  bool publish_certificate(const StreamCertificate& cert);
-
   Stats stats() const;
 
  private:
@@ -84,7 +53,6 @@ class GraphCache {
 
   mutable std::mutex mutex_;
   std::unordered_map<std::string, std::unique_ptr<CapturedGraph>> map_;
-  std::unordered_map<std::string, std::unique_ptr<StreamCertificate>> certs_;
   Stats stats_;
 };
 

@@ -79,7 +79,7 @@ void Scheduler::on_mem_hint(const MemHintOp& op) {
   // Hint lowering is a personality trait: a toolchain that ignores a hint
   // class accepts the call and does nothing — no page state change, no
   // time. The op stays in the recorded stream either way (the source is
-  // the same; certificates are keyed by personality).
+  // the same; graph cache scopes are keyed by personality).
   const bool is_advise = op.hint == MemHint::AdviseReadMostly ||
                          op.hint == MemHint::AdvisePreferredHost;
   if (is_advise ? !policy_.honors_mem_advise : !policy_.honors_mem_prefetch)

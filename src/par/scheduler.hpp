@@ -74,15 +74,6 @@ struct EngineConfig {
   /// ahead-of-run static verification (Engine::static_verify). Recording
   /// is O(1) per op and never changes modeled time.
   bool capture_stream = false;
-  /// Verified-stream certificates (par/graph_cache.hpp). Requires
-  /// graph_cache + graph_cache_scope. If the cache already certifies this
-  /// scope, the engine skips runtime shadow validation entirely and only
-  /// re-folds the O(1)-per-op stream hash, comparing it against the
-  /// certificate at teardown. Otherwise the engine validates + captures,
-  /// and mints the scope's certificate when both the runtime validator
-  /// and the static verifier come back clean. validate_fatal disables the
-  /// skip (the CI validate job always checks everything).
-  bool certify = false;
   /// Overlapped halo exchange: HaloExchanger posts nonblocking sends on the
   /// rank's copy stream and the solver splits radial sweeps into interior
   /// (runs while halos are in flight) and boundary-shell launches. Never
@@ -123,13 +114,6 @@ struct EngineConfig {
   /// Cache partition key: engines with equal scopes must record identical
   /// op streams (same code version, device, grid slab, rank).
   std::string graph_cache_scope;
-  /// Certificate partition key. Graph scopes may legitimately be shared by
-  /// engines whose *full* streams differ (a cold run solves PFSS, a
-  /// field-cache hit injects the solution and skips those ops — the
-  /// per-scope captured graphs are identical, the streams are not), but a
-  /// certificate covers the whole stream, so it needs the finer key.
-  /// Empty = use graph_cache_scope.
-  std::string cert_scope;
   /// Distributed-trace identity (telemetry/trace_context.hpp): every flight
   /// recorder event this engine records carries this trace id, so a dump
   /// can be filtered to one job. 0 = untraced (the default; recording

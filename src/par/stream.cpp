@@ -77,26 +77,56 @@ const char* span_name(Span s) {
   return "?";
 }
 
-u64 hash_op_signature(u64 h, const StreamOp& op) {
-  const auto fold = [&h](u64 v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  fold(static_cast<u64>(op_kind(op)));
-  const KernelSite* site = op_site(op);
-  // Site *id*, not pointer: the interning order is deterministic for a
-  // fixed code path, while pointer values are not stable across processes.
-  fold(site != nullptr ? static_cast<u64>(site->id) + 1 : 0);
-  fold(static_cast<u64>(op_cells(op)));
-  if (const auto* m = std::get_if<MemHintOp>(&op)) {
-    // Hint ops have no cells; fold their own identity so certificates
-    // distinguish streams that hint different arrays, spans, or amounts.
-    fold(static_cast<u64>(m->hint) + 1);
-    fold(static_cast<u64>(m->id) + 1);
-    fold(static_cast<u64>(m->span) + 1);
-    fold(static_cast<u64>(m->bytes));
+namespace {
+
+telemetry::FlightKind flight_kind(OpKind k) {
+  switch (k) {
+    case OpKind::Launch: return telemetry::FlightKind::Launch;
+    case OpKind::Reduce: return telemetry::FlightKind::Reduce;
+    case OpKind::ArrayReduce: return telemetry::FlightKind::ArrayReduce;
+    case OpKind::Sync: return telemetry::FlightKind::Sync;
+    case OpKind::FusionBreak: return telemetry::FlightKind::FusionBreak;
+    case OpKind::MemHint: return telemetry::FlightKind::MemHint;
   }
-  return h;
+  return telemetry::FlightKind::Sync;
+}
+
+telemetry::FlightEvent encode_op(const StreamOp& op) {
+  telemetry::FlightEvent e;
+  e.kind = flight_kind(op_kind(op));
+  const KernelSite* site = op_site(op);
+  e.site = site != nullptr ? static_cast<i32>(site->id) : -1;
+  if (const KernelOp* k = kernel_payload(op)) {
+    e.array = k->accesses.empty() ? -1 : static_cast<i32>(k->accesses[0].id);
+    e.payload = k->cells;
+  } else if (const auto* h = std::get_if<MemHintOp>(&op)) {
+    e.array = static_cast<i32>(h->id);
+    e.payload = h->bytes;
+    e.detail = static_cast<unsigned char>(h->hint);
+  }
+  return e;
+}
+
+}  // namespace
+
+telemetry::FlightEvent flight_event(const StreamEvent& ev) {
+  if (const auto* op = std::get_if<StreamOp>(&ev)) return encode_op(*op);
+  telemetry::FlightEvent e;
+  if (const auto* d = std::get_if<DataEventRec>(&ev)) {
+    e.kind = telemetry::FlightKind::DataEvent;
+    e.array = static_cast<i32>(d->id);
+    e.detail = static_cast<unsigned char>(d->event);
+  } else if (const auto* hb = std::get_if<HaloBeginRec>(&ev)) {
+    e.kind = telemetry::FlightKind::HaloBegin;
+    e.array = static_cast<i32>(hb->id);
+    e.payload = static_cast<i64>(hb->radial_stride);
+    e.detail = static_cast<unsigned char>((hb->lo_inflight() ? 1 : 0) |
+                                          (hb->hi_inflight() ? 2 : 0));
+  } else {
+    e.kind = telemetry::FlightKind::HaloEnd;
+    e.array = static_cast<i32>(std::get<HaloEndRec>(ev).id);
+  }
+  return e;
 }
 
 std::vector<KernelSite> stream_sites() {

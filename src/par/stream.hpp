@@ -14,7 +14,14 @@
 // ops reference sites by stable pointer (process-wide, shared by every
 // engine), and the directive model in src/variants reads its inventory
 // from the same table.
+//
+// StreamEvent is the one event record around the op: an op, a Manual-mode
+// data event, or an overlapped-halo window. The Engine passes every event
+// through one function that encodes it into the flight ring
+// (flight_event), appends it to the stream capture and feeds it to the
+// runtime validator; the static verifier replays the same records.
 
+#include <cstddef>
 #include <string>
 #include <variant>
 #include <vector>
@@ -23,6 +30,7 @@
 #include "gpusim/cost_model.hpp"
 #include "gpusim/memory_manager.hpp"
 #include "par/kernel_site.hpp"
+#include "telemetry/flight_recorder.hpp"
 #include "util/small_vec.hpp"
 #include "util/types.hpp"
 
@@ -160,13 +168,44 @@ i64 op_cells(const StreamOp& op);
 /// the same site covering different arrays are different ops.
 bool same_signature(const StreamOp& a, const StreamOp& b);
 
-/// Fold one op's signature (kind, site id, cells) into an FNV-1a style
-/// running hash. Two engines recording identical op streams accumulate
-/// identical hashes — the integrity check behind verified-stream
-/// certificates (par/graph_cache.hpp): a certified engine re-hashes its
-/// live stream and compares against the certificate at teardown.
-u64 hash_op_signature(u64 h, const StreamOp& op);
-inline constexpr u64 kStreamHashSeed = 14695981039346656037ull;
+// ---------------------------------------------------------------------
+// The event record: ops plus the two non-op channels the paper's Sec. IV
+// hazards live in.
+
+/// A Manual-mode data directive or host/device access note.
+struct DataEventRec {
+  gpusim::DataEvent event = gpusim::DataEvent::HostRead;
+  gpusim::ArrayId id = gpusim::kInvalidArray;
+};
+
+/// A nonblocking halo exchange was posted on `id`: the radial ghost
+/// columns named here are in flight until the matching HaloEndRec. Columns
+/// are (i + nghost), -1 for a side not posted; the runtime validator marks
+/// element offsets with off % radial_stride on a posted column, the static
+/// verifier reads only which sides are posted.
+struct HaloBeginRec {
+  gpusim::ArrayId id = gpusim::kInvalidArray;
+  std::size_t radial_stride = 0;
+  int lo_column = -1;
+  int hi_column = -1;
+  bool lo_inflight() const { return lo_column >= 0; }
+  bool hi_inflight() const { return hi_column >= 0; }
+};
+
+/// The exchange on `id` finished: its ghost columns are valid again.
+struct HaloEndRec {
+  gpusim::ArrayId id = gpusim::kInvalidArray;
+};
+
+using StreamEvent = std::variant<StreamOp, DataEventRec, HaloBeginRec,
+                                 HaloEndRec>;
+
+/// The flight ring's encoding of one event: kind, site, array, payload and
+/// detail (seq, trace id, modeled time and rank belong to the recorder).
+/// Kernel ops carry (site, first declared array, cells); hint ops (site,
+/// array, bytes, MemHint code); data events (array, DataEvent code); halo
+/// begins (array, radial stride, side mask lo=1 | hi=2); halo ends (array).
+telemetry::FlightEvent flight_event(const StreamEvent& ev);
 
 // ---------------------------------------------------------------------
 // Graph capture/replay (CUDA-Graph analog).

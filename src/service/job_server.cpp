@@ -186,7 +186,6 @@ JobResult JobServer::run_job(JobDescription desc, double submitted_at,
   r.spans.queue_host_seconds = r.queue_seconds;
   r.spans.run_host_seconds = r.run_seconds;
   r.spans.field_cache_hit = r.field_cache_hit;
-  r.spans.certified = r.result.metrics.counter("cert.certified_runs") > 0;
   r.spans.ranks = std::move(r.result.rank_spans);
 
   // A failed job is a flight-dump trigger when SIMAS_FLIGHT_DUMP is set:
@@ -233,9 +232,6 @@ telemetry::MetricsSnapshot JobServer::metrics() {
   registry_.counter("graph_cache.hits").set(gc.hits);
   registry_.counter("graph_cache.misses").set(gc.misses);
   registry_.counter("graph_cache.publishes").set(gc.publishes);
-  registry_.counter("cert_cache.hits").set(gc.cert_hits);
-  registry_.counter("cert_cache.misses").set(gc.cert_misses);
-  registry_.counter("cert_cache.publishes").set(gc.cert_publishes);
   const AdmissionQueue::Stats qs = queue_.stats();
   registry_.counter("queue.accepted").set(qs.accepted);
   registry_.counter("queue.rejected").set(qs.rejected);

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <ostream>
+#include <thread>
 
 #include "par/site_table.hpp"
 #include "util/json.hpp"
@@ -42,6 +43,21 @@ FlightRecorder& FlightRecorder::process() {
   return recorder;
 }
 
+void FlightRecorder::wait_for(const Slot& s, u64 prev) {
+  // The previous lap's writer publishes without waiting on anything but
+  // its own predecessor, so this wait is short unless it was preempted.
+  for (int spins = 0; s.seq.load(std::memory_order_acquire) != prev;
+       ++spins) {
+    if (spins < 64) {
+#if defined(__x86_64__) || defined(__i386__)
+      __builtin_ia32_pause();
+#endif
+    } else {
+      std::this_thread::yield();
+    }
+  }
+}
+
 std::vector<FlightEvent> FlightRecorder::snapshot() const {
   const u64 head = head_.load(std::memory_order_acquire);
   const u64 start = head > kCapacity ? head - kCapacity : 0;
@@ -49,7 +65,8 @@ std::vector<FlightEvent> FlightRecorder::snapshot() const {
   out.reserve(static_cast<std::size_t>(head - start));
   for (u64 seq = start; seq < head; ++seq) {
     const Slot& s = ring_[seq & (kCapacity - 1)];
-    if (s.seq.load(std::memory_order_acquire) != seq) continue;  // in flight
+    const u64 tag = tag_of(seq);
+    if (s.seq.load(std::memory_order_acquire) != tag) continue;  // in flight
     FlightEvent e;
     e.seq = seq;
     e.trace_id = s.trace_id.load(std::memory_order_relaxed);
@@ -62,9 +79,10 @@ std::vector<FlightEvent> FlightRecorder::snapshot() const {
     e.rank = static_cast<i32>(static_cast<u32>(meta));
     e.kind = static_cast<FlightKind>((meta >> 32) & 0xff);
     e.detail = static_cast<unsigned char>((meta >> 40) & 0xff);
-    // A lapping writer invalidates seq before touching the payload, so a
-    // changed seq here means the fields above may be torn: drop the slot.
-    if (s.seq.load(std::memory_order_acquire) != seq) continue;
+    // A lapping writer marks the tag busy before touching the payload, so
+    // a changed tag here means the fields above may be torn: drop the slot.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (s.seq.load(std::memory_order_relaxed) != tag) continue;
     out.push_back(e);
   }
   return out;

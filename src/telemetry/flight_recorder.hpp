@@ -1,28 +1,38 @@
 #pragma once
-// Divergence flight recorder: a fixed-capacity, lock-free ring of
-// structured stream events that is always on at O(1) cost and is dumped
-// to JSON — with SiteTable file:line provenance — only when something
-// goes wrong (validator error, physics divergence, job failure) or when
+// Divergence flight recorder: a fixed-capacity ring of structured stream
+// events that is always on at O(1) cost and is dumped to JSON — with
+// SiteTable file:line provenance — only when something goes wrong
+// (validator error, physics divergence, job failure) or when
 // SIMAS_FLIGHT_DUMP requests an explicit dump.
 //
-// The event vocabulary mirrors the kernel-stream IR and the
-// analysis/stream_capture observer shapes: launches, reductions, syncs,
-// fusion breaks, memory hints, halo windows, data-motion events, plus
-// free-form notes for service-level incidents. Each event is a handful
-// of integers — no strings, no allocation — so recording is a single
-// fetch_add plus a few relaxed atomic stores.
+// The event vocabulary mirrors par::StreamEvent (par/stream.hpp), which
+// the Engine encodes through one encoder, par::flight_event: launches,
+// reductions, syncs, fusion breaks, memory hints, halo windows,
+// data-motion events, plus free-form notes for service-level incidents.
+// Each event is a handful of integers — no strings, no allocation — so
+// recording is a single fetch_add, one load and a few relaxed atomic
+// stores.
 //
 // Concurrency contract (TSan-clean by construction):
 //  * every slot field is a std::atomic of a primitive type, so no access
 //    is ever a data race;
-//  * a writer claims a sequence number with fetch_add(relaxed),
-//    invalidates the slot's seq, stores the payload relaxed, then
-//    publishes seq with a release store;
-//  * a reader (dump/snapshot) acquire-loads seq, reads the payload, and
-//    re-checks seq — a slot being overwritten by a lapping writer is
-//    detected and skipped, never mis-decoded.
-// Readers only run on the error path, so they can afford the re-check;
-// writers never wait on anything.
+//  * a writer takes a sequence number with fetch_add(relaxed). Each slot
+//    is written in lap order: the writer acquire-loads the slot tag and,
+//    in the rare case it does not yet hold the previous lap's published
+//    event (that writer is still between its fetch_add and its publish),
+//    waits for it (pause, then yield). It then marks the slot busy with
+//    its own sequence, stores the payload relaxed behind a release fence,
+//    and publishes the tag with a release store;
+//  * so the newest event always owns its slot: a writer preempted before
+//    publishing can never publish an older event over a newer one, and two
+//    writers never store into one slot at once;
+//  * a reader (dump/snapshot) acquire-loads the tag, reads the payload,
+//    issues an acquire fence and re-checks the tag — a slot being
+//    rewritten is detected and skipped, never mis-decoded.
+// Readers only run on the error path, so they can afford the re-check. A
+// writer waits only on the writer one full ring lap (kCapacity events)
+// behind it on the same slot; waits point to strictly older sequences and
+// a writer holds no lock, so they cannot cycle.
 
 #include <atomic>
 #include <iosfwd>
@@ -72,7 +82,9 @@ struct FlightEvent {
   i32 array = -1;    ///< first accessed array id, -1 when none
   i32 rank = 0;      ///< mpisim rank of the recording engine
   FlightKind kind = FlightKind::JobNote;
-  unsigned char detail = 0;  ///< MemHint code / halo id low bits / FlightNote
+  /// MemHint code / DataEvent code / halo side mask (lo=1 | hi=2) /
+  /// FlightNote, by kind (see par::flight_event).
+  unsigned char detail = 0;
 };
 
 class FlightRecorder {
@@ -93,21 +105,28 @@ class FlightRecorder {
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Record one event. Lock-free, allocation-free, O(1). The narrow
-  /// fields are packed into two words so the hot path is one fetch_add
-  /// plus five relaxed stores plus the release publish.
+  /// Record one event. Allocation-free, O(1). The narrow fields are
+  /// packed into two words so the hot path is one fetch_add, the lap-order
+  /// check, six relaxed stores and the release publish.
   void record(FlightKind kind, u64 trace_id, i32 rank, double t, i32 site,
               i32 array, i64 payload, unsigned char detail = 0) {
     if (!enabled_.load(std::memory_order_relaxed)) return;
     const u64 seq = head_.fetch_add(1, std::memory_order_relaxed);
     Slot& s = ring_[seq & (kCapacity - 1)];
-    s.seq.store(kUnpublished, std::memory_order_relaxed);
+    const u64 mine = tag_of(seq);
+    const u64 prev = seq >= kCapacity ? tag_of(seq - kCapacity) : kEmpty;
+    // Acquire: the previous lap's payload stores happen before ours.
+    if (s.seq.load(std::memory_order_acquire) != prev) wait_for(s, prev);
+    s.seq.store(mine | kBusy, std::memory_order_relaxed);
+    // Orders the busy mark before the payload stores: a reader that sees
+    // any of them also sees the mark on its re-check.
+    std::atomic_thread_fence(std::memory_order_release);
     s.trace_id.store(trace_id, std::memory_order_relaxed);
     s.t.store(t, std::memory_order_relaxed);
     s.payload.store(payload, std::memory_order_relaxed);
     s.ids.store(pack_ids(site, array), std::memory_order_relaxed);
     s.meta.store(pack_meta(rank, kind, detail), std::memory_order_relaxed);
-    s.seq.store(seq, std::memory_order_release);
+    s.seq.store(mine, std::memory_order_release);
   }
 
   /// Convenience: record a service-level note (job failure, divergence).
@@ -133,7 +152,11 @@ class FlightRecorder {
   bool dump_to_file(const std::string& path, const std::string& reason) const;
 
  private:
-  static constexpr u64 kUnpublished = ~u64{0};
+  /// Slot tags: kEmpty (never written), seq + 1 (event `seq` published),
+  /// or (seq + 1) | kBusy (event `seq` being written).
+  static constexpr u64 kEmpty = 0;
+  static constexpr u64 kBusy = u64{1} << 63;
+  static constexpr u64 tag_of(u64 seq) { return seq + 1; }
 
   /// site in the low word, array in the high word (both sign-extended on
   /// unpack so -1 round-trips).
@@ -152,13 +175,17 @@ class FlightRecorder {
   /// One cache line per slot: adjacent-slot false sharing would otherwise
   /// put two concurrent writers on the same line.
   struct alignas(64) Slot {
-    std::atomic<u64> seq{kUnpublished};
+    std::atomic<u64> seq{kEmpty};  ///< slot tag (see kBusy)
     std::atomic<u64> trace_id{0};
     std::atomic<double> t{0.0};
     std::atomic<i64> payload{0};
     std::atomic<u64> ids{pack_ids(-1, -1)};
     std::atomic<u64> meta{0};
   };
+
+  /// Wait until the slot holds the published tag `prev` (the previous
+  /// lap's event, or kEmpty on the first lap).
+  static void wait_for(const Slot& s, u64 prev);
 
   std::unique_ptr<Slot[]> ring_;
   std::atomic<u64> head_{0};

@@ -51,7 +51,6 @@ json::Value span_record_json(const JobSpanRecord& rec) {
   v.set("job", json::Value(static_cast<long long>(rec.job_id)));
   v.set("name", json::Value(rec.name));
   v.set("field_cache_hit", json::Value(rec.field_cache_hit));
-  v.set("certified", json::Value(rec.certified));
   v.set("span_sum_ok", json::Value(rec.complete(1.0e-6)));
 
   json::Value attr;

@@ -69,7 +69,6 @@ struct JobSpanRecord {
   double queue_host_seconds = 0.0;  ///< submission → worker pickup (wall)
   double run_host_seconds = 0.0;    ///< worker pickup → completion (wall)
   bool field_cache_hit = false;     ///< PFSS solve skipped (injected field)
-  bool certified = false;           ///< ran under a verified-stream cert
   std::vector<RankSpan> ranks;
 
   /// Modeled wall seconds: the slowest rank's total (collective-

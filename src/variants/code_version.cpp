@@ -179,7 +179,7 @@ par::EngineConfig engine_config(CodeVersion v, gpusim::DeviceSpec device,
   // runs managed anyway (the nomanaged flag of Table I has no analogue).
   // Pure-OpenACC and CPU configurations keep their declared mode. The
   // memory mode changes modeled paging and the recorded event stream —
-  // which is why certificate scopes key on the personality — but kernels
+  // which is why graph cache scopes key on the personality — but kernels
   // execute identically, so physics is untouched.
   if (pt.implicit_um_for_dc && cfg.gpu && t.loops != par::LoopModel::Acc &&
       cfg.memory == gpusim::MemoryMode::Manual)

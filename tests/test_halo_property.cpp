@@ -72,8 +72,10 @@ void run_trial(const TrialShape& t, bool overlap) {
     std::vector<std::unique_ptr<field::Field>> storage;
     std::vector<field::Field*> fields;
     for (int f = 0; f < t.nfields; ++f) {
+      std::string name = std::to_string(f);
+      name.insert(0, 1, 'f');
       storage.push_back(std::make_unique<field::Field>(
-          eng, "f" + std::to_string(f), slab.n(), t.nt, t.np, 1));
+          eng, name, slab.n(), t.nt, t.np, 1));
       fields.push_back(storage.back().get());
       for (idx i = 0; i < slab.n(); ++i)
         for (idx j = 0; j < t.nt; ++j)

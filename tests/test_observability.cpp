@@ -1,7 +1,8 @@
 // End-to-end observability tests (DESIGN.md §18): trace-context minting
 // and propagation, span-tree completeness (the 1e-6 phase-sum invariant),
 // the flight recorder under writer contention and on the seeded-bug dump
-// path (file:line provenance), Prometheus exposition, histogram bucket
+// path (file:line provenance), the one event record shared by the flight
+// ring and the stream capture, Prometheus exposition, histogram bucket
 // audit (configurable edges + exact running max), the metrics registry
 // under the snapshot-while-writing discipline the JobServer uses, the
 // perf_check --summary digest, and a live mid-run scrape of the
@@ -25,8 +26,11 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/stream_capture.hpp"
 #include "bench_support/run_experiment.hpp"
 #include "field/field.hpp"
+#include "mhd/solver.hpp"
+#include "mpisim/comm.hpp"
 #include "par/engine.hpp"
 #include "par/env_config.hpp"
 #include "par/sim_context.hpp"
@@ -245,6 +249,184 @@ TEST(ObservabilityFlightRing, ContendedWritersNeverTearASnapshot) {
             static_cast<u64>(kWriters) * kPerWriter);
   // A final quiescent snapshot decodes the full retained window.
   EXPECT_EQ(fr.snapshot().size(), FlightRecorder::kCapacity);
+}
+
+TEST(ObservabilityFlightRing, LappedRingRetainsTheNewestWindowInOrder) {
+  // One writer laps the ring twice over: the quiescent snapshot holds
+  // exactly the newest kCapacity events, in sequence order, each in its
+  // own slot.
+  FlightRecorder& fr = FlightRecorder::process();
+  const u64 trace_id = TraceContext::mint().trace_id;
+  const i64 total = 2 * static_cast<i64>(FlightRecorder::kCapacity) + 5;
+  const u64 from = fr.recorded();
+  for (i64 i = 0; i < total; ++i)
+    fr.record(FlightKind::Sync, trace_id, 0, 0.0, -1, -1, i);
+  const u64 head = fr.recorded();
+  ASSERT_EQ(head - from, static_cast<u64>(total));
+  const auto events = fr.snapshot();
+  ASSERT_EQ(events.size(), FlightRecorder::kCapacity);
+  for (std::size_t n = 0; n < events.size(); ++n) {
+    const telemetry::FlightEvent& e = events[n];
+    const u64 seq = head - FlightRecorder::kCapacity + n;
+    ASSERT_EQ(e.seq, seq) << n;
+    EXPECT_EQ(e.trace_id, trace_id) << n;
+    EXPECT_EQ(e.payload, static_cast<i64>(seq - from)) << n;
+  }
+}
+
+// ---------------------------------------------------------------------
+// One event record: the flight ring and the stream capture see the same
+// events, because the engine writes both from one function through one
+// encoder (par::flight_event).
+
+TEST(ObservabilityEventRecord, FlightRingMatchesTheStreamCaptureOneForOne) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("host threads " + std::to_string(threads));
+    const u64 trace_id = TraceContext::mint().trace_id;
+    std::vector<telemetry::FlightEvent> flight;
+    std::vector<telemetry::FlightEvent> captured;
+    u64 window = 0;
+    mpisim::World world(2);
+    world.run([&](int rank) {
+      par::EngineConfig ecfg = variants::engine_config(
+          variants::CodeVersion::A, gpusim::a100_40gb(), threads);
+      ASSERT_EQ(ecfg.memory, gpusim::MemoryMode::Manual);
+      ecfg.capture_stream = true;
+      ecfg.overlap_halo = true;
+      ecfg.trace_id = trace_id;
+      ecfg.flight_rank = rank;
+      FlightRecorder& fr = FlightRecorder::process();
+      const u64 from = fr.recorded();
+      par::Engine engine(ecfg);
+      mpisim::Comm comm(world, rank, engine);
+      mhd::SolverConfig scfg;
+      scfg.grid.nr = 12;
+      scfg.grid.nt = 8;
+      scfg.grid.np = 8;
+      mhd::MasSolver solver(engine, comm, scfg);
+      solver.initialize();
+      solver.run(1);
+      if (rank != 0) return;
+      window = fr.recorded() - from;
+      for (const telemetry::FlightEvent& e : fr.snapshot())
+        if (e.seq >= from && e.trace_id == trace_id && e.rank == 0)
+          flight.push_back(e);
+      for (const par::StreamEvent& ev : engine.stream_capture()->events())
+        captured.push_back(par::flight_event(ev));
+    });
+    // Both ranks' events since rank 0 started must still be retained.
+    ASSERT_LT(window, FlightRecorder::kCapacity);
+    ASSERT_EQ(flight.size(), captured.size());
+    ASSERT_GT(captured.size(), 0u);
+    std::set<FlightKind> kinds;
+    for (std::size_t i = 0; i < captured.size(); ++i) {
+      const telemetry::FlightEvent& f = flight[i];
+      const telemetry::FlightEvent& c = captured[i];
+      ASSERT_TRUE(f.kind == c.kind && f.site == c.site &&
+                  f.array == c.array && f.payload == c.payload &&
+                  f.detail == c.detail)
+          << "event " << i << ": flight " << telemetry::flight_kind_name(f.kind)
+          << " site " << f.site << " array " << f.array << " payload "
+          << f.payload << " detail " << int(f.detail) << ", capture "
+          << telemetry::flight_kind_name(c.kind) << " site " << c.site
+          << " array " << c.array << " payload " << c.payload << " detail "
+          << int(c.detail);
+      kinds.insert(c.kind);
+    }
+    // The step exercises every channel: ops, data events, halo windows.
+    for (const FlightKind k :
+         {FlightKind::Launch, FlightKind::Reduce, FlightKind::DataEvent,
+          FlightKind::HaloBegin, FlightKind::HaloEnd})
+      EXPECT_EQ(kinds.count(k), 1u) << telemetry::flight_kind_name(k);
+  }
+}
+
+/// Ring events recorded for `trace_id` at or after sequence `from`.
+std::vector<telemetry::FlightEvent> ring_events(u64 trace_id, u64 from) {
+  std::vector<telemetry::FlightEvent> out;
+  for (const telemetry::FlightEvent& e : FlightRecorder::process().snapshot())
+    if (e.seq >= from && e.trace_id == trace_id) out.push_back(e);
+  return out;
+}
+
+TEST(ObservabilityEventRecord, UnifiedHintsReachTheRingAsCaptured) {
+  par::EngineConfig cfg;
+  cfg.memory = gpusim::MemoryMode::Unified;
+  cfg.capture_stream = true;
+  cfg.host_threads = 1;
+  cfg.trace_id = TraceContext::mint().trace_id;
+  par::Engine eng(cfg);
+  field::Field f(eng, "obs_hint", 4, 4, 4);
+  const i64 bytes = eng.memory().record(f.id()).bytes;
+  const u64 from = FlightRecorder::process().recorded();
+  const std::size_t first = eng.stream_capture()->events().size();
+  eng.mem_prefetch(f.id(), bytes, par::Span::GhostHi);
+  eng.mem_advise(f.id(), par::MemHint::AdviseReadMostly);
+
+  const auto& events = eng.stream_capture()->events();
+  ASSERT_EQ(events.size(), first + 2);
+  const auto flight = ring_events(cfg.trace_id, from);
+  ASSERT_EQ(flight.size(), 2u);
+  const par::MemHint hints[] = {par::MemHint::PrefetchToDevice,
+                                par::MemHint::AdviseReadMostly};
+  for (std::size_t n = 0; n < 2; ++n) {
+    const auto* op = std::get_if<par::StreamOp>(&events[first + n]);
+    ASSERT_NE(op, nullptr) << n;
+    const auto* h = std::get_if<par::MemHintOp>(op);
+    ASSERT_NE(h, nullptr) << n;
+    EXPECT_EQ(h->hint, hints[n]);
+    EXPECT_EQ(h->bytes, bytes);
+    const telemetry::FlightEvent& e = flight[n];
+    EXPECT_EQ(e.kind, FlightKind::MemHint);
+    EXPECT_EQ(e.array, static_cast<i32>(f.id()));
+    EXPECT_EQ(e.payload, bytes);
+    EXPECT_EQ(e.detail, static_cast<unsigned char>(hints[n]));
+  }
+  EXPECT_EQ(std::get<par::MemHintOp>(std::get<par::StreamOp>(
+                events[first])).span,
+            par::Span::GhostHi);
+  eng.device_sync();
+  (void)eng.take_validation_report();
+}
+
+TEST(ObservabilityEventRecord, HaloNotesRecordStrideAndPostedColumns) {
+  par::EngineConfig cfg;
+  cfg.capture_stream = true;
+  cfg.host_threads = 1;
+  cfg.trace_id = TraceContext::mint().trace_id;
+  par::Engine eng(cfg);
+  field::Field f(eng, "obs_halo", 6, 4, 4, 1);
+  const std::size_t stride = f.a().radial_stride();
+  const int hi_col = static_cast<int>(f.a().n1() + f.a().nghost());
+  const u64 from = FlightRecorder::process().recorded();
+  const std::size_t first = eng.stream_capture()->events().size();
+  eng.note_halo_begin(f.id(), stride, -1, -1);  // nothing posted: no event
+  eng.note_halo_begin(f.id(), stride, -1, hi_col);
+  eng.note_halo_end(f.id());
+
+  const auto& events = eng.stream_capture()->events();
+  ASSERT_EQ(events.size(), first + 2);
+  const auto* begin = std::get_if<par::HaloBeginRec>(&events[first]);
+  ASSERT_NE(begin, nullptr);
+  EXPECT_EQ(begin->id, f.id());
+  EXPECT_EQ(begin->radial_stride, stride);
+  EXPECT_EQ(begin->lo_column, -1);
+  EXPECT_EQ(begin->hi_column, hi_col);
+  EXPECT_FALSE(begin->lo_inflight());
+  EXPECT_TRUE(begin->hi_inflight());
+  const auto* end = std::get_if<par::HaloEndRec>(&events[first + 1]);
+  ASSERT_NE(end, nullptr);
+  EXPECT_EQ(end->id, f.id());
+
+  const auto flight = ring_events(cfg.trace_id, from);
+  ASSERT_EQ(flight.size(), 2u);
+  EXPECT_EQ(flight[0].kind, FlightKind::HaloBegin);
+  EXPECT_EQ(flight[0].array, static_cast<i32>(f.id()));
+  EXPECT_EQ(flight[0].payload, static_cast<i64>(stride));
+  EXPECT_EQ(flight[0].detail, 2);  // hi side only
+  EXPECT_EQ(flight[1].kind, FlightKind::HaloEnd);
+  EXPECT_EQ(flight[1].array, static_cast<i32>(f.id()));
+  (void)eng.take_validation_report();
 }
 
 // ---------------------------------------------------------------------

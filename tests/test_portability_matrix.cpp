@@ -6,7 +6,7 @@
 // recorded op stream, never the kernel bodies. On top of the sweep:
 // modeled-time sanity (a capacity-starved device is never faster under
 // unified memory; a fusion-less personality is never faster than the
-// fusing one), certificate-scope invalidation across cells, and fuzzed
+// fusing one), shape-key and graph-scope separation across cells, and fuzzed
 // robustness properties for DeviceSpec -> CostModel / UnifiedPages
 // (random specs never produce negative or NaN times; eviction respects
 // the capacity invariant).
@@ -137,35 +137,38 @@ TEST(PortabilityMatrix, UmUnsupportedDeviceRunsZeroCopy) {
 }
 
 // ---------------------------------------------------------------------
-// 3. Certificate scope: a personality change is a different stream shape
-//    and must never reuse another cell's verified-stream certificate.
+// 3. Shape keys: a personality or device change is a different stream
+//    shape and must never share another cell's graph cache scope.
 
-TEST(PortabilityMatrix, PersonalityChangeInvalidatesCertificates) {
+TEST(PortabilityMatrix, PersonalityChangeNeverSeedsFromAnotherCell) {
   par::GraphCache cache;
-
   ExperimentConfig cfg =
       cell_config(variants::CodeVersion::ADU,
                   gpusim::device_spec(gpusim::DeviceClass::A100),
                   par::CompilerPersonality::Nvfortran);
   cfg.nranks = 1;
   cfg.measure_steps = 1;
-  cfg.certify = true;
+  cfg.graph_replay = true;
   cfg.graph_cache = &cache;
 
-  (void)run_experiment(cfg);  // cold: validates, captures, publishes
+  const ExperimentResult cold = run_experiment(cfg);  // captures, publishes
   const auto first = cache.stats();
-  EXPECT_GE(first.cert_publishes, 1);
+  ASSERT_GE(first.publishes, 1);
+  EXPECT_EQ(cold.ranks.at(0).graph.cache_seeds, 0);
 
-  (void)run_experiment(cfg);  // same cell: certificate replay
+  const ExperimentResult warm = run_experiment(cfg);  // same cell: seeded
   const auto second = cache.stats();
-  EXPECT_GT(second.cert_hits, first.cert_hits);
-  EXPECT_EQ(second.cert_publishes, first.cert_publishes);
+  EXPECT_GT(second.hits, first.hits);
+  EXPECT_EQ(second.publishes, first.publishes);
+  EXPECT_GT(warm.ranks.at(0).graph.cache_seeds, 0);
 
   cfg.personality = par::CompilerPersonality::Flang;  // new cell
-  (void)run_experiment(cfg);
+  const ExperimentResult other = run_experiment(cfg);
   const auto third = cache.stats();
-  EXPECT_GT(third.cert_misses, second.cert_misses);
-  EXPECT_GT(third.cert_publishes, second.cert_publishes);
+  EXPECT_EQ(third.hits, second.hits);
+  EXPECT_GT(third.misses, second.misses);
+  EXPECT_GT(third.publishes, second.publishes);
+  EXPECT_EQ(other.ranks.at(0).graph.cache_seeds, 0);
 }
 
 TEST(PortabilityMatrix, ShapeKeySeparatesEveryCell) {

@@ -2,12 +2,12 @@
 // (every hazard class planted deliberately, detected both statically and
 // at runtime), the differential superset property (on honestly-declared
 // streams the static findings cover every runtime finding), span-
-// disjointness clean cases, and the verified-stream certificate
-// lifecycle (mint -> replay with shadow checks skipped -> integrity
-// hash at teardown).
+// disjointness clean cases, real solver streams, compiler personalities
+// and the fusion-chain slot cap.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <vector>
@@ -19,8 +19,6 @@
 #include "mpisim/decomposition.hpp"
 #include "mpisim/halo.hpp"
 #include "par/engine.hpp"
-#include "par/env_config.hpp"
-#include "par/graph_cache.hpp"
 #include "variants/code_version.hpp"
 
 namespace simas {
@@ -244,8 +242,9 @@ TEST(SeededBugs, StaticAndRuntimeBothDetectEveryPattern) {
     // the registering SIMAS_SITE) so the lint report is actionable.
     const analysis::Diagnostic* d = r.statics.find(bug.expected);
     ASSERT_NE(d, nullptr);
-    if (bug.expected != Check::AsyncHostAccessNoSync)  // data-API event
+    if (bug.expected != Check::AsyncHostAccessNoSync) {  // data-API event
       EXPECT_NE(d->location.find(':'), std::string::npos) << d->to_string();
+    }
   }
 }
 
@@ -302,6 +301,56 @@ TEST(Spans, InteriorReadDuringOverlapWindowIsClean) {
         << r.statics.to_string();
     EXPECT_EQ(r.statics.errors(), 0) << r.statics.to_string();
     EXPECT_EQ(r.runtime.errors(), 0) << r.runtime.to_string();
+    scrub(eng, {&f});
+  });
+}
+
+/// `report` holds an InflightGhostRead finding at `site`.
+bool inflight_at(const ValidationReport& report, const std::string& site) {
+  return std::any_of(report.diagnostics.begin(), report.diagnostics.end(),
+                     [&](const analysis::Diagnostic& d) {
+                       return d.check == Check::InflightGhostRead &&
+                              d.site == site;
+                     });
+}
+
+TEST(Spans, OneSidedWindowFlagsOnlyThePostedGhostColumn) {
+  // A 2-rank slab posts one side per rank (rank 0 its high ghost column,
+  // rank 1 its low one). Both analyses read the posted columns from the
+  // same halo-begin record: reading the unposted (physical-boundary)
+  // ghost column is quiet, reading the posted one is flagged by both.
+  mpisim::World world(2);
+  world.run([&](int rank) {
+    par::EngineConfig cfg = capture_config();
+    cfg.overlap_halo = true;
+    par::Engine eng(cfg);
+    mpisim::Comm comm(world, rank, eng);
+    const mpisim::Slab slab = mpisim::radial_slab(8, 2, rank);
+    const idx n = slab.n();
+    mpisim::HaloExchanger halo(eng, comm, slab, n, 4, 4);
+    field::Field f(eng, "sv_span_side", n, 4, 4, 1);
+    f.enter_data();
+    static const par::KernelSite& lo_site =
+        SIMAS_SITE("sv_side_lo", SiteKind::ParallelLoop, 0);
+    static const par::KernelSite& hi_site =
+        SIMAS_SITE("sv_side_hi", SiteKind::ParallelLoop, 0);
+    const int h = halo.begin_exchange_r({&f});
+    real sum = 0.0;
+    eng.for_each(lo_site, par::Range3{0, 1, 0, 4, 0, 4},
+                 {par::in(f.id(), par::Span::GhostLo)},
+                 [&](idx i, idx j, idx k) { sum += f(i - 1, j, k); });
+    eng.for_each(hi_site, par::Range3{n - 1, n, 0, 4, 0, 4},
+                 {par::in(f.id(), par::Span::GhostHi)},
+                 [&](idx i, idx j, idx k) { sum += f(i + 1, j, k); });
+    halo.finish_exchange_r(h);
+    const Reports r{eng.take_validation_report(), eng.static_verify()};
+    const std::string posted = rank == 0 ? "sv_side_hi" : "sv_side_lo";
+    const std::string unposted = rank == 0 ? "sv_side_lo" : "sv_side_hi";
+    EXPECT_TRUE(inflight_at(r.runtime, posted)) << r.runtime.to_string();
+    EXPECT_TRUE(inflight_at(r.statics, posted)) << r.statics.to_string();
+    EXPECT_FALSE(inflight_at(r.runtime, unposted)) << r.runtime.to_string();
+    EXPECT_FALSE(inflight_at(r.statics, unposted)) << r.statics.to_string();
+    expect_static_superset(r);
     scrub(eng, {&f});
   });
 }
@@ -372,142 +421,7 @@ TEST(RealStream, OverlappedSolverStreamVerifiesClean) {
 }
 
 // ---------------------------------------------------------------------
-// 4. Certificate lifecycle: validate + capture on first run, mint when
-//    both analyses come back clean, skip shadow checks on replay, match
-//    the integrity hash at teardown.
-
-par::EngineConfig certify_config(par::GraphCache* cache,
-                                 const std::string& scope) {
-  par::EngineConfig cfg;
-  cfg.certify = true;
-  cfg.graph_cache = cache;
-  cfg.graph_cache_scope = scope;
-  cfg.host_threads = 1;
-  return cfg;
-}
-
-void run_clean_stream(par::Engine& eng, const std::string& field_name) {
-  field::Field f(eng, field_name, 4, 4, 4);
-  f.enter_data();
-  static const par::KernelSite& site =
-      SIMAS_SITE("sv_cert_k", SiteKind::ParallelLoop, 0);
-  for (int n = 0; n < 3; ++n) {
-    eng.for_each(site, par::Range3{0, 4, 0, 4, 0, 4}, {par::out(f.id())},
-                 [&](idx i, idx j, idx k) { f(i, j, k) = real(n); });
-  }
-  eng.device_sync();
-  f.exit_data();
-}
-
-TEST(Certificates, CleanFirstRunMintsAndReplaySkipsShadowChecks) {
-  if (par::EnvConfig::process().validate_fatal)
-    GTEST_SKIP() << "SIMAS_VALIDATE_FATAL disables certification";
-  par::GraphCache cache;
-  const std::string scope = "sv_cert_scope/r0";
-
-  // First run: no certificate yet -> certify forces validate + capture.
-  {
-    par::Engine eng(certify_config(&cache, scope));
-    EXPECT_FALSE(eng.certified());
-    EXPECT_NE(eng.validator(), nullptr);
-    EXPECT_NE(eng.stream_capture(), nullptr);
-    run_clean_stream(eng, "sv_cert_a");
-    const ValidationReport rep = eng.take_validation_report();
-    EXPECT_EQ(rep.errors(), 0) << rep.to_string();
-  }
-  EXPECT_EQ(cache.stats().cert_publishes, 1);
-  EXPECT_NE(cache.find_certificate(scope), nullptr);
-
-  // Replay: certificate found -> no validator, no capture; the live
-  // integrity hash over the identical stream matches at teardown.
-  {
-    par::Engine eng(certify_config(&cache, scope));
-    EXPECT_TRUE(eng.certified());
-    EXPECT_EQ(eng.validator(), nullptr);
-    EXPECT_EQ(eng.stream_capture(), nullptr);
-    run_clean_stream(eng, "sv_cert_b");
-    EXPECT_TRUE(eng.certified_stream_matches());
-  }
-  EXPECT_GE(cache.stats().cert_hits, 1);
-}
-
-TEST(Certificates, DirtyStreamMintsNothing) {
-  if (par::EnvConfig::process().validate_fatal)
-    GTEST_SKIP() << "SIMAS_VALIDATE_FATAL disables certification";
-  par::GraphCache cache;
-  const std::string scope = "sv_cert_dirty/r0";
-  {
-    par::Engine eng(certify_config(&cache, scope));
-    field::Field f(eng, "sv_cert_c", 4, 4, 4);
-    f.enter_data();
-    static const par::KernelSite& site =
-        SIMAS_SITE("sv_cert_dup", SiteKind::ParallelLoop, 0);
-    eng.for_each(site, par::Range3{0, 4, 0, 4, 0, 4},
-                 {par::out_scatter(f.id())}, [&](idx i, idx j, idx k) {
-                   f(0, 0, 0) = static_cast<real>(i + j + k);
-                 });
-    const ValidationReport rep = eng.take_validation_report();
-    EXPECT_GT(rep.errors(), 0);
-    scrub(eng, {&f});
-  }
-  EXPECT_EQ(cache.stats().cert_publishes, 0);
-  EXPECT_EQ(cache.find_certificate(scope), nullptr);
-  // A later run of the same scope still validates.
-  par::Engine eng(certify_config(&cache, scope));
-  EXPECT_FALSE(eng.certified());
-  EXPECT_NE(eng.validator(), nullptr);
-  (void)eng.take_validation_report();
-}
-
-TEST(Certificates, DivergentReplayStreamFailsTheIntegrityHash) {
-  if (par::EnvConfig::process().validate_fatal)
-    GTEST_SKIP() << "SIMAS_VALIDATE_FATAL disables certification";
-  par::GraphCache cache;
-  const std::string scope = "sv_cert_div/r0";
-  {
-    par::Engine eng(certify_config(&cache, scope));
-    run_clean_stream(eng, "sv_cert_d");
-    (void)eng.take_validation_report();
-  }
-  ASSERT_NE(cache.find_certificate(scope), nullptr);
-  par::Engine eng(certify_config(&cache, scope));
-  ASSERT_TRUE(eng.certified());
-  // A different stream under the same scope (the shape-key collision the
-  // teardown check exists to catch): one extra kernel.
-  run_clean_stream(eng, "sv_cert_e");
-  field::Field f(eng, "sv_cert_f", 4, 4, 4);
-  f.enter_data();
-  static const par::KernelSite& extra =
-      SIMAS_SITE("sv_cert_extra", SiteKind::ParallelLoop, 0);
-  eng.for_each(extra, par::Range3{0, 4, 0, 4, 0, 4}, {par::out(f.id())},
-               [&](idx i, idx j, idx k) { f(i, j, k) = 9.0; });
-  EXPECT_FALSE(eng.certified_stream_matches());
-  eng.device_sync();
-  f.exit_data();
-}
-
-TEST(Certificates, PublishRefusesUncleanOrUnscopedCertificates) {
-  par::GraphCache cache;
-  par::StreamCertificate cert;
-  cert.scope = "";
-  cert.runtime_clean = true;
-  cert.static_clean = true;
-  EXPECT_FALSE(cache.publish_certificate(cert));
-  cert.scope = "sv_pub/r0";
-  cert.runtime_clean = false;
-  EXPECT_FALSE(cache.publish_certificate(cert));
-  cert.runtime_clean = true;
-  cert.static_clean = false;
-  EXPECT_FALSE(cache.publish_certificate(cert));
-  cert.static_clean = true;
-  EXPECT_TRUE(cache.publish_certificate(cert));
-  EXPECT_FALSE(cache.publish_certificate(cert));  // first-wins
-  EXPECT_EQ(cache.stats().cert_publishes, 1);
-  EXPECT_EQ(cache.stats().cert_duplicates, 1);
-}
-
-// ---------------------------------------------------------------------
-// 6. Compiler personalities (the portability matrix's toolchain axis).
+// 4. Compiler personalities (the portability matrix's toolchain axis).
 //    Personalities change what the analyzer may assume about lowering:
 //    an atomic-block reduction is protected under every personality, and
 //    a toolchain that ignores prefetch hints turns the hint-correctness
@@ -583,9 +497,11 @@ TEST(Personalities, IgnoredPrefetchDowngradesSpanMismatchToNote) {
   EXPECT_TRUE(st.has(Check::PrefetchSpanMismatch)) << st.to_string();
   EXPECT_EQ(st.errors(), 0) << st.to_string();
   EXPECT_EQ(st.warnings(), 0) << st.to_string();  // demoted to Info
-  for (const analysis::Diagnostic& d : st.diagnostics)
-    if (d.check == Check::PrefetchSpanMismatch)
+  for (const analysis::Diagnostic& d : st.diagnostics) {
+    if (d.check == Check::PrefetchSpanMismatch) {
       EXPECT_EQ(d.severity, analysis::Severity::Info);
+    }
+  }
   (void)eng.take_validation_report();
   scrub(eng, {&f});
 }
@@ -670,7 +586,7 @@ TEST(Personalities, AsyncReductionFollowsTheToolchainsAsync) {
 }
 
 // ---------------------------------------------------------------------
-// 7. The fusion-chain slot cap. Element tags give a kernel an 8-bit slot
+// 5. The fusion-chain slot cap. Element tags give a kernel an 8-bit slot
 //    within its chain, so a chain holds at most 256 kernels; the
 //    scheduler and both checkers break the chain at the same launch.
 

@@ -1,12 +1,16 @@
 // Kernel-stream IR and graph capture/replay tests: op helpers, signature
-// validation, CapturedGraph lifecycle, and the Engine's capture -> replay
-// -> divergence -> re-capture state machine with its launch-overhead
+// validation, the flight encoding of every StreamEvent record,
+// CapturedGraph lifecycle, and the Engine's capture -> replay ->
+// divergence -> re-capture state machine with its launch-overhead
 // accounting (per-graph instead of per-kernel).
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <variant>
+#include <vector>
 
+#include "analysis/stream_capture.hpp"
 #include "par/engine.hpp"
 #include "par/site_table.hpp"
 
@@ -81,6 +85,78 @@ TEST(StreamIr, SameSignatureChecksKindSiteAndCells) {
 
   EXPECT_TRUE(same_signature(StreamOp{SyncOp{}}, StreamOp{SyncOp{}}));
   EXPECT_FALSE(same_signature(StreamOp{SyncOp{}}, StreamOp{FusionBreakOp{}}));
+}
+
+TEST(StreamIr, FlightEventEncodesKernelAndHintOps) {
+  using telemetry::FlightKind;
+  const KernelSite& site = stream_site("stream_flight_ops");
+  LaunchOp launch;
+  launch.site = &site;
+  launch.cells = 96;
+  launch.accesses.push_back(in(7));
+  launch.accesses.push_back(out(3));
+  const telemetry::FlightEvent l = flight_event(StreamOp{launch});
+  EXPECT_EQ(l.kind, FlightKind::Launch);
+  EXPECT_EQ(l.site, static_cast<i32>(site.id));
+  EXPECT_EQ(l.array, 7);  // first declared array
+  EXPECT_EQ(l.payload, 96);
+  EXPECT_EQ(l.detail, 0);
+
+  ReduceOp red;  // no declared arrays
+  red.site = &site;
+  red.cells = 12;
+  const telemetry::FlightEvent r = flight_event(StreamOp{red});
+  EXPECT_EQ(r.kind, FlightKind::Reduce);
+  EXPECT_EQ(r.array, -1);
+  EXPECT_EQ(r.payload, 12);
+
+  const telemetry::FlightEvent sync = flight_event(StreamOp{SyncOp{}});
+  EXPECT_EQ(sync.kind, FlightKind::Sync);
+  EXPECT_EQ(sync.site, -1);
+  EXPECT_EQ(sync.array, -1);
+  EXPECT_EQ(sync.payload, 0);
+  EXPECT_EQ(flight_event(StreamOp{FusionBreakOp{}}).kind,
+            FlightKind::FusionBreak);
+
+  // Hint ops: (site, array, bytes) plus the MemHint code as the detail.
+  MemHintOp hint;
+  hint.id = 5;
+  hint.hint = MemHint::AdvisePreferredHost;
+  hint.bytes = 4096;
+  const telemetry::FlightEvent h = flight_event(StreamOp{hint});
+  EXPECT_EQ(h.kind, FlightKind::MemHint);
+  EXPECT_EQ(h.site, -1);  // emitted without a kernel site
+  EXPECT_EQ(h.array, 5);
+  EXPECT_EQ(h.payload, 4096);
+  EXPECT_EQ(h.detail, static_cast<unsigned char>(MemHint::AdvisePreferredHost));
+  hint.site = &site;
+  EXPECT_EQ(flight_event(StreamOp{hint}).site, static_cast<i32>(site.id));
+}
+
+TEST(StreamIr, FlightEventEncodesDataAndHaloRecords) {
+  using telemetry::FlightKind;
+  const telemetry::FlightEvent d =
+      flight_event(DataEventRec{gpusim::DataEvent::UpdateHost, 9});
+  EXPECT_EQ(d.kind, FlightKind::DataEvent);
+  EXPECT_EQ(d.site, -1);
+  EXPECT_EQ(d.array, 9);
+  EXPECT_EQ(d.payload, 0);
+  EXPECT_EQ(d.detail, static_cast<unsigned char>(gpusim::DataEvent::UpdateHost));
+
+  // Halo begins: (array, radial stride, side mask lo=1 | hi=2).
+  const telemetry::FlightEvent lo = flight_event(HaloBeginRec{4, 80, 0, -1});
+  EXPECT_EQ(lo.kind, FlightKind::HaloBegin);
+  EXPECT_EQ(lo.array, 4);
+  EXPECT_EQ(lo.payload, 80);
+  EXPECT_EQ(lo.detail, 1);
+  EXPECT_EQ(flight_event(HaloBeginRec{4, 80, -1, 9}).detail, 2);
+  EXPECT_EQ(flight_event(HaloBeginRec{4, 80, 0, 9}).detail, 3);
+
+  const telemetry::FlightEvent end = flight_event(HaloEndRec{4});
+  EXPECT_EQ(end.kind, FlightKind::HaloEnd);
+  EXPECT_EQ(end.array, 4);
+  EXPECT_EQ(end.payload, 0);
+  EXPECT_EQ(end.detail, 0);
 }
 
 TEST(StreamIr, CapturedGraphLifecycle) {
@@ -388,6 +464,42 @@ TEST(GraphReplay, TwoNamedGraphsCaptureIndependently) {
   EXPECT_EQ(st.divergences, 0);
   EXPECT_TRUE(eng.find_graph("visc/iter")->captured());
   EXPECT_TRUE(eng.find_graph("cond/iter")->captured());
+}
+
+TEST(GraphReplay, ReplayedOpsStillReachTheStreamCapture) {
+  // Replay changes launch accounting only: every op of a replayed pass
+  // still passes through the engine's one event function, so the capture
+  // records both passes alike.
+  EngineConfig cfg = graph_config();
+  cfg.capture_stream = true;
+  Engine eng(cfg);
+  const auto id = eng.memory().register_array("a", 1 << 20);
+  static const KernelSite& s1 =
+      SIMAS_SITE("graph_capture_1", SiteKind::ParallelLoop);
+  static const KernelSite& sr =
+      SIMAS_SITE("graph_capture_red", SiteKind::ScalarReduction, 0, false,
+                 false, /*async_capable=*/false);
+  const Range3 r{0, 8, 0, 8, 0, 8};
+  const auto ops = [&] {
+    std::vector<StreamOp> out_ops;
+    for (const StreamEvent& ev : eng.stream_capture()->events())
+      if (const auto* op = std::get_if<StreamOp>(&ev)) out_ops.push_back(*op);
+    return out_ops;
+  };
+  const std::size_t before = ops().size();
+  for (int pass = 0; pass < 2; ++pass) {
+    Engine::GraphScope graph(eng, "captured");
+    eng.for_each(s1, r, {out(id)}, [](idx, idx, idx) {});
+    eng.reduce_sum(sr, r, {in(id)}, [](idx, idx, idx) { return 1.0; });
+  }
+  EXPECT_EQ(eng.graph_stats().replays, 1);
+  EXPECT_EQ(eng.graph_stats().replayed_ops, 2);
+  const std::vector<StreamOp> all = ops();
+  ASSERT_EQ(all.size(), before + 4);
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_TRUE(same_signature(all[before + i], all[before + 2 + i])) << i;
+  EXPECT_EQ(op_site(all[before]), &s1);
+  EXPECT_EQ(op_site(all[before + 1]), &sr);
 }
 
 TEST(GraphReplay, ReplayedGraphLaunchAppearsInTrace) {

@@ -19,7 +19,7 @@
 // personality (par::all_personalities). Each cell re-verifies the stream
 // that configuration actually records — implicit-UM personalities flip
 // Manual DC versions to Unified, hint-ignoring personalities demote the
-// hint-correctness findings to notes — so the exit status certifies the
+// hint-correctness findings to notes — so the exit status covers the
 // whole matrix, not just the nvfortran/A100 column. To keep the cell
 // count bounded, matrix mode defaults to --ranks 2 --overlap 1.
 //
