@@ -24,10 +24,11 @@ using bench_support::ExperimentConfig;
 namespace {
 
 struct TraceRun {
-  bench_support::ExperimentResult res;  ///< keeps rank_traces alive
-  trace::Recorder rec;
+  bench_support::ExperimentResult res;
   double t0 = 0.0, t1 = 0.0;
   double step_seconds = 0.0;
+  /// Rank 0's timeline, the one Fig. 4 shows.
+  const trace::Recorder& rec() const { return res.rank_traces.at(0); }
 };
 
 TraceRun trace_for(variants::CodeVersion version) {
@@ -38,7 +39,6 @@ TraceRun trace_for(variants::CodeVersion version) {
   cfg.capture_trace = true;
   TraceRun out;
   out.res = bench_support::run_experiment(cfg);
-  out.rec = out.res.trace;
   out.t0 = out.res.trace_t0;
   out.t1 = out.res.trace_t1;
   out.step_seconds =
@@ -68,12 +68,12 @@ int main(int argc, char** argv) {
   const double window_m = manual.step_seconds;
   std::cout << "manual memory management (window = one step, "
             << format_fixed(window_m * 1e3, 2) << " modeled ms):\n";
-  manual.rec.render_ascii(std::cout, manual.t0, manual.t0 + window_m, 100);
+  manual.rec().render_ascii(std::cout, manual.t0, manual.t0 + window_m, 100);
 
   const double window_u = um.step_seconds;
   std::cout << "\nunified managed memory (window = one step, "
             << format_fixed(window_u * 1e3, 2) << " modeled ms):\n";
-  um.rec.render_ascii(std::cout, um.t0, um.t0 + window_u, 100);
+  um.rec().render_ascii(std::cout, um.t0, um.t0 + window_u, 100);
 
   // Lane-occupancy summary over the measured window.
   Table table("lane busy time within one step (modeled ms)");
@@ -83,9 +83,9 @@ int main(int argc, char** argv) {
         trace::Lane::MpiWait}) {
     table.row()
         .cell(std::string(trace::lane_name(lane)))
-        .cell(1e3 * manual.rec.lane_busy(lane, manual.t0,
-                                         manual.t0 + window_m), 3)
-        .cell(1e3 * um.rec.lane_busy(lane, um.t0, um.t0 + window_u), 3);
+        .cell(1e3 * manual.rec().lane_busy(lane, manual.t0,
+                                           manual.t0 + window_m), 3)
+        .cell(1e3 * um.rec().lane_busy(lane, um.t0, um.t0 + window_u), 3);
   }
   table.print(std::cout);
 
@@ -97,9 +97,9 @@ int main(int argc, char** argv) {
                "the UM run completes one\")\n";
 
   std::ofstream csv(outdir / "fig4_trace_manual.csv");
-  manual.rec.write_csv(csv);
+  manual.rec().write_csv(csv);
   std::ofstream csv2(outdir / "fig4_trace_unified.csv");
-  um.rec.write_csv(csv2);
+  um.rec().write_csv(csv2);
 
   // Combined Perfetto/Chrome trace: one process per (run, rank) so the
   // manual-vs-unified contrast is visible side by side in the UI. Manual

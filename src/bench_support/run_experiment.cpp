@@ -17,7 +17,6 @@
 #include "par/sim_context.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace simas::bench_support {
 
@@ -258,9 +257,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     const double gap0 =
         engine.ledger().total(gpusim::TimeCategory::LaunchGap);
     if (cfg.capture_trace) engine.tracer().enable(true);
-    Timer wall;
     for (int s = 0; s < cfg.measure_steps; ++s) solver.step();
-    const double host_dt = wall.seconds() / cfg.measure_steps;
     if (cfg.capture_trace) engine.tracer().enable(false);
     const double dt_step =
         (engine.ledger().now() - t0) / cfg.measure_steps;
@@ -270,7 +267,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     RankTiming timing;
     timing.seconds_per_step = dt_step;
     timing.mpi_seconds_per_step = dt_mpi;
-    timing.host_seconds_per_step = host_dt;
     timing.launch_gap_seconds_per_step =
         (engine.ledger().total(gpusim::TimeCategory::LaunchGap) - gap0) /
         cfg.measure_steps;
@@ -315,7 +311,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
       result.pfss = pfss;
       if (cfg.boundary_out != nullptr) cfg.boundary_out->info = pfss;
       if (cfg.capture_trace) {
-        result.trace = engine.tracer();
         result.trace_t0 = t0;
         result.trace_t1 = t0 + dt_step * cfg.measure_steps;
       }
@@ -329,8 +324,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
       worst_mpi = r.mpi_seconds_per_step;
       worst_hidden = r.hidden_mpi_seconds_per_step;
     }
-    result.host_seconds_per_step =
-        std::max(result.host_seconds_per_step, r.host_seconds_per_step);
   }
   result.wall_minutes = cfg.scale.minutes_for(worst_step);
   result.mpi_minutes = cfg.scale.minutes_for(worst_mpi);
@@ -339,21 +332,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   // Cross-rank merged metrics (per-metric merge policy: counters sum,
   // gauges Max/Sum as declared, histograms add bucket-wise).
   for (const auto& r : result.ranks) result.metrics.merge_from(r.metrics);
-
-  // Canonical dotted families for the run-level outputs, matching the
-  // jobs.*/um.* naming so the Prometheus exporter needs no special cases.
-  // The flat struct fields above stay for one more release (deprecated).
-  const auto add_gauge = [&result](const char* name, double v) {
-    telemetry::MetricSample s;
-    s.name = name;
-    s.kind = telemetry::MetricKind::Gauge;
-    s.merge = telemetry::Merge::Max;
-    s.value = v;
-    result.metrics.samples.push_back(std::move(s));
-  };
-  add_gauge("time.wall_minutes", result.wall_minutes);
-  add_gauge("mpi.exposed_minutes", result.mpi_minutes);
-  add_gauge("mpi.hidden_minutes", result.hidden_mpi_minutes);
 
   // Flight-recorder dump triggers owned by this layer: a static-verifier
   // error, or the explicit SIMAS_FLIGHT_DUMP end-of-run request.

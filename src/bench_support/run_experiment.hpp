@@ -157,11 +157,6 @@ struct ExperimentConfig {
 struct RankTiming {
   double seconds_per_step = 0.0;  ///< modeled, paper-scale
   double mpi_seconds_per_step = 0.0;
-  /// Real wall-clock seconds per measured step on this host (Timer, not
-  /// the modeled ClockLedger): the cost of actually executing the kernels
-  /// through the host execution layer. This is what bench_host_exec
-  /// optimizes; modeled time is unaffected by host-side scheduling.
-  double host_seconds_per_step = 0.0;
   /// Launch-overhead + UM-gap time per step (TimeCategory::LaunchGap),
   /// the quantity graph replay amortizes.
   double launch_gap_seconds_per_step = 0.0;
@@ -178,14 +173,6 @@ struct RankTiming {
 };
 
 struct ExperimentResult {
-  // NOTE (deprecation): the flat wall_minutes / mpi_minutes /
-  // hidden_mpi_minutes fields below remain the struct API, but their
-  // canonical metric names are now the dotted families appended to
-  // `metrics` (time.wall_minutes, mpi.exposed_minutes,
-  // mpi.hidden_minutes) so exporters need no special cases. Benches keep
-  // emitting the old flat JSON keys for one release alongside the dotted
-  // ones; new consumers should read the dotted names.
-
   /// Paper-projected wall-clock minutes for the full test problem
   /// (slowest rank; ranks are collective-synchronized so they agree
   /// closely).
@@ -195,22 +182,17 @@ struct ExperimentResult {
   /// compute, not part of wall_minutes).
   double hidden_mpi_minutes = 0.0;
   double non_mpi_minutes() const { return wall_minutes - mpi_minutes; }
-  /// Slowest rank's real host wall-clock per measured step (see
-  /// RankTiming::host_seconds_per_step).
-  double host_seconds_per_step = 0.0;
 
   std::vector<RankTiming> ranks;
   mhd::GlobalDiagnostics final_diag;  ///< physics validation handle
   /// PFSS convergence record when ExperimentConfig::boundary.enabled
   /// (copied from the injected cache entry when the solve was skipped).
   mhd::PfssResult pfss;
-  trace::Recorder trace;              ///< rank 0 timeline, if captured
-  double trace_t0 = 0.0, trace_t1 = 0.0;  ///< measured window (modeled s)
-  /// Every rank's timeline (capture_trace records all ranks; trace above
-  /// stays the rank-0 view for the existing consumers). One entry per
-  /// rank, indexed by rank — feed to telemetry::write_perfetto_json with
-  /// one pid per rank.
+  /// Every rank's timeline, if captured (capture_trace records all
+  /// ranks). One entry per rank, indexed by rank — feed to
+  /// telemetry::write_perfetto_json with one pid per rank.
   std::vector<trace::Recorder> rank_traces;
+  double trace_t0 = 0.0, trace_t1 = 0.0;  ///< measured window (modeled s)
   /// All-rank merged views (per-metric merge policy / matched by site).
   telemetry::MetricsSnapshot metrics;
   telemetry::SiteProfileSnapshot profile;

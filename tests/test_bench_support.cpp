@@ -67,11 +67,12 @@ TEST(RunExperiment, TraceCaptureWindow) {
   cfg.grid = bench_grid();
   cfg.capture_trace = true;
   const auto res = run_experiment(cfg);
-  EXPECT_GT(res.trace.events().size(), 0u);
+  ASSERT_EQ(res.rank_traces.size(), 1u);
+  const trace::Recorder& rank0 = res.rank_traces[0];
+  EXPECT_GT(rank0.events().size(), 0u);
   EXPECT_GT(res.trace_t1, res.trace_t0);
   // Kernel activity exists inside the measured window.
-  EXPECT_GT(res.trace.lane_busy(trace::Lane::Kernel, res.trace_t0,
-                                res.trace_t1),
+  EXPECT_GT(rank0.lane_busy(trace::Lane::Kernel, res.trace_t0, res.trace_t1),
             0.0);
 }
 

@@ -23,6 +23,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -142,6 +143,41 @@ TEST(ObservabilitySpans, JsonPutsModeledLeavesUnderAttribution) {
   EXPECT_NE(attr->find("run_host_seconds"), nullptr);
 }
 
+/// Scales one leaf of a span_record_json document's attribution block.
+void scale_attribution(json::Value* doc, std::string_view key, double f) {
+  for (auto& [name, attr] : doc->as_object())
+    if (name == "attribution")
+      for (auto& [leaf, v] : attr.as_object())
+        if (leaf == key) v = json::Value(v.as_number() * f);
+}
+
+TEST(ObservabilitySpans, CommittedRulesGateModeledWallButNotHostWall) {
+  std::ifstream in(SIMAS_TEST_PERF_TOLERANCES);
+  ASSERT_TRUE(in.good()) << SIMAS_TEST_PERF_TOLERANCES;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  json::Value spec;
+  std::string err;
+  ASSERT_TRUE(json::parse(buf.str(), &spec, &err)) << err;
+  const std::vector<telemetry::ToleranceRule> rules =
+      telemetry::parse_rules(spec, &err);
+  ASSERT_TRUE(err.empty()) << err;
+
+  const json::Value baseline = telemetry::span_record_json(consistent_record());
+  // Modeled wall time is deterministic: a 1% drift is a model change.
+  json::Value modeled = baseline;
+  scale_attribution(&modeled, "modeled_wall_seconds", 1.01);
+  const telemetry::Comparison cmp =
+      telemetry::compare(baseline, modeled, rules);
+  std::ostringstream report;
+  cmp.print(report);
+  EXPECT_FALSE(cmp.ok()) << report.str();
+  // Host wall time is machine noise: even 10x must pass.
+  json::Value host = baseline;
+  scale_attribution(&host, "run_host_seconds", 10.0);
+  EXPECT_TRUE(telemetry::compare(baseline, host, rules).ok());
+}
+
 TEST(ObservabilitySpans, RunExperimentFillsCompleteRankSpans) {
   bench_support::ExperimentConfig cfg;
   cfg.version = variants::CodeVersion::A;
@@ -165,12 +201,6 @@ TEST(ObservabilitySpans, RunExperimentFillsCompleteRankSpans) {
     EXPECT_NE(rank.ctx.span_id, cfg.trace.span_id);
     EXPECT_GT(rank.phases.modeled_seconds, 0.0);
   }
-  // The dotted metric families ride alongside the deprecated flat fields.
-  EXPECT_GT(result.metrics.gauge("time.wall_minutes"), 0.0);
-  EXPECT_EQ(result.metrics.gauge("time.wall_minutes"), result.wall_minutes);
-  EXPECT_EQ(result.metrics.gauge("mpi.exposed_minutes"), result.mpi_minutes);
-  EXPECT_EQ(result.metrics.gauge("mpi.hidden_minutes"),
-            result.hidden_mpi_minutes);
 }
 
 // ---------------------------------------------------------------------

@@ -167,13 +167,13 @@ TEST_F(PaperShape, TraceShowsMigrationLaneOnlyUnderUm) {
   auto cfg2 = cfg_for(CodeVersion::ADU, 8);
   cfg2.capture_trace = true;
   const auto um = run_experiment(cfg2);
-  const double mig_manual = manual.trace.lane_busy(
+  const double mig_manual = manual.rank_traces[0].lane_busy(
       trace::Lane::Migration, manual.trace_t0, manual.trace_t1);
-  const double mig_um =
-      um.trace.lane_busy(trace::Lane::Migration, um.trace_t0, um.trace_t1);
+  const double mig_um = um.rank_traces[0].lane_busy(
+      trace::Lane::Migration, um.trace_t0, um.trace_t1);
   EXPECT_DOUBLE_EQ(mig_manual, 0.0);  // P2P path: no CPU-GPU migrations
   EXPECT_GT(mig_um, 0.0);
-  const double p2p_manual = manual.trace.lane_busy(
+  const double p2p_manual = manual.rank_traces[0].lane_busy(
       trace::Lane::Transfer, manual.trace_t0, manual.trace_t1);
   EXPECT_GT(p2p_manual, 0.0);  // manual path rides NVLink
 }
