@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <type_traits>
 
 #include "bench_support/host_threads.hpp"
 #include "mhd/solver.hpp"
@@ -108,27 +109,28 @@ std::string ExperimentConfig::shape_key() const {
 
 namespace {
 
-/// The six persistent arrays PFSS initialization defines; scratch (RHS,
-/// potential, PCG workspaces) is excluded because every step writes it
-/// before reading.
-struct BoundarySlot {
-  field::Field* field;
-  std::vector<real>* data;
-};
-
-std::array<BoundarySlot, 6> boundary_slots(
-    mhd::State& st, BoundaryFields::RankFields& rf) {
-  return {{{&st.br, &rf.br},
-           {&st.bt, &rf.bt},
-           {&st.bp, &rf.bp},
-           {&st.bcr, &rf.bcr},
-           {&st.bct, &rf.bct},
-           {&st.bcp, &rf.bcp}}};
+/// The six persistent arrays PFSS initialization defines, paired with
+/// their cached copies; scratch (RHS, potential, PCG workspaces) is
+/// excluded because every step writes it before reading. `RankFields` is
+/// const-qualified for injection, which only reads the cache.
+template <class RankFields>
+auto boundary_slots(mhd::State& st, RankFields& rf) {
+  using Data = std::remove_reference_t<decltype((rf.br))>;
+  struct Slot {
+    field::Field* field;
+    Data* data;
+  };
+  return std::array<Slot, 6>{{{&st.br, &rf.br},
+                              {&st.bt, &rf.bt},
+                              {&st.bp, &rf.bp},
+                              {&st.bcr, &rf.bcr},
+                              {&st.bct, &rf.bct},
+                              {&st.bcp, &rf.bcp}}};
 }
 
 void extract_boundary_fields(mhd::MasSolver& solver,
                              BoundaryFields::RankFields& rf) {
-  for (BoundarySlot s : boundary_slots(solver.state(), rf)) {
+  for (const auto s : boundary_slots(solver.state(), rf)) {
     s.field->update_host();
     s.field->note_host_read();
     const field::Array3& a = s.field->a();
@@ -138,13 +140,9 @@ void extract_boundary_fields(mhd::MasSolver& solver,
 
 void inject_boundary_fields(mhd::MasSolver& solver,
                             const BoundaryFields& bf, int rank) {
-  mhd::State& st = solver.state();
   const BoundaryFields::RankFields& rf =
       bf.ranks.at(static_cast<std::size_t>(rank));
-  const std::pair<field::Field*, const std::vector<real>*> slots[] = {
-      {&st.br, &rf.br},   {&st.bt, &rf.bt},   {&st.bp, &rf.bp},
-      {&st.bcr, &rf.bcr}, {&st.bct, &rf.bct}, {&st.bcp, &rf.bcp}};
-  for (const auto& [field, data] : slots) {
+  for (const auto [field, data] : boundary_slots(solver.state(), rf)) {
     field::Array3& a = field->a();
     if (static_cast<idx>(data->size()) != a.size())
       throw std::runtime_error(
@@ -351,9 +349,9 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     }
   }
 
-  // SIMAS_PROFILE forces the printout; read from the one-time env
+  // SIMAS_PROFILE prints the merged profile; read from the one-time env
   // snapshot, never from getenv() mid-run.
-  if (cfg.profile || ctx.env().profile) {
+  if (ctx.env().profile) {
     result.profile.print(std::cout);
     std::cout << '\n';
   }

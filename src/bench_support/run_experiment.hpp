@@ -111,11 +111,6 @@ struct ExperimentConfig {
   /// per-rank reports land in ExperimentResult::static_reports. No
   /// kernels are shadowed; modeled time is unaffected.
   bool capture_stream = false;
-  /// Print the cross-rank hot-spot profile (top kernel sites by modeled
-  /// time) after the run. Also forced by the SIMAS_PROFILE environment
-  /// variable (via the context's EnvConfig snapshot); the merged profile
-  /// is returned in ExperimentResult::profile either way.
-  bool profile = false;
 
   // --- Re-entrancy / service-layer hooks -------------------------------
   /// Context supplying the env snapshot (and optional default shared

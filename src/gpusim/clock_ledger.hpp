@@ -40,10 +40,6 @@ class ClockLedger {
 
   void reset();
 
-  /// Mark the current instant; elapsed_since returns the modeled time since.
-  double mark() const { return now_; }
-  double elapsed_since(double mark) const { return now_ - mark; }
-
   // ---- Copy stream (overlapped halo exchange) ----
   // A second per-rank timeline modeling the DMA/copy engine: nonblocking
   // sends enqueue their transfer here instead of advancing the compute
@@ -56,8 +52,6 @@ class ClockLedger {
   /// starts when both the stream is free and the compute clock has issued
   /// it (max(now, copy_free_at)); returns the completion time.
   double copy_enqueue(double cost);
-  /// Completion time of the last enqueued transfer (now() if idle).
-  double copy_free_at() const { return copy_free_at_; }
 
   /// Attribute transfer time that the copy stream absorbed behind compute.
   void note_hidden_mpi(double dt) {

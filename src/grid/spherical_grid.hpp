@@ -60,7 +60,6 @@ class SphericalGrid {
   real ph_center(idx k) const {
     return (static_cast<real>(k) + 0.5) * dph_;
   }
-  real ph_face(idx k) const { return static_cast<real>(k) * dph_; }
 
   // Metric helpers at centers.
   real sin_th(idx j) const { return stc_[static_cast<std::size_t>(j)]; }

@@ -66,20 +66,8 @@ void advect_and_forces(MhdContext& c, real dt, int pending_center) {
   const real gamma = ph.gamma;
   const real g0 = ph.gravity;
 
-  const bool split =
-      pending_center >= 0 &&
-      overlap_split_pays(c, static_cast<int>(st.center_fields().size()));
-  if (pending_center >= 0 && !split) {
-    // Overlap without a split: the transfer was hidden behind the BC/wrap
-    // kernels of the exchange window; just complete it before reading.
-    c.halo.finish_exchange_r(pending_center);
-    pending_center = -1;
-  }
-  // Interior planes exclude the ones adjacent to an in-flight ghost.
-  const idx ilo = (split && !c.lg.at_inner_boundary()) ? 1 : 0;
-  const idx ihi =
-      (split && !c.lg.at_outer_boundary()) ? st.nloc - 1 : st.nloc;
-  const par::Range3 interior{ilo, ihi, 0, st.nt, 0, st.np};
+  RadialSplit split(c, pending_center,
+                    static_cast<int>(st.center_fields().size()));
 
   static const par::KernelSite& site_vr =
       SIMAS_SITE("advance_vr", SiteKind::ParallelLoop, 31);
@@ -192,69 +180,53 @@ void advect_and_forces(MhdContext& c, real dt, int pending_center) {
   // --- interior predictor launches (full range when not split) ----------
   // Declared span of the centered-field reads: the ±1 radial stencil over
   // the clipped interior range never reaches the in-flight ghost columns.
-  const par::Span cspan = interior_stencil_span(split, ilo, ihi, st.nloc);
-  if (ihi > ilo) {
-    c.eng.for_each(
-        site_vr, interior,
-        {par::in(st.rho.id(), cspan), par::in(st.temp.id(), cspan),
-         par::in(st.vr.id(), cspan), par::in(st.vt.id(), cspan),
-         par::in(st.vp.id(), cspan), par::in(st.jct.id()),
-         par::in(st.jcp.id()), par::in(st.bct.id()), par::in(st.bcp.id()),
-         par::out(st.wrk1.id())},
-        vr_body);
-    c.eng.for_each(
-        site_vt, interior,
-        {par::in(st.rho.id(), cspan), par::in(st.temp.id(), cspan),
-         par::in(st.vr.id(), cspan), par::in(st.vt.id(), cspan),
-         par::in(st.vp.id(), cspan), par::in(st.jcr.id()),
-         par::in(st.jcp.id()), par::in(st.bcr.id()), par::in(st.bcp.id()),
-         par::out(st.wrk2.id())},
-        vt_body);
-    c.eng.for_each(
-        site_vp, interior,
-        {par::in(st.rho.id(), cspan), par::in(st.temp.id(), cspan),
-         par::in(st.vr.id(), cspan), par::in(st.vt.id(), cspan),
-         par::in(st.vp.id(), cspan), par::in(st.jcr.id()),
-         par::in(st.jct.id()), par::in(st.bcr.id()), par::in(st.bct.id()),
-         par::out(st.wrk3.id())},
-        vp_body);
-    c.eng.for_each(
-        site_rho, interior,
-        {par::in(st.rho.id(), cspan), par::in(st.vr.id(), cspan),
-         par::in(st.vt.id(), cspan), par::in(st.vp.id(), cspan),
-         par::out(st.wrk4.id())},
-        rho_body);
-    c.eng.for_each(
-        site_t, interior,
-        {par::in(st.temp.id(), cspan), par::in(st.vr.id(), cspan),
-         par::in(st.vt.id(), cspan), par::in(st.vp.id(), cspan),
-         par::out(st.wrk5.id())},
-        temp_body);
-  }
+  const par::Span cspan = split.span();
+  split.interior(
+      site_vr,
+      {par::in(st.rho.id(), cspan), par::in(st.temp.id(), cspan),
+       par::in(st.vr.id(), cspan), par::in(st.vt.id(), cspan),
+       par::in(st.vp.id(), cspan), par::in(st.jct.id()), par::in(st.jcp.id()),
+       par::in(st.bct.id()), par::in(st.bcp.id()), par::out(st.wrk1.id())},
+      vr_body);
+  split.interior(
+      site_vt,
+      {par::in(st.rho.id(), cspan), par::in(st.temp.id(), cspan),
+       par::in(st.vr.id(), cspan), par::in(st.vt.id(), cspan),
+       par::in(st.vp.id(), cspan), par::in(st.jcr.id()), par::in(st.jcp.id()),
+       par::in(st.bcr.id()), par::in(st.bcp.id()), par::out(st.wrk2.id())},
+      vt_body);
+  split.interior(
+      site_vp,
+      {par::in(st.rho.id(), cspan), par::in(st.temp.id(), cspan),
+       par::in(st.vr.id(), cspan), par::in(st.vt.id(), cspan),
+       par::in(st.vp.id(), cspan), par::in(st.jcr.id()), par::in(st.jct.id()),
+       par::in(st.bcr.id()), par::in(st.bct.id()), par::out(st.wrk3.id())},
+      vp_body);
+  split.interior(site_rho,
+                 {par::in(st.rho.id(), cspan), par::in(st.vr.id(), cspan),
+                  par::in(st.vt.id(), cspan), par::in(st.vp.id(), cspan),
+                  par::out(st.wrk4.id())},
+                 rho_body);
+  split.interior(site_t,
+                 {par::in(st.temp.id(), cspan), par::in(st.vr.id(), cspan),
+                  par::in(st.vt.id(), cspan), par::in(st.vp.id(), cspan),
+                  par::out(st.wrk5.id())},
+                 temp_body);
 
   // --- boundary shell: finish the exchange, then one combined launch ----
-  if (split) {
-    c.halo.finish_exchange_r(pending_center);
-    // The planes skipped above, now that their ghost neighbours arrived.
-    idx planes[2] = {0, 0};
-    idx nsh = 0;
-    if (ilo == 1) planes[nsh++] = 0;
-    if (ihi == st.nloc - 1) planes[nsh++] = st.nloc - 1;
-    const idx p0 = planes[0];
-    const idx p1 = nsh > 1 ? planes[1] : planes[0];
+  if (split.has_shell()) {
     static const par::KernelSite& site_shell =
         SIMAS_SITE("advance_shell", SiteKind::ParallelLoop, 0, false, false,
                    true, /*surface_scaled=*/true);
-    c.eng.for_each(
-        site_shell, par::Range3{0, nsh, 0, st.nt, 0, st.np},
+    split.shell(
+        site_shell,
         {par::in(st.rho.id()), par::in(st.temp.id()), par::in(st.vr.id()),
          par::in(st.vt.id()), par::in(st.vp.id()), par::in(st.jcr.id()),
          par::in(st.jct.id()), par::in(st.jcp.id()), par::in(st.bcr.id()),
          par::in(st.bct.id()), par::in(st.bcp.id()), par::out(st.wrk1.id()),
          par::out(st.wrk2.id()), par::out(st.wrk3.id()),
          par::out(st.wrk4.id()), par::out(st.wrk5.id())},
-        [&, p0, p1](idx s, idx j, idx k) {
-          const idx i = s == 0 ? p0 : p1;
+        [&](idx i, idx j, idx k) {
           vr_body(i, j, k);
           vt_body(i, j, k);
           vp_body(i, j, k);

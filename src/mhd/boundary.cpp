@@ -23,6 +23,53 @@ void theta_wall_ghosts(MhdContext& c, field::Field& f, real sign) {
                  });
 }
 
+/// True when the overlapped-exchange path is active on this rank:
+/// overlap_halo is set, the rank has at least one radial neighbour, and
+/// the slab is thick enough for an interior/boundary split.
+bool overlap_active(const MhdContext& c) {
+  if (!c.eng.config().overlap_halo) return false;
+  // A rank with no radial neighbour has nothing to overlap; a 1-cell slab
+  // has no interior distinct from its boundary shell.
+  const bool inner = c.lg.at_inner_boundary();
+  const bool outer = c.lg.at_outer_boundary();
+  return !(inner && outer) && c.st.nloc >= 2;
+}
+
+/// True when an interior/boundary-shell kernel split pays for an exchange
+/// of `nfields` radially decomposed fields (see RadialSplit).
+bool overlap_split_pays(const MhdContext& c, int nfields) {
+  const auto& cfg = c.eng.config();
+  // Unified memory: the exchange stages through host-touched pages and
+  // serializes with compute (Fig. 4) — nothing can be hidden, so the
+  // extra boundary-shell launch never pays.
+  if (cfg.gpu && c.eng.memory().unified()) return false;
+  auto& cost = c.eng.cost();
+  const i64 bytes = static_cast<i64>(c.st.nt + 1) * c.st.np * nfields *
+                    static_cast<i64>(sizeof(real));
+  const double per_msg =
+      cfg.gpu ? cost.p2p_transfer_time(bytes, gpusim::ScaleClass::Surface)
+              : cost.host_transfer_time(bytes, gpusim::ScaleClass::Surface);
+  int neighbors = 0;
+  if (!c.lg.at_inner_boundary()) ++neighbors;
+  if (!c.lg.at_outer_boundary()) ++neighbors;
+  // Hideable time = transfer minus the posting latency the compute clock
+  // pays anyway; the split costs one extra kernel launch.
+  const double hidden =
+      neighbors * (per_msg - cost.device().p2p_latency_s);
+  return hidden > cost.device().launch_overhead_s;
+}
+
+/// Declared radial span of stencil reads over [ilo, ihi) (see
+/// RadialSplit::span).
+par::Span interior_stencil_span(bool split, idx ilo, idx ihi, idx nloc) {
+  if (!split) return par::Span::Full;
+  const bool lo = ilo == 0, hi = ihi == nloc;
+  if (lo && hi) return par::Span::Full;
+  if (lo) return par::Span::GhostLo;
+  if (hi) return par::Span::GhostHi;
+  return par::Span::Interior;
+}
+
 }  // namespace
 
 void apply_center_bcs(MhdContext& c) {
@@ -98,36 +145,43 @@ void apply_center_bcs(MhdContext& c) {
   }
 }
 
-bool overlap_active(const MhdContext& c) {
-  if (!c.eng.config().overlap_halo) return false;
-  // A rank with no radial neighbour has nothing to overlap; a 1-cell slab
-  // has no interior distinct from its boundary shell.
-  const bool inner = c.lg.at_inner_boundary();
-  const bool outer = c.lg.at_outer_boundary();
-  return !(inner && outer) && c.st.nloc >= 2;
+int post_radial_exchange(MhdContext& c,
+                         const std::vector<field::Field*>& fields,
+                         const std::vector<field::Field*>& wrap) {
+  int pending = -1;
+  if (overlap_active(c)) {
+    pending = c.halo.begin_exchange_r(fields);
+  } else {
+    c.halo.exchange_r(fields);
+  }
+  c.halo.wrap_phi(wrap);
+  return pending;
 }
 
-bool overlap_split_pays(const MhdContext& c, int nfields) {
-  if (!overlap_active(c)) return false;
-  const auto& cfg = c.eng.config();
-  // Unified memory: the exchange stages through host-touched pages and
-  // serializes with compute (Fig. 4) — nothing can be hidden, so the
-  // extra boundary-shell launch never pays.
-  if (cfg.gpu && c.eng.memory().unified()) return false;
-  auto& cost = c.eng.cost();
-  const i64 bytes = static_cast<i64>(c.st.nt + 1) * c.st.np * nfields *
-                    static_cast<i64>(sizeof(real));
-  const double per_msg =
-      cfg.gpu ? cost.p2p_transfer_time(bytes, gpusim::ScaleClass::Surface)
-              : cost.host_transfer_time(bytes, gpusim::ScaleClass::Surface);
-  int neighbors = 0;
-  if (!c.lg.at_inner_boundary()) ++neighbors;
-  if (!c.lg.at_outer_boundary()) ++neighbors;
-  // Hideable time = transfer minus the posting latency the compute clock
-  // pays anyway; the split costs one extra kernel launch.
-  const double hidden =
-      neighbors * (per_msg - cost.device().p2p_latency_s);
-  return hidden > cost.device().launch_overhead_s;
+void finish_radial_exchange(MhdContext& c, int pending) {
+  if (pending >= 0) c.halo.finish_exchange_r(pending);
+}
+
+RadialSplit::RadialSplit(MhdContext& c, int pending, int nfields)
+    : c_(c), pending_(pending) {
+  const idx nloc = c.st.nloc;
+  const bool split = pending >= 0 && overlap_split_pays(c, nfields);
+  if (!split) {
+    // Overlap without a split: the transfer hid behind the φ wrap (and
+    // BC kernels) of its exchange window; complete it before any read.
+    finish_radial_exchange(c, pending_);
+    pending_ = -1;
+  }
+  // Interior planes exclude the ones adjacent to an in-flight ghost.
+  ilo_ = (split && !c.lg.at_inner_boundary()) ? 1 : 0;
+  ihi_ = (split && !c.lg.at_outer_boundary()) ? nloc - 1 : nloc;
+  span_ = interior_stencil_span(split, ilo_, ihi_, nloc);
+  if (split) {
+    const bool lo = ilo_ == 1, hi = ihi_ == nloc - 1;
+    nshell_ = (lo ? 1 : 0) + (hi ? 1 : 0);
+    shell_first_ = lo ? 0 : nloc - 1;
+    shell_last_ = hi ? nloc - 1 : 0;
+  }
 }
 
 void exchange_center_ghosts(MhdContext& c) {
@@ -137,20 +191,15 @@ void exchange_center_ghosts(MhdContext& c) {
 }
 
 int begin_exchange_center_ghosts(MhdContext& c) {
-  if (!overlap_active(c)) {
-    exchange_center_ghosts(c);
-    return -1;
-  }
   // Post the radial exchange, then fill every locally computable ghost
   // while the halos are in flight. The φ-wrap pack reads only owned radial
   // planes and its unpack writes only φ ghosts; the physical BCs write θ
   // ghosts and (at boundary ranks only) radial planes that have no
   // neighbour — none of them touch the in-flight radial ghost planes, so
   // the result is byte-identical to the synchronous order.
-  const int handle = c.halo.begin_exchange_r(c.st.center_fields());
-  c.halo.wrap_phi(c.st.center_fields());
+  const int pending = post_radial_exchange(c, c.st.center_fields());
   apply_center_bcs(c);
-  return handle;
+  return pending;
 }
 
 void apply_b_ghosts(MhdContext& c) {
@@ -161,13 +210,8 @@ void apply_b_ghosts(MhdContext& c) {
   // exchange rides the copy stream while the φ wrap and wall kernels run
   // (they read owned planes and write θ/φ ghosts only), and completes at
   // the end of this routine.
-  int pending = -1;
-  if (overlap_active(c)) {
-    pending = c.halo.begin_exchange_r({&st.bt, &st.bp});
-  } else {
-    c.halo.exchange_r({&st.bt, &st.bp});
-  }
-  c.halo.wrap_phi({&st.br, &st.bt, &st.bp});
+  const int pending = post_radial_exchange(c, {&st.bt, &st.bp},
+                                           {&st.br, &st.bt, &st.bp});
 
   // θ-wall ghosts: bt is wall-normal (odd about the fixed wall flux), br
   // and bp mirror.
@@ -237,7 +281,7 @@ void apply_b_ghosts(MhdContext& c) {
                    });
   }
 
-  if (pending >= 0) c.halo.finish_exchange_r(pending);
+  finish_radial_exchange(c, pending);
 }
 
 }  // namespace simas::mhd

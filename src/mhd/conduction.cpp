@@ -44,16 +44,8 @@ int conduction_update(MhdContext& c, real dt) {
                    const real t = std::max<real>(st.temp(i, j, k), 1.0e-12);
                    st.wrk2(i, j, k) = kappa0 * t * t * std::sqrt(t);
                  });
-  const bool overlap = overlap_active(c);
-  if (overlap) {
-    // The κ halo hides behind the φ wrap of the same exchange window.
-    const int h = c.halo.begin_exchange_r({&st.wrk2});
-    c.halo.wrap_phi({&st.wrk2});
-    c.halo.finish_exchange_r(h);
-  } else {
-    c.halo.exchange_r({&st.wrk2});
-    c.halo.wrap_phi({&st.wrk2});
-  }
+  // Under overlap the κ halo hides behind the φ wrap of the same window.
+  finish_radial_exchange(c, post_radial_exchange(c, {&st.wrk2}));
 
   // Diffusion cell body, shared by the interior and boundary-shell
   // launches of the overlapped path.
@@ -96,46 +88,18 @@ int conduction_update(MhdContext& c, real dt) {
   // wrap; when the split pays, the interior stencil also runs while the
   // halos are in flight and one boundary-shell launch covers the rest.
   auto diffusion = [&](field::Field& x, field::Field& y) {
-    int pending = -1;
-    if (overlap) {
-      pending = c.halo.begin_exchange_r({&x});
-    } else {
-      c.halo.exchange_r({&x});
-    }
-    c.halo.wrap_phi({&x});
-    const bool split = pending >= 0 && overlap_split_pays(c, 1);
-    if (pending >= 0 && !split) {
-      c.halo.finish_exchange_r(pending);
-      pending = -1;
-    }
-    const idx ilo = (split && !lg.at_inner_boundary()) ? 1 : 0;
-    const idx ihi = (split && !lg.at_outer_boundary()) ? nloc - 1 : nloc;
-    if (ihi > ilo) {
-      // Clipped-range stencil reads stay off x's in-flight ghost columns.
-      const par::Span xspan = interior_stencil_span(split, ilo, ihi, nloc);
-      c.eng.for_each(
-          site_mv, par::Range3{ilo, ihi, 0, nt, 0, np},
-          {par::in(x.id(), xspan), par::in(st.wrk2.id(), xspan),
-           par::out(y.id())},
-          [&](idx i, idx j, idx k) { diff_cell(x, y, i, j, k); });
-    }
-    if (split) {
-      c.halo.finish_exchange_r(pending);
-      idx planes[2] = {0, 0};
-      idx nsh = 0;
-      if (ilo == 1) planes[nsh++] = 0;
-      if (ihi == nloc - 1) planes[nsh++] = nloc - 1;
-      const idx p0 = planes[0];
-      const idx p1 = nsh > 1 ? planes[1] : planes[0];
+    RadialSplit split(c, post_radial_exchange(c, {&x}), 1);
+    split.interior(site_mv,
+                   {par::in(x.id(), split.span()),
+                    par::in(st.wrk2.id(), split.span()), par::out(y.id())},
+                   [&](idx i, idx j, idx k) { diff_cell(x, y, i, j, k); });
+    if (split.has_shell()) {
       static const par::KernelSite& site_mv_shell =
           SIMAS_SITE("cond_matvec_shell", SiteKind::ParallelLoop, 0, false,
                      false, true, /*surface_scaled=*/true);
-      c.eng.for_each(
-          site_mv_shell, par::Range3{0, nsh, 0, nt, 0, np},
-          {par::in(x.id()), par::in(st.wrk2.id()), par::out(y.id())},
-          [&, p0, p1](idx s, idx j, idx k) {
-            diff_cell(x, y, s == 0 ? p0 : p1, j, k);
-          });
+      split.shell(site_mv_shell,
+                  {par::in(x.id()), par::in(st.wrk2.id()), par::out(y.id())},
+                  [&](idx i, idx j, idx k) { diff_cell(x, y, i, j, k); });
     }
   };
 

@@ -4,6 +4,8 @@
 // all loops go through the rank's Engine so every code version accounts
 // them per its execution model.
 
+#include <initializer_list>
+#include <utility>
 #include <vector>
 
 #include "grid/local_grid.hpp"
@@ -36,32 +38,87 @@ void apply_center_bcs(MhdContext& c);
 /// in-flight radial ghosts), and is finished at the end.
 void apply_b_ghosts(MhdContext& c);
 
-/// True when the overlapped-exchange path is active on this rank:
-/// overlap_halo is set, the rank has at least one radial neighbour, and
-/// the slab is thick enough for an interior/boundary split.
-bool overlap_active(const MhdContext& c);
-/// True when an interior/boundary-shell kernel split pays for an exchange
-/// of `nfields` radially decomposed fields: the transfer time the split
-/// can hide (per the cost model) must exceed the extra shell launch it
-/// costs. Always false for unified memory — the staged exchange
-/// serializes with compute, so there is nothing to hide (Fig. 4).
-bool overlap_split_pays(const MhdContext& c, int nfields);
-/// Declared radial span of a stencil kernel's *reads* over radial range
-/// [ilo, ihi): the ±1 stencil reaches [ilo-1, ihi]. Under the
-/// interior/boundary split (`split`) the range is clipped away from
-/// in-flight halo columns, so the reads stay off them — Interior when both
-/// ends are clipped, GhostLo/GhostHi when the range abuts a physical wall
-/// (whose ghost has no neighbour and is never in flight). Without a split
-/// the reads cover the freshly exchanged ghosts: Full.
-inline par::Span interior_stencil_span(bool split, idx ilo, idx ihi,
-                                       idx nloc) {
-  if (!split) return par::Span::Full;
-  const bool lo = ilo == 0, hi = ihi == nloc;
-  if (lo && hi) return par::Span::Full;
-  if (lo) return par::Span::GhostLo;
-  if (hi) return par::Span::GhostHi;
-  return par::Span::Interior;
+// The radial-sweep protocol of the overlapped halo (DESIGN.md §12). Every
+// sweep whose stencil reads radial ghosts runs the same steps:
+//   1. post_radial_exchange posts the radial exchange (nonblocking under
+//      EngineConfig::overlap_halo on a rank with a radial neighbour and at
+//      least two owned planes, synchronous otherwise) and wraps φ;
+//   2. a RadialSplit decides whether an interior/boundary-shell split pays
+//      and, when it does not, finishes the exchange at once; the sweep's
+//      stencil kernels run over RadialSplit::interior;
+//   3. RadialSplit::shell finishes the exchange, then covers the 0-2
+//      planes next to an in-flight ghost with one combined launch.
+// Exchange windows with no stencil to split (κ, face B) pair step 1 with
+// finish_radial_exchange.
+
+/// Post the radial exchange of `fields` and wrap φ for `wrap`. Returns the
+/// pending handle when the overlapped path is active (step 1); otherwise
+/// exchanges synchronously and returns -1.
+int post_radial_exchange(MhdContext& c,
+                         const std::vector<field::Field*>& fields,
+                         const std::vector<field::Field*>& wrap);
+inline int post_radial_exchange(MhdContext& c,
+                                const std::vector<field::Field*>& fields) {
+  return post_radial_exchange(c, fields, fields);
 }
+/// Complete a posted exchange (no-op for -1).
+void finish_radial_exchange(MhdContext& c, int pending);
+
+/// Interior/boundary-shell split of one radial stencil sweep. Built from
+/// the sweep's pending exchange handle (-1 = already complete) and the
+/// number of fields it carries. The split pays when the transfer time it
+/// can hide (per the cost model) exceeds the extra shell launch; never for
+/// unified memory, whose staged exchange serializes with compute (Fig. 4).
+/// Without a split the constructor finishes the exchange and the interior
+/// covers every owned plane, so the result is byte-identical either way.
+class RadialSplit {
+ public:
+  RadialSplit(MhdContext& c, int pending, int nfields);
+
+  /// Declared radial span of the interior launches' stencil reads of the
+  /// exchanged fields: the ±1 stencil over [ilo, ihi) reaches
+  /// [ilo-1, ihi]. Under a split the range is clipped off the in-flight
+  /// ghost columns — Interior, or GhostLo/GhostHi when it abuts a physical
+  /// wall (whose ghost has no neighbour). Without a split: Full.
+  par::Span span() const { return span_; }
+
+  /// Launch `cell(i, j, k)` over the interior planes (skipped when a
+  /// split leaves none).
+  template <class Cell>
+  void interior(const par::KernelSite& site,
+                std::initializer_list<par::Access> acc, Cell&& cell) const {
+    if (ihi_ > ilo_)
+      c_.eng.for_each(site, par::Range3{ilo_, ihi_, 0, c_.st.nt, 0, c_.st.np},
+                      acc, std::forward<Cell>(cell));
+  }
+
+  /// True under a split: the planes next to an in-flight ghost still need
+  /// shell(). Callers register the shell site only then.
+  bool has_shell() const { return nshell_ > 0; }
+
+  /// Finish the exchange, then launch `cell(i, j, k)` once over the shell
+  /// planes the interior skipped, now that their ghost neighbours arrived.
+  template <class Cell>
+  void shell(const par::KernelSite& site,
+             std::initializer_list<par::Access> acc, Cell&& cell) {
+    if (nshell_ == 0) return;
+    finish_radial_exchange(c_, pending_);
+    pending_ = -1;
+    const idx first = shell_first_, last = shell_last_;
+    c_.eng.for_each(site, par::Range3{0, nshell_, 0, c_.st.nt, 0, c_.st.np},
+                    acc, [&cell, first, last](idx s, idx j, idx k) {
+                      cell(s == 0 ? first : last, j, k);
+                    });
+  }
+
+ private:
+  MhdContext& c_;
+  int pending_;
+  idx ilo_ = 0, ihi_ = 0;
+  par::Span span_ = par::Span::Full;
+  idx nshell_ = 0, shell_first_ = 0, shell_last_ = 0;
+};
+
 /// Overlapped exchange_center_ghosts: post the radial exchange of the
 /// centered fields, then fill every locally computable ghost (φ wrap,
 /// physical BCs) while the halos are in flight. Returns the pending

@@ -49,7 +49,6 @@ class MasSolver {
 
   State& state() { return *state_; }
   const grid::LocalGrid& local_grid() const { return *lg_; }
-  const grid::SphericalGrid& global_grid() const { return *grid_; }
   par::Engine& engine() { return engine_; }
   MhdContext& context() { return *ctx_; }
   const std::vector<real>& last_shell_profile() const { return shell_t_; }

@@ -45,48 +45,22 @@ int viscous_update(MhdContext& c, real dt) {
     yf(i, j, k) = xc - dt * nu * lap;
   };
 
-  const bool overlap = overlap_active(c);
   auto apply = [&](const solvers::Pcg::Fields& x,
                    const solvers::Pcg::Fields& y) {
     // Overlap: the radial exchange rides the copy stream behind the φ wrap
     // (and, when the split pays, behind the interior matvecs too). The
     // split decision is static per run, so every PCG iteration emits the
     // same op sequence — a requirement of the solver's GraphScope capture.
-    int pending = -1;
-    if (overlap) {
-      pending = c.halo.begin_exchange_r(x);
-    } else {
-      c.halo.exchange_r(x);
+    RadialSplit split(c, post_radial_exchange(c, x),
+                      static_cast<int>(x.size()));
+    for (std::size_t comp = 0; comp < x.size(); ++comp) {
+      field::Field& xf = *x[comp];
+      field::Field& yf = *y[comp];
+      split.interior(site_mv, {par::in(xf.id(), split.span()),
+                               par::out(yf.id())},
+                     [&](idx i, idx j, idx k) { mv_cell(xf, yf, i, j, k); });
     }
-    c.halo.wrap_phi(x);
-    const bool split =
-        pending >= 0 && overlap_split_pays(c, static_cast<int>(x.size()));
-    if (pending >= 0 && !split) {
-      c.halo.finish_exchange_r(pending);
-      pending = -1;
-    }
-    const idx ilo = (split && !lg.at_inner_boundary()) ? 1 : 0;
-    const idx ihi = (split && !lg.at_outer_boundary()) ? nloc - 1 : nloc;
-    if (ihi > ilo) {
-      const par::Range3 mv_range{ilo, ihi, 0, nt, 0, np};
-      // Clipped-range stencil reads stay off x's in-flight ghost columns.
-      const par::Span xspan = interior_stencil_span(split, ilo, ihi, nloc);
-      for (std::size_t comp = 0; comp < x.size(); ++comp) {
-        field::Field& xf = *x[comp];
-        field::Field& yf = *y[comp];
-        c.eng.for_each(site_mv, mv_range,
-                       {par::in(xf.id(), xspan), par::out(yf.id())},
-                       [&](idx i, idx j, idx k) { mv_cell(xf, yf, i, j, k); });
-      }
-    }
-    if (split) {
-      c.halo.finish_exchange_r(pending);
-      idx planes[2] = {0, 0};
-      idx nsh = 0;
-      if (ilo == 1) planes[nsh++] = 0;
-      if (ihi == nloc - 1) planes[nsh++] = nloc - 1;
-      const idx p0 = planes[0];
-      const idx p1 = nsh > 1 ? planes[1] : planes[0];
+    if (split.has_shell()) {
       static const par::KernelSite& site_mv_shell =
           SIMAS_SITE("visc_matvec_shell", SiteKind::ParallelLoop, 0,
                      /*calls_routine=*/true, false, true,
@@ -97,15 +71,14 @@ int viscous_update(MhdContext& c, real dt) {
       field::Field& y0 = *y[0];
       field::Field& y1 = *y[1];
       field::Field& y2 = *y[2];
-      c.eng.for_each(site_mv_shell, par::Range3{0, nsh, 0, nt, 0, np},
-                     {par::in(x0.id()), par::in(x1.id()), par::in(x2.id()),
-                      par::out(y0.id()), par::out(y1.id()), par::out(y2.id())},
-                     [&, p0, p1](idx s, idx j, idx k) {
-                       const idx i = s == 0 ? p0 : p1;
-                       mv_cell(x0, y0, i, j, k);
-                       mv_cell(x1, y1, i, j, k);
-                       mv_cell(x2, y2, i, j, k);
-                     });
+      split.shell(site_mv_shell,
+                  {par::in(x0.id()), par::in(x1.id()), par::in(x2.id()),
+                   par::out(y0.id()), par::out(y1.id()), par::out(y2.id())},
+                  [&](idx i, idx j, idx k) {
+                    mv_cell(x0, y0, i, j, k);
+                    mv_cell(x1, y1, i, j, k);
+                    mv_cell(x2, y2, i, j, k);
+                  });
     }
   };
 

@@ -18,11 +18,47 @@ constexpr int kTagAsyncBase = 111;
 constexpr int async_tag_lo(int slot) { return kTagAsyncBase + 2 * slot; }
 constexpr int async_tag_hi(int slot) { return kTagAsyncBase + 2 * slot + 1; }
 
+/// The first `count` elements of a staging buffer: one message payload.
+std::span<real> payload(field::Field& buf, i64 count) {
+  return {buf.a().data(), static_cast<std::size_t>(count)};
+}
+
 using par::SiteKind;
 }  // namespace
 
 // Buffers are sized for the largest staggered field (+1 in θ / r); a fixed
 // message size per exchange keeps send/recv counts trivially matched.
+HaloExchanger::BufferSet::BufferSet(par::Engine& engine,
+                                    const std::string& suffix, idx nt, idx np,
+                                    int max_fields)
+    : send_lo(engine, "halo_send_lo" + suffix, nt + 1, np, max_fields, 0,
+              gpusim::ScaleClass::Surface),
+      send_hi(engine, "halo_send_hi" + suffix, nt + 1, np, max_fields, 0,
+              gpusim::ScaleClass::Surface),
+      recv_lo(engine, "halo_recv_lo" + suffix, nt + 1, np, max_fields, 0,
+              gpusim::ScaleClass::Surface),
+      recv_hi(engine, "halo_recv_hi" + suffix, nt + 1, np, max_fields, 0,
+              gpusim::ScaleClass::Surface) {}
+
+void HaloExchanger::BufferSet::enter_data() {
+  send_lo.enter_data();
+  send_hi.enter_data();
+  recv_lo.enter_data();
+  recv_hi.enter_data();
+}
+
+void HaloExchanger::BufferSet::exit_data() {
+  send_lo.exit_data();
+  send_hi.exit_data();
+  recv_lo.exit_data();
+  recv_hi.exit_data();
+}
+
+void HaloExchanger::BufferSet::advise_host(par::Engine& engine) {
+  for (const field::Field* f : {&send_lo, &send_hi, &recv_lo, &recv_hi})
+    engine.mem_advise(f->id(), par::MemHint::AdvisePreferredHost);
+}
+
 HaloExchanger::HaloExchanger(par::Engine& engine, Comm& comm, const Slab& slab,
                              idx nloc, idx nt, idx np, int max_fields)
     : engine_(engine),
@@ -32,14 +68,7 @@ HaloExchanger::HaloExchanger(par::Engine& engine, Comm& comm, const Slab& slab,
       nt_(nt),
       np_(np),
       max_fields_(max_fields),
-      send_lo_(engine, "halo_send_lo", nt + 1, np, max_fields, 0,
-               gpusim::ScaleClass::Surface),
-      send_hi_(engine, "halo_send_hi", nt + 1, np, max_fields, 0,
-               gpusim::ScaleClass::Surface),
-      recv_lo_(engine, "halo_recv_lo", nt + 1, np, max_fields, 0,
-               gpusim::ScaleClass::Surface),
-      recv_hi_(engine, "halo_recv_hi", nt + 1, np, max_fields, 0,
-               gpusim::ScaleClass::Surface),
+      sync_(engine, "", nt, np, max_fields),
       phi_buf_(engine, "halo_phi_buf", nloc + 1, nt + 1, 2 * max_fields, 0,
                gpusim::ScaleClass::Surface),
       bytes_sent_r_(engine.metrics_registry().counter("halo.bytes_sent_r")),
@@ -47,33 +76,16 @@ HaloExchanger::HaloExchanger(par::Engine& engine, Comm& comm, const Slab& slab,
           engine.metrics_registry().counter("halo.bytes_sent_phi")) {
   // Manual mode: halo buffers live on the device for the whole run so that
   // CUDA-aware MPI can use the P2P path (paper Fig. 4, top).
-  send_lo_.enter_data();
-  send_hi_.enter_data();
-  recv_lo_.enter_data();
-  recv_hi_.enter_data();
+  sync_.enter_data();
   phi_buf_.enter_data();
   // The overlapped-exchange buffers exist only when the knob is on, so the
   // synchronous baseline keeps bit-identical data-region accounting.
   if (engine_.config().overlap_halo) {
     for (int s = 0; s < kAsyncSlots; ++s) {
-      auto& slot = slots_[static_cast<std::size_t>(s)];
-      const std::string sfx = "_a" + std::to_string(s);
-      slot.send_lo = std::make_unique<field::Field>(
-          engine, "halo_send_lo" + sfx, nt + 1, np, max_fields, 0,
-          gpusim::ScaleClass::Surface);
-      slot.send_hi = std::make_unique<field::Field>(
-          engine, "halo_send_hi" + sfx, nt + 1, np, max_fields, 0,
-          gpusim::ScaleClass::Surface);
-      slot.recv_lo = std::make_unique<field::Field>(
-          engine, "halo_recv_lo" + sfx, nt + 1, np, max_fields, 0,
-          gpusim::ScaleClass::Surface);
-      slot.recv_hi = std::make_unique<field::Field>(
-          engine, "halo_recv_hi" + sfx, nt + 1, np, max_fields, 0,
-          gpusim::ScaleClass::Surface);
-      slot.send_lo->enter_data();
-      slot.send_hi->enter_data();
-      slot.recv_lo->enter_data();
-      slot.recv_hi->enter_data();
+      std::optional<BufferSet>& bufs =
+          slots_[static_cast<std::size_t>(s)].bufs;
+      bufs.emplace(engine, "_a" + std::to_string(s), nt, np, max_fields);
+      bufs->enter_data();
     }
   }
   // Unified memory with hints: pin every staging buffer host-side
@@ -83,45 +95,27 @@ HaloExchanger::HaloExchanger(par::Engine& engine, Comm& comm, const Slab& slab,
   // Comm::isend overlap the staged copy (staging_overlap_eligible).
   // mem_advise is a no-op unless the engine runs unified memory on a GPU.
   if (engine_.config().um_hints) {
-    engine_.mem_advise(send_lo_.id(), par::MemHint::AdvisePreferredHost);
-    engine_.mem_advise(send_hi_.id(), par::MemHint::AdvisePreferredHost);
-    engine_.mem_advise(recv_lo_.id(), par::MemHint::AdvisePreferredHost);
-    engine_.mem_advise(recv_hi_.id(), par::MemHint::AdvisePreferredHost);
+    sync_.advise_host(engine_);
     engine_.mem_advise(phi_buf_.id(), par::MemHint::AdvisePreferredHost);
-    for (auto& slot : slots_) {
-      if (!slot.send_lo) continue;
-      engine_.mem_advise(slot.send_lo->id(),
-                         par::MemHint::AdvisePreferredHost);
-      engine_.mem_advise(slot.send_hi->id(),
-                         par::MemHint::AdvisePreferredHost);
-      engine_.mem_advise(slot.recv_lo->id(),
-                         par::MemHint::AdvisePreferredHost);
-      engine_.mem_advise(slot.recv_hi->id(),
-                         par::MemHint::AdvisePreferredHost);
-    }
+    for (auto& slot : slots_)
+      if (slot.bufs) slot.bufs->advise_host(engine_);
   }
 }
 
 HaloExchanger::~HaloExchanger() {
-  for (auto& slot : slots_) {
-    if (!slot.send_lo) continue;
-    slot.send_lo->exit_data();
-    slot.send_hi->exit_data();
-    slot.recv_lo->exit_data();
-    slot.recv_hi->exit_data();
-  }
-  send_lo_.exit_data();
-  send_hi_.exit_data();
-  recv_lo_.exit_data();
-  recv_hi_.exit_data();
+  for (auto& slot : slots_)
+    if (slot.bufs) slot.bufs->exit_data();
+  sync_.exit_data();
   phi_buf_.exit_data();
 }
 
 // Pack boundary planes: i = 0 to the rank below, i = n1-1 to the above.
 void HaloExchanger::pack_r(const std::vector<field::Field*>& fields,
-                           field::Field& lo, field::Field& hi) {
+                           BufferSet& bufs) {
   static const par::KernelSite& pack_site =
       SIMAS_SITE("halo_pack_r", SiteKind::ParallelLoop, 0);
+  field::Field& lo = bufs.send_lo;
+  field::Field& hi = bufs.send_hi;
   const int nf = static_cast<int>(fields.size());
   for (int f = 0; f < nf; ++f) {
     field::Field& fld = *fields[static_cast<std::size_t>(f)];
@@ -145,9 +139,11 @@ void HaloExchanger::pack_r(const std::vector<field::Field*>& fields,
 
 // Unpack into ghost layers i = -1 and i = n1.
 void HaloExchanger::unpack_r(const std::vector<field::Field*>& fields,
-                             field::Field& lo, field::Field& hi) {
+                             BufferSet& bufs) {
   static const par::KernelSite& unpack_site =
       SIMAS_SITE("halo_unpack_r", SiteKind::ParallelLoop, 0);
+  field::Field& lo = bufs.recv_lo;
+  field::Field& hi = bufs.recv_hi;
   const int nf = static_cast<int>(fields.size());
   for (int f = 0; f < nf; ++f) {
     field::Field& fld = *fields[static_cast<std::size_t>(f)];
@@ -176,6 +172,17 @@ void HaloExchanger::account_r_sends(i64 count) {
     bytes_sent_r_.add(count * static_cast<i64>(sizeof(real)));
 }
 
+void HaloExchanger::prefetch_recv(BufferSet& bufs, i64 count) {
+  if (!engine_.config().um_hints) return;
+  const i64 msg_bytes = count * static_cast<i64>(sizeof(real));
+  if (slab_.rank_below >= 0)
+    engine_.mem_prefetch(bufs.recv_lo.id(), msg_bytes, par::Span::GhostLo,
+                         /*to_device=*/false);
+  if (slab_.rank_above >= 0)
+    engine_.mem_prefetch(bufs.recv_hi.id(), msg_bytes, par::Span::GhostHi,
+                         /*to_device=*/false);
+}
+
 void HaloExchanger::exchange_r(const std::vector<field::Field*>& fields) {
   const int nf = static_cast<int>(fields.size());
   if (nf == 0) return;
@@ -185,49 +192,28 @@ void HaloExchanger::exchange_r(const std::vector<field::Field*>& fields) {
 
   par::Engine::CategoryScope mpi_scope(engine_, gpusim::TimeCategory::Mpi);
 
-  pack_r(fields, send_lo_, send_hi_);
-
-  // Ghost-window host prefetch (um_hints): the recv staging buffers are
-  // about to be written host-side by MPI — page any device residue out
-  // ahead of the exchange so the delivery never faults.
-  if (engine_.config().um_hints) {
-    const i64 msg_bytes = count * static_cast<i64>(sizeof(real));
-    if (slab_.rank_below >= 0)
-      engine_.mem_prefetch(recv_lo_.id(), msg_bytes, par::Span::GhostLo,
-                           /*to_device=*/false);
-    if (slab_.rank_above >= 0)
-      engine_.mem_prefetch(recv_hi_.id(), msg_bytes, par::Span::GhostHi,
-                           /*to_device=*/false);
-  }
+  pack_r(fields, sync_);
+  // The recv staging buffers are about to be written host-side by MPI —
+  // page any device residue out ahead of the exchange so the delivery
+  // never faults.
+  prefetch_recv(sync_, count);
 
   // Buffered sends first, then blocking receives: no deadlock.
-  if (slab_.rank_below >= 0) {
-    comm_.send(slab_.rank_below, kTagRLo,
-               std::span<const real>(send_lo_.a().data(),
-                                     static_cast<std::size_t>(count)),
-               send_lo_.id());
-  }
-  if (slab_.rank_above >= 0) {
-    comm_.send(slab_.rank_above, kTagRHi,
-               std::span<const real>(send_hi_.a().data(),
-                                     static_cast<std::size_t>(count)),
-               send_hi_.id());
-  }
+  if (slab_.rank_below >= 0)
+    comm_.send(slab_.rank_below, kTagRLo, payload(sync_.send_lo, count),
+               sync_.send_lo.id());
+  if (slab_.rank_above >= 0)
+    comm_.send(slab_.rank_above, kTagRHi, payload(sync_.send_hi, count),
+               sync_.send_hi.id());
   account_r_sends(count);
-  if (slab_.rank_below >= 0) {
-    comm_.recv(slab_.rank_below, kTagRHi,
-               std::span<real>(recv_lo_.a().data(),
-                               static_cast<std::size_t>(count)),
-               recv_lo_.id());
-  }
-  if (slab_.rank_above >= 0) {
-    comm_.recv(slab_.rank_above, kTagRLo,
-               std::span<real>(recv_hi_.a().data(),
-                               static_cast<std::size_t>(count)),
-               recv_hi_.id());
-  }
+  if (slab_.rank_below >= 0)
+    comm_.recv(slab_.rank_below, kTagRHi, payload(sync_.recv_lo, count),
+               sync_.recv_lo.id());
+  if (slab_.rank_above >= 0)
+    comm_.recv(slab_.rank_above, kTagRLo, payload(sync_.recv_hi, count),
+               sync_.recv_hi.id());
 
-  unpack_r(fields, recv_lo_, recv_hi_);
+  unpack_r(fields, sync_);
   engine_.break_fusion();
 }
 
@@ -248,46 +234,25 @@ int HaloExchanger::begin_exchange_r(const std::vector<field::Field*>& fields) {
 
   const i64 count = static_cast<i64>(nt_ + 1) * np_ * nf;
   slot.fields = fields;
-  slot.count = count;
   slot.active = true;
 
   par::Engine::CategoryScope mpi_scope(engine_, gpusim::TimeCategory::Mpi);
 
-  pack_r(fields, *slot.send_lo, *slot.send_hi);
-
-  // Prefetch the ghost-window staging buffers host-ward before posting the
-  // nonblocking exchange (um_hints): MPI writes them from the host.
-  if (engine_.config().um_hints) {
-    const i64 msg_bytes = count * static_cast<i64>(sizeof(real));
-    if (slab_.rank_below >= 0)
-      engine_.mem_prefetch(slot.recv_lo->id(), msg_bytes, par::Span::GhostLo,
-                           /*to_device=*/false);
-    if (slab_.rank_above >= 0)
-      engine_.mem_prefetch(slot.recv_hi->id(), msg_bytes, par::Span::GhostHi,
-                           /*to_device=*/false);
-  }
+  BufferSet& bufs = *slot.bufs;
+  pack_r(fields, bufs);
+  prefetch_recv(bufs, count);
 
   if (slab_.rank_below >= 0) {
     comm_.isend(slab_.rank_below, async_tag_lo(handle),
-                std::span<const real>(slot.send_lo->a().data(),
-                                      static_cast<std::size_t>(count)),
-                slot.send_lo->id());
-    slot.req_lo = comm_.irecv(
-        slab_.rank_below, async_tag_hi(handle),
-        std::span<real>(slot.recv_lo->a().data(),
-                        static_cast<std::size_t>(count)),
-        slot.recv_lo->id());
+                payload(bufs.send_lo, count), bufs.send_lo.id());
+    slot.req_lo = comm_.irecv(slab_.rank_below, async_tag_hi(handle),
+                              payload(bufs.recv_lo, count), bufs.recv_lo.id());
   }
   if (slab_.rank_above >= 0) {
     comm_.isend(slab_.rank_above, async_tag_hi(handle),
-                std::span<const real>(slot.send_hi->a().data(),
-                                      static_cast<std::size_t>(count)),
-                slot.send_hi->id());
-    slot.req_hi = comm_.irecv(
-        slab_.rank_above, async_tag_lo(handle),
-        std::span<real>(slot.recv_hi->a().data(),
-                        static_cast<std::size_t>(count)),
-        slot.recv_hi->id());
+                payload(bufs.send_hi, count), bufs.send_hi.id());
+    slot.req_hi = comm_.irecv(slab_.rank_above, async_tag_lo(handle),
+                              payload(bufs.recv_hi, count), bufs.recv_hi.id());
   }
   account_r_sends(count);
 
@@ -321,11 +286,10 @@ void HaloExchanger::finish_exchange_r(int handle) {
   // kernels legitimately write those ghost columns.
   for (field::Field* fld : slot.fields) engine_.note_halo_end(fld->id());
 
-  unpack_r(slot.fields, *slot.recv_lo, *slot.recv_hi);
+  unpack_r(slot.fields, *slot.bufs);
   engine_.break_fusion();
 
   slot.fields.clear();
-  slot.count = 0;
   slot.active = false;
 }
 
@@ -362,15 +326,9 @@ void HaloExchanger::wrap_phi(const std::vector<field::Field*>& fields) {
   // MAS communicates periodic boundaries through MPI even within one rank;
   // the self-exchange reproduces the 1-GPU MPI fraction of Fig. 3. It is
   // one send like any other: counted once, at the full two-plane payload.
-  comm_.send(comm_.rank(), kTagPhi,
-             std::span<const real>(phi_buf_.a().data(),
-                                   static_cast<std::size_t>(count)),
-             phi_buf_.id());
+  comm_.send(comm_.rank(), kTagPhi, payload(phi_buf_, count), phi_buf_.id());
   bytes_sent_phi_.add(count * static_cast<i64>(sizeof(real)));
-  comm_.recv(comm_.rank(), kTagPhi,
-             std::span<real>(phi_buf_.a().data(),
-                             static_cast<std::size_t>(count)),
-             phi_buf_.id());
+  comm_.recv(comm_.rank(), kTagPhi, payload(phi_buf_, count), phi_buf_.id());
 
   for (int f = 0; f < nf; ++f) {
     field::Field& fld = *fields[static_cast<std::size_t>(f)];

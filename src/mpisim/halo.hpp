@@ -15,7 +15,8 @@
 // "buffer initialization/loading/unloading" as MPI time.
 
 #include <array>
-#include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "field/field.hpp"
@@ -70,28 +71,44 @@ class HaloExchanger {
   static constexpr int kAsyncSlots = 2;
 
  private:
+  /// One radial exchange's staging buffers: send/recv x lo/hi, each sized
+  /// for max_fields planes of the largest staggered field; layout
+  /// (fastest..slowest) = (θ, φ, field). Registered, entered, exited and
+  /// advised in send_lo, send_hi, recv_lo, recv_hi order.
+  struct BufferSet {
+    BufferSet(par::Engine& engine, const std::string& suffix, idx nt, idx np,
+              int max_fields);
+    void enter_data();
+    void exit_data();
+    /// Pin every buffer host-side (mem_advise; a no-op off unified GPU).
+    void advise_host(par::Engine& engine);
+    field::Field send_lo, send_hi, recv_lo, recv_hi;
+  };
+
   struct AsyncSlot {
-    std::unique_ptr<field::Field> send_lo, send_hi, recv_lo, recv_hi;
+    std::optional<BufferSet> bufs;
     std::vector<field::Field*> fields;
     Request req_lo, req_hi;
-    i64 count = 0;
     bool active = false;
   };
 
-  void pack_r(const std::vector<field::Field*>& fields, field::Field& lo,
-              field::Field& hi);
-  void unpack_r(const std::vector<field::Field*>& fields, field::Field& lo,
-                field::Field& hi);
+  /// Pack the boundary planes into bufs.send_lo/hi.
+  void pack_r(const std::vector<field::Field*>& fields, BufferSet& bufs);
+  /// Unpack bufs.recv_lo/hi into the radial ghost layers.
+  void unpack_r(const std::vector<field::Field*>& fields, BufferSet& bufs);
   void account_r_sends(i64 count);
+  /// Ghost-window host prefetch (um_hints): page the receive buffers of
+  /// `bufs` host-ward ahead of an exchange of `count` elements.
+  void prefetch_recv(BufferSet& bufs, i64 count);
 
   par::Engine& engine_;
   Comm& comm_;
   Slab slab_;
   idx nloc_, nt_, np_;
   int max_fields_;
-  // One buffer per direction; layout (fastest..slowest) = (plane1, plane2,
-  // field). r-planes are (θ, φ); φ-planes are (r, θ).
-  field::Field send_lo_, send_hi_, recv_lo_, recv_hi_;
+  // Synchronous radial buffers, then the φ-wrap buffer, whose layout is
+  // (r, θ, 2 x field).
+  BufferSet sync_;
   field::Field phi_buf_;
   // Overlapped-exchange buffers, allocated only under overlap_halo so the
   // synchronous baseline's data-region accounting is untouched. Each slot

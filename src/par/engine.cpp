@@ -145,9 +145,10 @@ gpusim::ScaleClass Engine::resolve_scale(
   return gpusim::ScaleClass::Volume;
 }
 
-void Engine::record_launch(const KernelSite& site, i64 cells,
-                           std::initializer_list<Access> acc) {
-  LaunchOp op;
+template <class Op>
+void Engine::record(const KernelSite& site, i64 cells,
+                    std::initializer_list<Access> acc) {
+  Op op;
   op.site = &site;
   op.cells = cells;
   op.accesses.assign(acc.begin(), acc.end());
@@ -156,27 +157,12 @@ void Engine::record_launch(const KernelSite& site, i64 cells,
   emit(StreamOp{std::move(op)});
 }
 
-void Engine::record_reduce(const KernelSite& site, i64 cells,
-                           std::initializer_list<Access> acc) {
-  ReduceOp op;
-  op.site = &site;
-  op.cells = cells;
-  op.accesses.assign(acc.begin(), acc.end());
-  op.scale = resolve_scale(site, acc);
-  op.category = kernel_category_;
-  emit(StreamOp{std::move(op)});
-}
-
-void Engine::record_array_reduce(const KernelSite& site, i64 cells,
-                                 std::initializer_list<Access> acc) {
-  ArrayReduceOp op;
-  op.site = &site;
-  op.cells = cells;
-  op.accesses.assign(acc.begin(), acc.end());
-  op.scale = resolve_scale(site, acc);
-  op.category = kernel_category_;
-  emit(StreamOp{std::move(op)});
-}
+template void Engine::record<LaunchOp>(const KernelSite&, i64,
+                                       std::initializer_list<Access>);
+template void Engine::record<ReduceOp>(const KernelSite&, i64,
+                                       std::initializer_list<Access>);
+template void Engine::record<ArrayReduceOp>(const KernelSite&, i64,
+                                            std::initializer_list<Access>);
 
 void Engine::break_fusion() { emit(StreamOp{FusionBreakOp{}}); }
 

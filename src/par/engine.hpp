@@ -169,7 +169,7 @@ class Engine {
   template <class F>
   void for_each(const KernelSite& site, Range3 r,
                 std::initializer_list<Access> acc, F&& body) {
-    record_launch(site, r.count(), acc);
+    record<LaunchOp>(site, r.count(), acc);
     body_begin();
     execute3(r, std::forward<F>(body));
     body_end();
@@ -179,7 +179,7 @@ class Engine {
   template <class F>
   void for_each1(const KernelSite& site, Range1 r,
                  std::initializer_list<Access> acc, F&& body) {
-    record_launch(site, r.count(), acc);
+    record<LaunchOp>(site, r.count(), acc);
     body_begin();
     execute1(r, std::forward<F>(body));
     body_end();
@@ -190,7 +190,7 @@ class Engine {
   template <class F>
   real reduce_sum(const KernelSite& site, Range3 r,
                   std::initializer_list<Access> acc, F&& term) {
-    record_reduce(site, r.count(), acc);
+    record<ReduceOp>(site, r.count(), acc);
     body_begin();
     const real v = reduce3(r, std::forward<F>(term), /*take_max=*/false);
     body_end();
@@ -200,7 +200,7 @@ class Engine {
   template <class F>
   real reduce_max(const KernelSite& site, Range3 r,
                   std::initializer_list<Access> acc, F&& term) {
-    record_reduce(site, r.count(), acc);
+    record<ReduceOp>(site, r.count(), acc);
     body_begin();
     const real v = reduce3(r, std::forward<F>(term), /*take_max=*/true);
     body_end();
@@ -210,7 +210,7 @@ class Engine {
   template <class F>
   real reduce_sum1(const KernelSite& site, Range1 r,
                    std::initializer_list<Access> acc, F&& term) {
-    record_reduce(site, r.count(), acc);
+    record<ReduceOp>(site, r.count(), acc);
     body_begin();
     const real v = reduce1(r, std::forward<F>(term));
     body_end();
@@ -228,7 +228,7 @@ class Engine {
   void array_reduce(const KernelSite& site, Range3 r,
                     std::initializer_list<Access> acc, std::span<real> out,
                     F&& term) {
-    record_array_reduce(site, r.count(), acc);
+    record<ArrayReduceOp>(site, r.count(), acc);
     body_begin();
     execute_array_reduce(r, out, std::forward<F>(term));
     body_end();
@@ -272,13 +272,11 @@ class Engine {
   const CapturedGraph* find_graph(const std::string& name) const;
 
  private:
-  // Op recording (front-end): build the IR op and emit it.
-  void record_launch(const KernelSite& site, i64 cells,
-                     std::initializer_list<Access> acc);
-  void record_reduce(const KernelSite& site, i64 cells,
-                     std::initializer_list<Access> acc);
-  void record_array_reduce(const KernelSite& site, i64 cells,
-                           std::initializer_list<Access> acc);
+  // Op recording (front-end): build the kernel IR op (LaunchOp, ReduceOp
+  // or ArrayReduceOp) and emit it. Instantiated in engine.cpp.
+  template <class Op>
+  void record(const KernelSite& site, i64 cells,
+              std::initializer_list<Access> acc);
   /// The one place the engine's observers learn about an event: every op,
   /// data event and halo window is encoded into the flight ring, appended
   /// to the stream capture and fed to the validator here, in program

@@ -233,7 +233,6 @@ class Scheduler {
   /// While active, per-kernel launch overhead is not charged (the kernels
   /// run inside a replayed graph); UM inter-kernel gaps remain.
   void set_replay_active(bool on) { replay_active_ = on; }
-  bool replay_active() const { return replay_active_; }
   /// Accumulated launch overhead elided by replay.
   double replay_launch_saved() const { return replay_launch_saved_; }
 

@@ -53,8 +53,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int num_threads() const { return nthreads_; }
-
   /// Run fn(block_index) for block_index in [0, nblocks); blocks are
   /// distributed over the workers; blocks are executed exactly once.
   /// Blocking: returns when all blocks are done. The callable is borrowed

@@ -20,12 +20,10 @@ JobServer::JobServer(JobServerConfig cfg)
   pool_ = std::make_unique<par::ThreadPool>(width);
   ctx_.set_shared_pool(pool_.get());
 
-  // Default latency edges: the old set stopped at 5s, which parked every
-  // cold-start job in the overflow bucket and flattened p99 (the bucket
-  // audit of ISSUE 10). Edges now reach 30s, and the registry records the
-  // exact running max alongside, so the tail is never silently clipped.
-  // Per-server overrides via cfg.latency_bounds.
-  static constexpr std::array<double, 14> kDefaultLatencyBounds = {
+  // Latency edges reach 30s so cold-start jobs land in a real bucket
+  // instead of the overflow bucket (which would flatten p99); the registry
+  // records the exact running max alongside, so the tail is never clipped.
+  static constexpr std::array<double, 14> kLatencyBounds = {
       0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1,
       0.2,   0.5,   1.0,   2.0,  5.0,  10.0, 30.0};
   std::lock_guard<std::mutex> lock(metrics_mutex_);
@@ -35,11 +33,8 @@ JobServer::JobServer(JobServerConfig cfg)
   failed_ = registry_.counter("jobs.failed");
   prewarmed_ = registry_.counter("jobs.prewarmed");
   queue_depth_gauge_ = registry_.gauge("queue.depth");
-  latency_hist_ = registry_.histogram(
-      "jobs.latency_seconds",
-      cfg_.latency_bounds.empty()
-          ? std::span<const double>(kDefaultLatencyBounds)
-          : std::span<const double>(cfg_.latency_bounds));
+  latency_hist_ =
+      registry_.histogram("jobs.latency_seconds", kLatencyBounds);
   if (cfg_.autostart) start();
 }
 

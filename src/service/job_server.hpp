@@ -60,11 +60,6 @@ struct JobServerConfig {
   /// whether they carry a live trace id (and thus tag flight-recorder
   /// events).
   bool trace = false;
-  /// Latency histogram bucket edges (jobs.latency_seconds). Empty = the
-  /// default edges, which extend to 30s so cold-start jobs land in a real
-  /// bucket instead of flattening the tail into the overflow bucket (the
-  /// registry additionally tracks the exact running max).
-  std::vector<double> latency_bounds;
   /// How many completed-job span records the server retains for the
   /// introspection surface's /jobs endpoint (last-N ring).
   std::size_t completed_ring = 32;

@@ -23,32 +23,17 @@ namespace simas::telemetry {
 /// RAII scope around one annotated region of modeled time.
 class RangeScope {
  public:
-  RangeScope(par::Engine& engine, std::string_view name)
-      : recorder_(engine.tracer()), engine_(&engine) {
-    recorder_.push_range(engine.ledger().now(), name);
+  RangeScope(par::Engine& engine, std::string_view name) : engine_(engine) {
+    engine_.tracer().push_range(engine_.ledger().now(), name);
   }
 
-  /// Recorder-level variant for code that has no Engine (tests, replays).
-  RangeScope(trace::Recorder& recorder, double t, std::string_view name)
-      : recorder_(recorder) {
-    recorder_.push_range(t, name);
-  }
-
-  ~RangeScope() {
-    recorder_.pop_range(engine_ != nullptr ? engine_->ledger().now()
-                                           : close_time_);
-  }
+  ~RangeScope() { engine_.tracer().pop_range(engine_.ledger().now()); }
 
   RangeScope(const RangeScope&) = delete;
   RangeScope& operator=(const RangeScope&) = delete;
 
-  /// For the recorder-level variant: set the close timestamp explicitly.
-  void close_at(double t) { close_time_ = t; }
-
  private:
-  trace::Recorder& recorder_;
-  par::Engine* engine_ = nullptr;
-  double close_time_ = 0.0;
+  par::Engine& engine_;
 };
 
 }  // namespace simas::telemetry

@@ -7,9 +7,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <string_view>
 
 #include "mhd/solver.hpp"
 #include "mpisim/comm.hpp"
+#include "telemetry/profiler.hpp"
 #include "variants/code_version.hpp"
 
 namespace simas {
@@ -21,7 +24,17 @@ struct Solution {
   real br_probe = 0.0;
   real dt_last = 0.0;
   double modeled_time = 0.0;  ///< slowest rank's ledger at the end
+  bool unified = false;       ///< the version runs unified memory
+  telemetry::SiteProfileSnapshot profile;  ///< merged over all ranks
 };
+
+/// Launches of kernel site `name` in a merged profile (0 if it never ran).
+i64 launches(const telemetry::SiteProfileSnapshot& profile,
+             std::string_view name) {
+  for (const auto& row : profile.rows)
+    if (row.name == name) return row.launches;
+  return 0;
+}
 
 Solution run_version(variants::CodeVersion v, int nranks, int steps,
                      bool overlap_halo = false, int host_threads = 1,
@@ -53,9 +66,12 @@ Solution run_version(variants::CodeVersion v, int nranks, int steps,
     for (int s = 0; s < steps; ++s) stats = solver.step();
     const double t = engine.ledger().now() - t0;
     const auto d = solver.diagnostics();
+    const auto profile = engine.site_profiler().snapshot();
     std::lock_guard<std::mutex> lock(m);
     out.modeled_time = std::max(out.modeled_time, t);
+    out.profile.merge_from(profile);
     if (rank == 0) {
+      out.unified = engine.memory().unified();
       out.diag = d;
       out.rho_probe = solver.state().rho(1, 2, 3);
       out.br_probe = solver.state().br(2, 3, 4);
@@ -140,20 +156,41 @@ TEST(CrossVariant, OverlapHaloByteIdenticalAcrossHostThreads) {
 TEST(CrossVariant, OverlapHaloNeverIncreasesModeledTime) {
   // Overlap moves transfers to the copy stream and (when profitable)
   // splits kernels, but must never cost modeled time. Scale 1.0 keeps
-  // every split unprofitable (window-only overlap); scale 400 makes the
-  // transfers large enough that the interior/boundary split activates for
-  // the manual-memory versions.
+  // every split unprofitable (window-only overlap). At scale 400 the
+  // five-field advection split pays on ranks with two neighbours; at scale
+  // 4000 every split pays, down to the one-field conduction sweep on a
+  // one-neighbour rank — for the manual-memory versions only: unified
+  // memory's staged exchange has nothing to hide, so it never splits.
   for (const auto v : variants::gpu_versions()) {
-    for (const double scale : {1.0, 400.0}) {
+    for (const double scale : {1.0, 400.0, 4000.0}) {
       for (const int nranks : {2, 4}) {
         const auto sync = run_version(v, nranks, 2, false, 1, scale);
         const auto ovl = run_version(v, nranks, 2, true, 1, scale);
-        EXPECT_EQ(ovl.rho_probe, sync.rho_probe)
-            << variants::version_tag(v) << " scale=" << scale
-            << " nranks=" << nranks;
+        const auto where = [&] {
+          return std::string(variants::version_tag(v)) +
+                 " scale=" + std::to_string(scale) +
+                 " nranks=" + std::to_string(nranks);
+        };
+        EXPECT_EQ(ovl.rho_probe, sync.rho_probe) << where();
+        EXPECT_EQ(ovl.br_probe, sync.br_probe) << where();
+        EXPECT_EQ(ovl.diag.kinetic_energy, sync.diag.kinetic_energy)
+            << where();
+        EXPECT_EQ(ovl.diag.magnetic_energy, sync.diag.magnetic_energy)
+            << where();
         EXPECT_LE(ovl.modeled_time, sync.modeled_time * (1.0 + 1e-12))
-            << variants::version_tag(v) << " scale=" << scale
-            << " nranks=" << nranks;
+            << where();
+        for (const char* shell :
+             {"advance_shell", "visc_matvec_shell", "cond_matvec_shell"}) {
+          const i64 n = launches(ovl.profile, shell);
+          if (ovl.unified) {
+            EXPECT_EQ(n, 0) << where() << ' ' << shell;
+          } else if (scale >= 4000.0) {
+            EXPECT_GT(n, 0) << where() << ' ' << shell;
+          }
+        }
+        if (!ovl.unified && scale >= 400.0 && nranks == 4) {
+          EXPECT_GT(launches(ovl.profile, "advance_shell"), 0) << where();
+        }
       }
     }
   }
