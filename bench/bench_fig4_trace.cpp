@@ -7,12 +7,12 @@
 // in the same time it takes the UM run to complete one".
 
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_support/run_experiment.hpp"
+#include "bench_support/write_file.hpp"
 #include "telemetry/perfetto.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
@@ -96,10 +96,12 @@ int main(int argc, char** argv) {
             << "  (paper: ~3x — \"almost three full iterations in the time "
                "the UM run completes one\")\n";
 
-  std::ofstream csv(outdir / "fig4_trace_manual.csv");
-  manual.rec().write_csv(csv);
-  std::ofstream csv2(outdir / "fig4_trace_unified.csv");
-  um.rec().write_csv(csv2);
+  using bench_support::write_file;
+  if (!write_file((outdir / "fig4_trace_manual.csv").string(),
+                  [&](std::ostream& os) { manual.rec().write_csv(os); }) ||
+      !write_file((outdir / "fig4_trace_unified.csv").string(),
+                  [&](std::ostream& os) { um.rec().write_csv(os); }))
+    return 1;
 
   // Combined Perfetto/Chrome trace: one process per (run, rank) so the
   // manual-vs-unified contrast is visible side by side in the UI. Manual
@@ -113,12 +115,16 @@ int main(int argc, char** argv) {
     sources.push_back({100 + static_cast<int>(r),
                        "unified/rank " + std::to_string(r),
                        &um.res.rank_traces[r]});
-  std::ofstream perfetto(outdir / "fig4_trace.perfetto.json");
-  telemetry::write_perfetto_json(perfetto, sources);
+  if (!write_file((outdir / "fig4_trace.perfetto.json").string(),
+                  [&](std::ostream& os) {
+                    telemetry::write_perfetto_json(os, sources);
+                  }))
+    return 1;
 
   // Hot-spot profile of the manual run (all ranks merged).
-  std::ofstream prof(outdir / "BENCH_profile.json");
-  manual.res.profile.write_json(prof);
+  if (!write_file((outdir / "BENCH_profile.json").string(),
+                  [&](std::ostream& os) { manual.res.profile.write_json(os); }))
+    return 1;
 
   std::cout << "\nfull event traces written to " << outdir.string()
             << "/fig4_trace_manual.csv / fig4_trace_unified.csv / "

@@ -20,13 +20,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_support/run_experiment.hpp"
+#include "bench_support/write_file.hpp"
 #include "util/json.hpp"
+#include "util/options.hpp"
 #include "util/table.hpp"
 #include "variants/code_version.hpp"
 
@@ -82,30 +83,11 @@ Point measure(variants::CodeVersion version, int nranks, int steps,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<int> ranks = {2, 8};
-  int steps = 3;
-  std::string out = "BENCH_halo_overlap.json";
-  for (int a = 1; a < argc; ++a) {
-    const std::string arg = argv[a];
-    if (arg.rfind("--ranks=", 0) == 0) {
-      ranks.clear();
-      std::string list = arg.substr(8);
-      std::size_t pos = 0;
-      while (pos < list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        ranks.push_back(std::stoi(list.substr(pos, comma - pos)));
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
-    } else if (arg.rfind("--steps=", 0) == 0) {
-      steps = std::stoi(arg.substr(8));
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out = arg.substr(6);
-    } else {
-      std::fprintf(stderr, "unknown arg: %s\n", arg.c_str());
-      return 1;
-    }
-  }
+  const Options opts(argc, argv);
+  if (!opts.only({"ranks", "steps", "out"}, std::cerr)) return 1;
+  const std::vector<int> ranks = opts.get_int_list("ranks", {2, 8});
+  const int steps = static_cast<int>(opts.get_int("steps", 3));
+  const std::string out = opts.get("out", "BENCH_halo_overlap.json");
 
   std::cout << "Overlapped halo exchange: exposed vs hidden MPI (modeled "
                "minutes)\n\n";
@@ -155,12 +137,7 @@ int main(int argc, char** argv) {
   json::Value doc{json::Value::Object{}};
   doc.set("bench", "halo_overlap");
   doc.set("points", std::move(arr));
-  std::ofstream jf(out);
-  if (!jf) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out.c_str());
-    return 1;
-  }
-  json::write(jf, doc, 2);
+  if (!bench_support::write_file(out, doc)) return 1;
   std::printf("wrote %s\n", out.c_str());
 
   // Sanity: overlap must never be slower, and only the manual-memory

@@ -21,15 +21,16 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_support/run_experiment.hpp"
+#include "bench_support/write_file.hpp"
 #include "gpusim/device_spec.hpp"
 #include "par/compiler_personality.hpp"
 #include "util/json.hpp"
+#include "util/options.hpp"
 #include "util/table.hpp"
 #include "variants/code_version.hpp"
 
@@ -82,22 +83,11 @@ bool same_physics(const mhd::GlobalDiagnostics& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  int nranks = 2;
-  int steps = 3;
-  std::string out = "BENCH_portability_matrix.json";
-  for (int a = 1; a < argc; ++a) {
-    const std::string arg = argv[a];
-    if (arg.rfind("--ranks=", 0) == 0) {
-      nranks = std::stoi(arg.substr(8));
-    } else if (arg.rfind("--steps=", 0) == 0) {
-      steps = std::stoi(arg.substr(8));
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out = arg.substr(6);
-    } else {
-      std::fprintf(stderr, "unknown arg: %s\n", arg.c_str());
-      return 1;
-    }
-  }
+  const Options opts(argc, argv);
+  if (!opts.only({"ranks", "steps", "out"}, std::cerr)) return 1;
+  const int nranks = static_cast<int>(opts.get_int("ranks", 2));
+  const int steps = static_cast<int>(opts.get_int("steps", 3));
+  const std::string out = opts.get("out", "BENCH_portability_matrix.json");
 
   // One version per accelerated programming model of the study: pure
   // OpenACC (A), mixed ACC+DC with unified memory (ADU), and pure
@@ -186,13 +176,11 @@ int main(int argc, char** argv) {
   doc.set("steps", steps);
   doc.set("cells_failed", bad);
   doc.set("cells", std::move(arr));
-  std::ofstream jf(out);
-  if (!jf) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out.c_str());
+  if (!bench_support::write_file(out, [&doc](std::ostream& os) {
+        json::write(os, doc, 2);
+        os << "\n";
+      }))
     return 1;
-  }
-  json::write(jf, doc, 2);
-  jf << "\n";
   std::printf("wrote %s\n", out.c_str());
 
   if (bad > 0) {

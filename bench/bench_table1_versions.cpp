@@ -5,14 +5,15 @@
 // absolute numbers differ; the reduction ladder is the reproduction
 // target). The paper's measured values print alongside.
 
-#include <fstream>
 #include <iostream>
 #include <string>
 
 #include "bench_support/run_experiment.hpp"
+#include "bench_support/write_file.hpp"
 #include "mhd/solver.hpp"
 #include "mpisim/comm.hpp"
 #include "util/json.hpp"
+#include "util/options.hpp"
 #include "util/table.hpp"
 #include "variants/directive_model.hpp"
 #include "variants/inventory.hpp"
@@ -20,16 +21,9 @@
 using namespace simas;
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_table1_versions.json";
-  for (int a = 1; a < argc; ++a) {
-    const std::string arg = argv[a];
-    if (arg.rfind("--out=", 0) == 0) {
-      out = arg.substr(6);
-    } else {
-      std::cerr << "unknown arg: " << arg << '\n';
-      return 1;
-    }
-  }
+  const Options opts(argc, argv);
+  if (!opts.only({"out"}, std::cerr)) return 1;
+  const std::string out = opts.get("out", "BENCH_table1_versions.json");
   // Instantiate and step a canonical solver so every kernel call-site
   // registers itself, then gather the inventory.
   variants::CodeInventory inv;
@@ -113,12 +107,7 @@ int main(int argc, char** argv) {
   json::Value doc{json::Value::Object{}};
   doc.set("bench", "table1_versions");
   doc.set("versions", std::move(versions));
-  std::ofstream f(out);
-  if (!f) {
-    std::cerr << "cannot open " << out << " for writing\n";
-    return 1;
-  }
-  json::write(f, doc, 2);
+  if (!bench_support::write_file(out, doc)) return 1;
   std::cout << "\nwrote " << out << '\n';
   return 0;
 }

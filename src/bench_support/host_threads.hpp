@@ -2,7 +2,7 @@
 // Shared host-thread-count resolution for benches and the experiment
 // runner. One policy, used everywhere a "how many real execution threads"
 // decision is made, so SIMAS_HOST_THREADS behaves identically across
-// bench_stream_micro, bench_host_exec and run_experiment.
+// run_experiment and the service layer's shared pool.
 
 namespace simas::par {
 struct EnvConfig;

@@ -86,17 +86,6 @@ std::vector<ToleranceRule> parse_rules(const json::Value& v,
         has_pattern = true;
       } else if (key == "rel" && val.is_number()) {
         rule.rel = val.as_number();
-      } else if (key == "abs" && val.is_number()) {
-        rule.abs = val.as_number();
-      } else if (key == "direction" && val.is_string()) {
-        rule.direction = val.as_string();
-        if (rule.direction != "both" && rule.direction != "increase" &&
-            rule.direction != "decrease") {
-          if (err != nullptr)
-            *err = "rule for \"" + rule.pattern +
-                   "\": direction must be both/increase/decrease";
-          return {};
-        }
       } else if (key == "skip" && val.is_bool()) {
         rule.skip = val.as_bool();
       } else if (key == "comment") {
@@ -125,15 +114,9 @@ const ToleranceRule* first_match(std::span<const ToleranceRule> rules,
 }
 
 bool within_tolerance(double base, double cur, const ToleranceRule* rule) {
-  const double delta = cur - base;
-  if (rule != nullptr) {
-    if (rule->direction == "increase" && delta <= 0.0) return true;
-    if (rule->direction == "decrease" && delta >= 0.0) return true;
-  }
-  const double abs_tol = rule != nullptr ? rule->abs : 0.0;
   const double rel_tol = rule != nullptr ? rule->rel : 0.0;
-  const double mag = std::abs(delta);
-  if (mag <= abs_tol) return true;
+  const double mag = std::abs(cur - base);
+  if (mag == 0.0) return true;
   const double denom = std::max(std::abs(base), 1e-300);
   return mag / denom <= rel_tol;
 }

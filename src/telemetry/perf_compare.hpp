@@ -9,18 +9,15 @@
 //
 //   {"rules": [
 //     {"pattern": "*host_seconds*", "skip": true},
-//     {"pattern": "*.wall_minutes*", "rel": 0.02, "direction": "increase"},
+//     {"pattern": "*.wall_minutes*", "rel": 0.02},
 //     {"pattern": "*", "rel": 0.0}
 //   ]}
 //
-// `rel` / `abs` give the allowed deviation (a leaf passes if within
-// EITHER bound); `direction` restricts which sign of drift counts as a
-// regression ("increase" = only growth fails: modeled time; "decrease" =
-// only shrinkage fails: throughput; default "both"). `skip` exempts noisy
-// metrics (host wall-clock). A leaf with no matching rule must match
-// exactly; a baseline leaf missing from the current run is a failure,
-// a new leaf in the current run is reported but never fails (baselines
-// ratchet forward by being regenerated).
+// `rel` gives the allowed relative deviation, in either direction;
+// `skip` exempts noisy metrics (host wall-clock). A leaf with no matching
+// rule must match exactly; a baseline leaf missing from the current run
+// is a failure, a new leaf in the current run is reported but never
+// fails (baselines ratchet forward by being regenerated).
 //
 // SIMAS's modeled clocks are deterministic across machines and thread
 // counts, so baselines are portable and most tolerances can be zero.
@@ -38,8 +35,6 @@ namespace simas::telemetry {
 struct ToleranceRule {
   std::string pattern;              ///< glob over the flattened leaf path
   double rel = 0.0;                 ///< max |cur-base| / max(|base|, eps)
-  double abs = 0.0;                 ///< max |cur-base|
-  std::string direction = "both";   ///< "both" | "increase" | "decrease"
   bool skip = false;                ///< exempt entirely (noisy metric)
 };
 

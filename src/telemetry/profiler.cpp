@@ -80,12 +80,6 @@ std::vector<SiteProfileRow> SiteProfileSnapshot::top_by_launches(
   });
 }
 
-std::vector<SiteProfileRow> SiteProfileSnapshot::top_by_bytes(
-    std::size_t n) const {
-  return top_by(rows, n,
-                [](const SiteProfileRow& r) { return static_cast<double>(r.bytes); });
-}
-
 void SiteProfileSnapshot::print(std::ostream& os, std::size_t top_n) const {
   const double total = total_seconds();
   Table table("hot spots: top " + std::to_string(top_n) +

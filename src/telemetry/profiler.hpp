@@ -9,7 +9,7 @@
 // KernelSite's registry id (the vector grows only when a new site first
 // appears, so the steady-state launch path stays allocation-free). Reports
 // are taken as SiteProfileSnapshot: mergeable across ranks, sortable by
-// modeled seconds / launches / bytes, printable as a table and exportable
+// modeled seconds or launches, printable as a table and exportable
 // as BENCH_profile.json.
 
 #include <iosfwd>
@@ -40,7 +40,6 @@ struct SiteProfileSnapshot {
   /// Rows sorted by modeled seconds, descending (ties by name).
   std::vector<SiteProfileRow> top_by_seconds(std::size_t n) const;
   std::vector<SiteProfileRow> top_by_launches(std::size_t n) const;
-  std::vector<SiteProfileRow> top_by_bytes(std::size_t n) const;
 
   /// Human-readable top-N table ("hot spots by modeled time").
   void print(std::ostream& os, std::size_t top_n = 10) const;

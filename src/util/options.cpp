@@ -1,6 +1,9 @@
 #include "util/options.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <ostream>
+#include <string_view>
 
 namespace simas {
 
@@ -45,6 +48,39 @@ bool Options::get_bool(const std::string& key, bool def) const {
   if (it == kv_.end()) return def;
   return it->second == "1" || it->second == "true" || it->second == "yes" ||
          it->second == "on";
+}
+
+std::vector<int> Options::get_int_list(const std::string& key,
+                                       std::vector<int> def) const {
+  const auto it = kv_.find(key);
+  if (it == kv_.end()) return def;
+  std::vector<int> out;
+  const std::string& list = it->second;
+  std::size_t pos = 0;
+  while (pos < list.size()) {
+    const std::size_t comma = list.find(',', pos);
+    out.push_back(std::stoi(list.substr(pos, comma - pos)));
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
+  return out;
+}
+
+bool Options::only(std::initializer_list<const char*> known,
+                   std::ostream& err) const {
+  bool ok = true;
+  for (const auto& [key, value] : kv_) {
+    if (std::find(known.begin(), known.end(), std::string_view(key)) !=
+        known.end())
+      continue;
+    err << "unknown arg: --" << key << "\n";
+    ok = false;
+  }
+  for (const std::string& arg : positional_) {
+    err << "unknown arg: " << arg << "\n";
+    ok = false;
+  }
+  return ok;
 }
 
 }  // namespace simas

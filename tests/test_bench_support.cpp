@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "bench_support/paper_scale.hpp"
 #include "bench_support/run_experiment.hpp"
+#include "bench_support/write_file.hpp"
+#include "util/json.hpp"
 #include "util/ppm.hpp"
 #include "variants/code_version.hpp"
 
@@ -119,6 +123,35 @@ TEST(Ppm, RenderNormalizesAndUpscales) {
   std::ostringstream os2;
   EXPECT_THROW(render_field_ppm(os2, {0.0, 1.0}, 2, 2),
                std::invalid_argument);
+}
+
+TEST(WriteFile, FailsUnderAMissingDirectory) {
+  const std::filesystem::path missing =
+      std::filesystem::path(::testing::TempDir()) / "simas_no_such_dir";
+  std::filesystem::remove_all(missing);
+  json::Value doc{json::Value::Object{}};
+  doc.set("bench", "x");
+  EXPECT_FALSE(write_file((missing / "out.json").string(), doc));
+  EXPECT_FALSE(std::filesystem::exists(missing));
+}
+
+TEST(WriteFile, WritesExactlyTheJsonWriterBytes) {
+  json::Value doc{json::Value::Object{}};
+  doc.set("bench", "x");
+  doc.set("wall_minutes", 1.25);
+  doc.set("points", json::Value{json::Value::Array{}});
+  std::ostringstream expected;
+  json::write(expected, doc, 2);
+
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "simas_write_file.json")
+          .string();
+  ASSERT_TRUE(write_file(path, doc));
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream got;
+  got << in.rdbuf();
+  EXPECT_EQ(got.str(), expected.str());
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -77,6 +77,27 @@ TEST(Options, DoubleAndBoolParsing) {
   EXPECT_FALSE(opt.get_bool("c", true));
 }
 
+TEST(Options, IntListSplitsOnCommas) {
+  const char* argv[] = {"prog", "--ranks=2,8,16", "--one=4"};
+  Options opt(3, argv);
+  EXPECT_EQ(opt.get_int_list("ranks", {1}), (std::vector<int>{2, 8, 16}));
+  EXPECT_EQ(opt.get_int_list("one", {1}), (std::vector<int>{4}));
+  EXPECT_EQ(opt.get_int_list("missing", {2, 8}), (std::vector<int>{2, 8}));
+}
+
+TEST(Options, OnlyNamesUnknownKeysAndPositionals) {
+  const char* argv[] = {"prog", "stray", "--steps=3", "--bogus=1"};
+  Options opt(4, argv);
+  std::ostringstream err;
+  EXPECT_FALSE(opt.only({"steps", "out"}, err));
+  EXPECT_EQ(err.str(), "unknown arg: --bogus\nunknown arg: stray\n");
+
+  const char* good[] = {"prog", "--steps=3", "--out=x.json"};
+  std::ostringstream none;
+  EXPECT_TRUE(Options(3, good).only({"steps", "out"}, none));
+  EXPECT_EQ(none.str(), "");
+}
+
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());

@@ -38,7 +38,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -46,6 +45,7 @@
 
 #include "analysis/diagnostics.hpp"
 #include "bench_support/run_experiment.hpp"
+#include "bench_support/write_file.hpp"
 #include "gpusim/device_spec.hpp"
 #include "par/compiler_personality.hpp"
 #include "util/json.hpp"
@@ -256,9 +256,11 @@ int main(int argc, char** argv) {
       arr.push_back(std::move(e));
     }
     root.set("configs", std::move(arr));
-    std::ofstream f(json_path);
-    json::write(f, root, 2);
-    f << "\n";
+    if (!bench_support::write_file(json_path, [&root](std::ostream& os) {
+          json::write(os, root, 2);
+          os << "\n";
+        }))
+      return 1;
     std::cout << "\nwrote " << json_path << "\n";
   }
 
