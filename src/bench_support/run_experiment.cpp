@@ -165,12 +165,11 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   const double vol_scale = cfg.scale.vol_scale(run_cells);
   const double surf_scale = cfg.scale.surf_scale(run_cells);
 
-  // host_threads_total == 0 (the default) auto-detects: SIMAS_HOST_THREADS
-  // (from the context's env snapshot) wins, else hardware concurrency;
-  // >= 1 thread per rank even when nranks exceeds the hardware. Irrelevant
-  // when a shared pool is borrowed — the pool's width governs.
-  const int threads_total =
-      resolve_host_threads(cfg.host_threads_total, &ctx.env());
+  // Host threads: SIMAS_HOST_THREADS (from the context's env snapshot)
+  // wins, else hardware concurrency; >= 1 thread per rank even when nranks
+  // exceeds the hardware. Irrelevant when a shared pool is borrowed — the
+  // pool's width governs.
+  const int threads_total = resolve_host_threads(0, &ctx.env());
   const int rank_threads =
       bench_support::threads_per_rank(threads_total, cfg.nranks);
 
@@ -204,7 +203,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     par::EngineConfig ecfg = variants::engine_config(
         cfg.version, cfg.device, cfg.personality, rank_threads);
     ecfg.graph_replay = cfg.graph_replay;
-    ecfg.validate = cfg.validate;
     ecfg.capture_stream = cfg.capture_stream;
     ecfg.overlap_halo = cfg.overlap_halo;
     ecfg.um_hints = cfg.um_hints;

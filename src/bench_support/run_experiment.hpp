@@ -85,16 +85,11 @@ struct ExperimentConfig {
   int warmup_steps = 1;         ///< excluded from timing
   int measure_steps = 3;
   PaperScale scale;
-  int host_threads_total = 0;   ///< 0 = auto (hardware / nranks)
   bool capture_trace = false;   ///< record rank 0's timeline
   /// CUDA-Graph-style capture/replay of the PCG inner iterations
   /// (EngineConfig::graph_replay). Warmup steps capture; measured steps
   /// replay.
   bool graph_replay = false;
-  /// Run the kernel-stream validator over every rank's op stream
-  /// (EngineConfig::validate; also forced by SIMAS_VALIDATE). Findings go
-  /// to the log at Engine teardown; modeled time is unaffected.
-  bool validate = false;
   /// Overlapped (nonblocking) halo exchange: radial sends ride each
   /// rank's copy stream behind independent kernels instead of blocking
   /// the compute clock (EngineConfig::overlap_halo). Physics is

@@ -25,21 +25,39 @@ World::World(int nranks) : nranks_(nranks) {
 World::~World() = default;
 
 void World::run(const std::function<void(int)>& fn) {
+  for (auto& box : mailboxes_) box->queues.clear();
+  coll_.arrived = 0;
+  failed_ = false;
+  first_error_ = nullptr;
   std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nranks_));
   threads.reserve(static_cast<std::size_t>(nranks_));
   for (int r = 0; r < nranks_; ++r) {
     threads.emplace_back([&, r] {
       try {
         fn(r);
       } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
+        fail(std::current_exception());
       }
     });
   }
   for (auto& t : threads) t.join();
-  for (const auto& e : errors)
-    if (e) std::rethrow_exception(e);
+  if (first_error_) std::rethrow_exception(first_error_);
+}
+
+void World::fail(std::exception_ptr error) {
+  {
+    std::lock_guard<std::mutex> lock(error_mutex_);
+    if (!first_error_) first_error_ = std::move(error);
+  }
+  failed_ = true;
+  // Notify under each waiter's mutex: a waiter that has just tested its
+  // predicate is then either already blocked or sees failed_.
+  for (auto& box : mailboxes_) {
+    std::lock_guard<std::mutex> lock(box->mutex);
+    box->cv.notify_all();
+  }
+  std::lock_guard<std::mutex> lock(coll_.mutex);
+  coll_.cv.notify_all();
 }
 
 std::pair<double, double> World::collective(int rank, double value,
@@ -65,7 +83,9 @@ std::pair<double, double> World::collective(int rank, double value,
     ++coll_.phase;
     coll_.cv.notify_all();
   } else {
-    coll_.cv.wait(lock, [&] { return coll_.phase != my_phase; });
+    coll_.cv.wait(lock, [&] { return coll_.phase != my_phase || failed_; });
+    if (coll_.phase == my_phase)
+      throw WorldAborted("mpisim: collective abandoned, a peer rank failed");
   }
   return {coll_.result, coll_.sync_clock};
 }
@@ -112,134 +132,59 @@ double Comm::transfer_cost(i64 bytes, gpusim::ArrayId buf, int dst,
 
 void Comm::send(int dst, int tag, std::span<const real> data,
                 gpusim::ArrayId buf) {
-  if (dst < 0 || dst >= size()) throw std::out_of_range("Comm::send dst");
-  engine_.break_fusion();
-  auto& ledger = engine_.ledger();
-  const i64 bytes = static_cast<i64>(data.size() * sizeof(real));
-
-  bool staged = false;
-  const double t0 = ledger.now();
-  const double cost = transfer_cost(bytes, buf, dst, staged);
-  // Tell the validator which side of the fence MPI reads the buffer from:
-  // CUDA-aware sends read the device copy, everything else reads host
-  // memory (stale-copy hazards differ).
-  if (engine_.config().gpu && engine_.memory().device_direct_eligible(buf))
-    engine_.memory().note_device_read(buf);
-  else
-    engine_.memory().note_host_read(buf);
-  ledger.advance(cost, TimeCategory::Mpi);
-  if (engine_.tracer().enabled())
-    engine_.tracer().record(t0, ledger.now(),
-                            staged ? trace::Lane::Migration
-                                   : trace::Lane::Transfer,
-                            "send->" + std::to_string(dst));
-
-  Message msg;
-  msg.payload.assign(data.begin(), data.end());
-  msg.available_at = ledger.now();
-  msg.staged_through_host = staged;
-
-  auto& box = *world_.mailboxes_[static_cast<std::size_t>(dst)];
-  {
-    std::lock_guard<std::mutex> lock(box.mutex);
-    box.queues[{rank_, tag}].push(std::move(msg));
-  }
-  box.cv.notify_all();
-}
-
-void Comm::recv(int src, int tag, std::span<real> data, gpusim::ArrayId buf) {
-  if (src < 0 || src >= size()) throw std::out_of_range("Comm::recv src");
-  engine_.break_fusion();
-  auto& ledger = engine_.ledger();
-
-  Message msg;
-  {
-    auto& box = *world_.mailboxes_[static_cast<std::size_t>(rank_)];
-    std::unique_lock<std::mutex> lock(box.mutex);
-    auto& q = box.queues[{src, tag}];
-    box.cv.wait(lock, [&] { return !q.empty(); });
-    msg = std::move(q.front());
-    q.pop();
-  }
-  if (msg.payload.size() != data.size())
-    throw std::logic_error("Comm::recv: size mismatch");
-  std::copy(msg.payload.begin(), msg.payload.end(), data.begin());
-  // The delivered payload lands on the device for CUDA-aware receives and
-  // in host memory otherwise (the unpack kernel's input side).
-  if (engine_.config().gpu && engine_.memory().device_direct_eligible(buf))
-    engine_.memory().note_device_write(buf);
-  else
-    engine_.memory().note_host_write(buf);
-
-  // Modeled wait until the data is available: the paper's "MPI waiting
-  // caused by load imbalance".
-  const double t0 = ledger.now();
-  const double waited = ledger.wait_until(msg.available_at, TimeCategory::Mpi);
-  if (waited > 0.0 && engine_.tracer().enabled())
-    engine_.tracer().record(t0, ledger.now(), trace::Lane::MpiWait,
-                            "wait<-" + std::to_string(src));
-
-  if (msg.staged_through_host) {
-    // The payload landed in host memory; mark the receive buffer as
-    // host-resident so the unpack kernel pays the page-in (UM only).
-    engine_.memory().on_host_access(
-        buf, static_cast<i64>(data.size() * sizeof(real)),
-        TimeCategory::Mpi);
-  }
+  post(dst, tag, data, buf, /*overlap=*/false);
 }
 
 void Comm::isend(int dst, int tag, std::span<const real> data,
                  gpusim::ArrayId buf) {
-  if (dst < 0 || dst >= size()) throw std::out_of_range("Comm::isend dst");
+  post(dst, tag, data, buf, /*overlap=*/true);
+}
+
+void Comm::post(int dst, int tag, std::span<const real> data,
+                gpusim::ArrayId buf, bool overlap) {
+  if (dst < 0 || dst >= size()) throw std::out_of_range("Comm::send dst");
   engine_.break_fusion();
   auto& ledger = engine_.ledger();
+  auto& mem = engine_.memory();
   const i64 bytes = static_cast<i64>(data.size() * sizeof(real));
 
   bool staged = false;
-  const double t0 = ledger.now();
+  double start = ledger.now();  // of the traced transfer interval
   const double cost = transfer_cost(bytes, buf, dst, staged);
-  if (engine_.config().gpu && engine_.memory().device_direct_eligible(buf))
-    engine_.memory().note_device_read(buf);
+  // Tell the validator which side of the fence MPI reads the buffer from:
+  // CUDA-aware sends read the device copy, everything else reads host
+  // memory (stale-copy hazards differ).
+  if (engine_.config().gpu && mem.device_direct_eligible(buf))
+    mem.note_device_read(buf);
   else
-    engine_.memory().note_host_read(buf);
+    mem.note_host_read(buf);
 
   double available_at = 0.0;
-  if (!staged) {
-    // Manual P2P or CPU path: the copy engine moves the bytes while compute
-    // keeps running. The compute clock pays only the posting latency; the
-    // transfer itself lands on the copy stream and is accounted as hidden
-    // MPI time (it becomes exposed again only if a wait() catches up to it).
+  trace::Lane lane = staged ? trace::Lane::Migration : trace::Lane::Transfer;
+  if (overlap && (!staged || mem.staging_overlap_eligible(buf))) {
+    // Manual P2P, CPU, or a pinned (preferred-host-advised) UM staging
+    // buffer with nothing to fault out: the copy engine moves the bytes
+    // while compute keeps running. The compute clock pays only the posting
+    // latency; the transfer lands on the copy stream and is accounted as
+    // hidden MPI time (exposed again only if a wait() catches up to it).
+    // The pinned case is the um_hints mechanism that recovers the
+    // hidden-MPI gap of Fig. 4.
     ledger.advance(engine_.cost().device().p2p_latency_s, TimeCategory::Mpi);
     available_at = ledger.copy_enqueue(cost);
     ledger.note_hidden_mpi(cost);
-    if (engine_.tracer().enabled())
-      engine_.tracer().record(available_at - cost, available_at,
-                              trace::Lane::AsyncCopy,
-                              "isend->" + std::to_string(dst));
-  } else if (engine_.memory().staging_overlap_eligible(buf)) {
-    // Pinned (preferred-host-advised) UM staging buffer with no device
-    // residency: there is nothing to fault out, so the copy engine can
-    // stream the message while compute keeps running — the same overlap
-    // the manual P2P path gets, paid at the host-link rate. This is the
-    // um_hints mechanism that recovers the hidden-MPI gap of Fig. 4.
-    ledger.advance(engine_.cost().device().p2p_latency_s, TimeCategory::Mpi);
-    available_at = ledger.copy_enqueue(cost);
-    ledger.note_hidden_mpi(cost);
-    if (engine_.tracer().enabled())
-      engine_.tracer().record(available_at - cost, available_at,
-                              trace::Lane::AsyncCopy,
-                              "isend->" + std::to_string(dst));
+    start = available_at - cost;
+    lane = trace::Lane::AsyncCopy;
   } else {
-    // Unified memory without hints cannot overlap: MPI faults the pages
-    // to the host (already charged by transfer_cost) and the staged copy
-    // serializes with compute, exactly like a blocking send — the Fig. 4
-    // mechanism.
+    // Blocking sends, and UM without hints: MPI faults the pages to the
+    // host (already charged by transfer_cost) and the staged copy
+    // serializes with compute — the Fig. 4 mechanism.
     ledger.advance(cost, TimeCategory::Mpi);
     available_at = ledger.now();
-    if (engine_.tracer().enabled())
-      engine_.tracer().record(t0, ledger.now(), trace::Lane::Migration,
-                              "isend->" + std::to_string(dst));
   }
+  if (engine_.tracer().enabled())
+    engine_.tracer().record(
+        start, available_at, lane,
+        (overlap ? "isend->" : "send->") + std::to_string(dst));
 
   Message msg;
   msg.payload.assign(data.begin(), data.end());
@@ -254,41 +199,48 @@ void Comm::isend(int dst, int tag, std::span<const real> data,
   box.cv.notify_all();
 }
 
+void Comm::recv(int src, int tag, std::span<real> data, gpusim::ArrayId buf) {
+  Request req = irecv(src, tag, data, buf);
+  wait(req);
+}
+
 Request Comm::irecv(int src, int tag, std::span<real> data,
                     gpusim::ArrayId buf) {
   if (src < 0 || src >= size()) throw std::out_of_range("Comm::irecv src");
-  Request req;
-  req.src = src;
-  req.tag = tag;
-  req.data = data;
-  req.buf = buf;
-  req.active = true;
-  return req;
+  return Request{src, tag, data, buf, /*active=*/true};
 }
 
 void Comm::wait(Request& req) {
   if (!req.active) return;
   engine_.break_fusion();
   auto& ledger = engine_.ledger();
+  auto& mem = engine_.memory();
 
   Message msg;
   {
     auto& box = *world_.mailboxes_[static_cast<std::size_t>(rank_)];
     std::unique_lock<std::mutex> lock(box.mutex);
     auto& q = box.queues[{req.src, req.tag}];
-    box.cv.wait(lock, [&] { return !q.empty(); });
+    box.cv.wait(lock, [&] { return !q.empty() || world_.failed_; });
+    if (q.empty())
+      throw WorldAborted("mpisim: receive from rank " +
+                         std::to_string(req.src) +
+                         " abandoned, a peer rank failed");
     msg = std::move(q.front());
     q.pop();
   }
   if (msg.payload.size() != req.data.size())
     throw std::logic_error("Comm::wait: size mismatch");
   std::copy(msg.payload.begin(), msg.payload.end(), req.data.begin());
-  if (engine_.config().gpu &&
-      engine_.memory().device_direct_eligible(req.buf))
-    engine_.memory().note_device_write(req.buf);
+  // The delivered payload lands on the device for CUDA-aware receives and
+  // in host memory otherwise (the unpack kernel's input side).
+  if (engine_.config().gpu && mem.device_direct_eligible(req.buf))
+    mem.note_device_write(req.buf);
   else
-    engine_.memory().note_host_write(req.buf);
+    mem.note_host_write(req.buf);
 
+  // Modeled wait until the data is available: the paper's "MPI waiting
+  // caused by load imbalance".
   const double t0 = ledger.now();
   const double waited = ledger.wait_until(msg.available_at, TimeCategory::Mpi);
   if (waited > 0.0 && engine_.tracer().enabled())
@@ -296,44 +248,30 @@ void Comm::wait(Request& req) {
                             "wait<-" + std::to_string(req.src));
 
   if (msg.staged_through_host) {
-    engine_.memory().on_host_access(
-        req.buf, static_cast<i64>(req.data.size() * sizeof(real)),
-        TimeCategory::Mpi);
+    // The payload landed in host memory; mark the receive buffer as
+    // host-resident so the unpack kernel pays the page-in (UM only).
+    mem.on_host_access(req.buf,
+                       static_cast<i64>(req.data.size() * sizeof(real)),
+                       TimeCategory::Mpi);
   }
   req.active = false;
 }
 
-double Comm::allreduce_sum(double v) {
+double Comm::collective(double v, bool take_max, double extra_latency) {
   engine_.break_fusion();
-  const auto& dev = engine_.cost().device();
-  const double latency =
-      std::ceil(std::log2(std::max(2, size()))) * dev.p2p_latency_s + 3.0e-6;
+  const double latency = std::ceil(std::log2(std::max(2, size()))) *
+                             engine_.cost().device().p2p_latency_s +
+                         extra_latency;
   auto [result, sync_clock] =
-      world_.collective(rank_, v, engine_.ledger().now(), false, latency);
+      world_.collective(rank_, v, engine_.ledger().now(), take_max, latency);
   engine_.ledger().wait_until(sync_clock, TimeCategory::Mpi);
   return result;
 }
 
-double Comm::allreduce_max(double v) {
-  engine_.break_fusion();
-  const auto& dev = engine_.cost().device();
-  const double latency =
-      std::ceil(std::log2(std::max(2, size()))) * dev.p2p_latency_s + 3.0e-6;
-  auto [result, sync_clock] =
-      world_.collective(rank_, v, engine_.ledger().now(), true, latency);
-  engine_.ledger().wait_until(sync_clock, TimeCategory::Mpi);
-  return result;
-}
+double Comm::allreduce_sum(double v) { return collective(v, false, 3.0e-6); }
 
-void Comm::barrier() {
-  engine_.break_fusion();
-  const auto& dev = engine_.cost().device();
-  const double latency =
-      std::ceil(std::log2(std::max(2, size()))) * dev.p2p_latency_s;
-  auto [result, sync_clock] =
-      world_.collective(rank_, 0.0, engine_.ledger().now(), true, latency);
-  (void)result;
-  engine_.ledger().wait_until(sync_clock, TimeCategory::Mpi);
-}
+double Comm::allreduce_max(double v) { return collective(v, true, 3.0e-6); }
+
+void Comm::barrier() { (void)collective(0.0, true, 0.0); }
 
 }  // namespace simas::mpisim

@@ -7,12 +7,18 @@
 // copied), so decomposed solver runs are genuinely parallel and genuinely
 // exchange data — only the *transfer time* is modeled.
 //
+// Each point-to-point step is written once. `send` and `isend` share one
+// post path that differs only in whether the transfer may overlap; `recv`
+// is `irecv` + `wait`; `allreduce_sum`, `allreduce_max` and `barrier`
+// share one collective.
+//
 // Modeled-time semantics (per-rank ClockLedger):
 //  * send: the sender pays the transfer on its own clock (MPI category) and
-//    stamps the message with the modeled time at which it is available.
-//  * recv: the receiver waits (modeled) until the message is available; the
-//    wait interval is MPI "load imbalance" time — the paper's definition of
-//    MPI time includes exactly this.
+//    stamps the message with the modeled time at which it is available
+//    (isend moves an overlappable transfer to the copy stream instead).
+//  * wait (and so recv): the receiver waits (modeled) until the message is
+//    available; the wait interval is MPI "load imbalance" time — the
+//    paper's definition of MPI time includes exactly this.
 //  * transfer path depends on the sender's memory mode, reproducing the
 //    paper's Fig. 4 mechanism: manual + GPU -> NVLink peer-to-peer;
 //    unified + GPU -> device pages migrate to the host, the message crosses
@@ -20,14 +26,22 @@
 //    CPU -> interconnect.
 //  * collectives synchronize every participant's clock to the max arrival
 //    plus a tree latency.
+//
+// Abort rule: a rank function that throws fails the whole World. Peers
+// blocked in (or later entering) a receive wait or a collective with
+// nothing to deliver stop waiting and throw WorldAborted; World::run joins
+// every rank and rethrows the originating exception.
 
+#include <atomic>
 #include <condition_variable>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <queue>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "gpusim/memory_manager.hpp"
@@ -40,6 +54,13 @@ struct Message {
   std::vector<real> payload;
   double available_at = 0.0;  ///< modeled time the data is ready at the dest
   bool staged_through_host = false;  ///< UM path: receiver must page back in
+};
+
+/// Thrown by a receive wait or a collective that can never complete
+/// because another rank of the same World::run has already thrown.
+class WorldAborted : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
 };
 
 class World;
@@ -69,7 +90,8 @@ class Comm {
   void send(int dst, int tag, std::span<const real> data,
             gpusim::ArrayId buf);
 
-  /// Blocking receive into `data` (sizes must match the sent payload).
+  /// Blocking receive into `data` (sizes must match the sent payload):
+  /// irecv + wait.
   void recv(int src, int tag, std::span<real> data, gpusim::ArrayId buf);
 
   /// Nonblocking send: for manual-memory GPU buffers (P2P eligible) and CPU
@@ -89,6 +111,7 @@ class Comm {
 
   /// Complete a posted irecv: blocks (modeled: waits until the matching
   /// message's available_at) and copies the payload into the request's span.
+  /// Throws WorldAborted if no message is queued and another rank failed.
   void wait(Request& req);
 
   double allreduce_sum(double v);
@@ -99,6 +122,14 @@ class Comm {
 
  private:
   double transfer_cost(i64 bytes, gpusim::ArrayId buf, int dst, bool& staged);
+  /// The one send body. `overlap` = isend: the transfer goes to the copy
+  /// stream unless it is a UM staging copy that must serialize.
+  void post(int dst, int tag, std::span<const real> data, gpusim::ArrayId buf,
+            bool overlap);
+  /// The one collective body: reduce `v` (max or sum) across ranks and
+  /// sync this rank's clock to the slowest arrival plus a tree latency of
+  /// ceil(log2 nranks) P2P hops + `extra_latency`.
+  double collective(double v, bool take_max, double extra_latency);
 
   World& world_;
   int rank_;
@@ -113,7 +144,10 @@ class World {
   int nranks() const { return nranks_; }
 
   /// Run fn(rank) on nranks threads (rank 0..nranks-1) and join them all.
-  /// Exceptions thrown by any rank are rethrown (first one wins).
+  /// If any rank throws, its peers are woken (see the abort rule above) and
+  /// the first exception thrown is rethrown once every rank has returned.
+  /// Mailboxes and collective state are reset on entry, so a World stays
+  /// usable after a failed run.
   void run(const std::function<void(int)>& fn);
 
  private:
@@ -140,9 +174,16 @@ class World {
   std::pair<double, double> collective(int rank, double value, double clock,
                                        bool take_max, double latency);
 
+  /// Record `error` (first one wins), mark the world failed and wake every
+  /// blocked receive and collective.
+  void fail(std::exception_ptr error);
+
   int nranks_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   Collective coll_;
+  std::atomic<bool> failed_{false};
+  std::mutex error_mutex_;
+  std::exception_ptr first_error_;
 };
 
 }  // namespace simas::mpisim

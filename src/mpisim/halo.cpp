@@ -165,22 +165,75 @@ void HaloExchanger::unpack_r(const std::vector<field::Field*>& fields,
   }
 }
 
-void HaloExchanger::account_r_sends(i64 count) {
-  if (slab_.rank_below >= 0)
-    bytes_sent_r_.add(count * static_cast<i64>(sizeof(real)));
-  if (slab_.rank_above >= 0)
-    bytes_sent_r_.add(count * static_cast<i64>(sizeof(real)));
+void HaloExchanger::post_r(const std::vector<field::Field*>& fields,
+                           BufferSet& bufs, int tag_lo, int tag_hi,
+                           bool overlap, Request& req_lo, Request& req_hi) {
+  const i64 count = static_cast<i64>(nt_ + 1) * np_ *
+                    static_cast<i64>(fields.size());
+  const i64 msg_bytes = count * static_cast<i64>(sizeof(real));
+  const bool below = slab_.rank_below >= 0, above = slab_.rank_above >= 0;
+  par::Engine::CategoryScope mpi_scope(engine_, gpusim::TimeCategory::Mpi);
+
+  pack_r(fields, bufs);
+  // Ghost-window host prefetch (um_hints): the recv staging buffers are
+  // about to be written host-side by MPI — page any device residue out
+  // ahead of the exchange so the delivery never faults.
+  if (engine_.config().um_hints) {
+    if (below)
+      engine_.mem_prefetch(bufs.recv_lo.id(), msg_bytes, par::Span::GhostLo,
+                           /*to_device=*/false);
+    if (above)
+      engine_.mem_prefetch(bufs.recv_hi.id(), msg_bytes, par::Span::GhostHi,
+                           /*to_device=*/false);
+  }
+
+  // Sends are buffered and receives are only posted here (complete_r
+  // waits), so no order can deadlock. tag_lo travels to the rank below,
+  // tag_hi to the rank above; each send is counted once, by its sender.
+  const auto send = overlap ? &Comm::isend : &Comm::send;
+  if (below) {
+    (comm_.*send)(slab_.rank_below, tag_lo, payload(bufs.send_lo, count),
+                  bufs.send_lo.id());
+    bytes_sent_r_.add(msg_bytes);
+    req_lo = comm_.irecv(slab_.rank_below, tag_hi,
+                         payload(bufs.recv_lo, count), bufs.recv_lo.id());
+  }
+  if (above) {
+    (comm_.*send)(slab_.rank_above, tag_hi, payload(bufs.send_hi, count),
+                  bufs.send_hi.id());
+    bytes_sent_r_.add(msg_bytes);
+    req_hi = comm_.irecv(slab_.rank_above, tag_lo,
+                         payload(bufs.recv_hi, count), bufs.recv_hi.id());
+  }
+  if (!overlap) return;
+
+  // Tell the validator/stream-capture which ghost columns are now in
+  // flight: kernels touching them before finish_exchange_r race with the
+  // unfinished recv.
+  for (field::Field* fld : fields) {
+    const idx g = fld->a().nghost();
+    const int lo_col = below ? static_cast<int>(g - 1) : -1;
+    const int hi_col = above ? static_cast<int>(fld->a().n1() + g) : -1;
+    engine_.note_halo_begin(fld->id(), fld->a().radial_stride(), lo_col,
+                            hi_col);
+  }
 }
 
-void HaloExchanger::prefetch_recv(BufferSet& bufs, i64 count) {
-  if (!engine_.config().um_hints) return;
-  const i64 msg_bytes = count * static_cast<i64>(sizeof(real));
-  if (slab_.rank_below >= 0)
-    engine_.mem_prefetch(bufs.recv_lo.id(), msg_bytes, par::Span::GhostLo,
-                         /*to_device=*/false);
-  if (slab_.rank_above >= 0)
-    engine_.mem_prefetch(bufs.recv_hi.id(), msg_bytes, par::Span::GhostHi,
-                         /*to_device=*/false);
+void HaloExchanger::complete_r(const std::vector<field::Field*>& fields,
+                               BufferSet& bufs, bool overlap,
+                               Request& req_lo, Request& req_hi) {
+  par::Engine::CategoryScope mpi_scope(engine_, gpusim::TimeCategory::Mpi);
+
+  comm_.wait(req_lo);
+  comm_.wait(req_hi);
+
+  // The data has arrived: clear the in-flight marks before the unpack
+  // kernels legitimately write those ghost columns.
+  if (overlap)
+    for (field::Field* fld : fields) engine_.note_halo_end(fld->id());
+
+  unpack_r(fields, bufs);
+  engine_.break_fusion();
 }
 
 void HaloExchanger::exchange_r(const std::vector<field::Field*>& fields) {
@@ -188,33 +241,9 @@ void HaloExchanger::exchange_r(const std::vector<field::Field*>& fields) {
   if (nf == 0) return;
   if (nf > max_fields_)
     throw std::invalid_argument("HaloExchanger: too many fields");
-  const i64 count = static_cast<i64>(nt_ + 1) * np_ * nf;
-
-  par::Engine::CategoryScope mpi_scope(engine_, gpusim::TimeCategory::Mpi);
-
-  pack_r(fields, sync_);
-  // The recv staging buffers are about to be written host-side by MPI —
-  // page any device residue out ahead of the exchange so the delivery
-  // never faults.
-  prefetch_recv(sync_, count);
-
-  // Buffered sends first, then blocking receives: no deadlock.
-  if (slab_.rank_below >= 0)
-    comm_.send(slab_.rank_below, kTagRLo, payload(sync_.send_lo, count),
-               sync_.send_lo.id());
-  if (slab_.rank_above >= 0)
-    comm_.send(slab_.rank_above, kTagRHi, payload(sync_.send_hi, count),
-               sync_.send_hi.id());
-  account_r_sends(count);
-  if (slab_.rank_below >= 0)
-    comm_.recv(slab_.rank_below, kTagRHi, payload(sync_.recv_lo, count),
-               sync_.recv_lo.id());
-  if (slab_.rank_above >= 0)
-    comm_.recv(slab_.rank_above, kTagRLo, payload(sync_.recv_hi, count),
-               sync_.recv_hi.id());
-
-  unpack_r(fields, sync_);
-  engine_.break_fusion();
+  Request req_lo, req_hi;
+  post_r(fields, sync_, kTagRLo, kTagRHi, /*overlap=*/false, req_lo, req_hi);
+  complete_r(fields, sync_, /*overlap=*/false, req_lo, req_hi);
 }
 
 int HaloExchanger::begin_exchange_r(const std::vector<field::Field*>& fields) {
@@ -231,42 +260,10 @@ int HaloExchanger::begin_exchange_r(const std::vector<field::Field*>& fields) {
   if (handle < 0)
     throw std::logic_error("HaloExchanger: all overlap slots in flight");
   AsyncSlot& slot = slots_[static_cast<std::size_t>(handle)];
-
-  const i64 count = static_cast<i64>(nt_ + 1) * np_ * nf;
   slot.fields = fields;
   slot.active = true;
-
-  par::Engine::CategoryScope mpi_scope(engine_, gpusim::TimeCategory::Mpi);
-
-  BufferSet& bufs = *slot.bufs;
-  pack_r(fields, bufs);
-  prefetch_recv(bufs, count);
-
-  if (slab_.rank_below >= 0) {
-    comm_.isend(slab_.rank_below, async_tag_lo(handle),
-                payload(bufs.send_lo, count), bufs.send_lo.id());
-    slot.req_lo = comm_.irecv(slab_.rank_below, async_tag_hi(handle),
-                              payload(bufs.recv_lo, count), bufs.recv_lo.id());
-  }
-  if (slab_.rank_above >= 0) {
-    comm_.isend(slab_.rank_above, async_tag_hi(handle),
-                payload(bufs.send_hi, count), bufs.send_hi.id());
-    slot.req_hi = comm_.irecv(slab_.rank_above, async_tag_lo(handle),
-                              payload(bufs.recv_hi, count), bufs.recv_hi.id());
-  }
-  account_r_sends(count);
-
-  // Tell the validator/stream-capture which ghost columns are now in
-  // flight: kernels touching them before finish_exchange_r race with the
-  // unfinished recv.
-  for (field::Field* fld : fields) {
-    const idx g = fld->a().nghost();
-    const int lo_col = slab_.rank_below >= 0 ? static_cast<int>(g - 1) : -1;
-    const int hi_col =
-        slab_.rank_above >= 0 ? static_cast<int>(fld->a().n1() + g) : -1;
-    engine_.note_halo_begin(fld->id(), fld->a().radial_stride(), lo_col,
-                            hi_col);
-  }
+  post_r(fields, *slot.bufs, async_tag_lo(handle), async_tag_hi(handle),
+         /*overlap=*/true, slot.req_lo, slot.req_hi);
   return handle;
 }
 
@@ -276,19 +273,8 @@ void HaloExchanger::finish_exchange_r(int handle) {
   AsyncSlot& slot = slots_[static_cast<std::size_t>(handle)];
   if (!slot.active)
     throw std::logic_error("HaloExchanger: finish without matching begin");
-
-  par::Engine::CategoryScope mpi_scope(engine_, gpusim::TimeCategory::Mpi);
-
-  comm_.wait(slot.req_lo);
-  comm_.wait(slot.req_hi);
-
-  // The data has arrived: clear the in-flight marks before the unpack
-  // kernels legitimately write those ghost columns.
-  for (field::Field* fld : slot.fields) engine_.note_halo_end(fld->id());
-
-  unpack_r(slot.fields, *slot.bufs);
-  engine_.break_fusion();
-
+  complete_r(slot.fields, *slot.bufs, /*overlap=*/true, slot.req_lo,
+             slot.req_hi);
   slot.fields.clear();
   slot.active = false;
 }

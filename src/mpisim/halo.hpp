@@ -13,6 +13,11 @@
 //
 // Pack/unpack kernels run under the MPI time category: the paper counts
 // "buffer initialization/loading/unloading" as MPI time.
+//
+// The radial exchange is written once, in two halves (post_r: pack, post,
+// count; complete_r: wait, unpack). exchange_r runs both back to back with
+// blocking sends; begin_exchange_r / finish_exchange_r split them around
+// independent kernels, with the sends on the copy stream.
 
 #include <array>
 #include <optional>
@@ -38,22 +43,23 @@ class HaloExchanger {
   /// enter_data calls; runs after any timing capture).
   ~HaloExchanger();
 
-  /// Exchange one radial ghost layer with both neighbours (if any).
+  /// Exchange one radial ghost layer with both neighbours (if any):
+  /// both halves of the radial exchange back to back, on the synchronous
+  /// buffers with blocking sends.
   void exchange_r(const std::vector<field::Field*>& fields);
 
   /// Periodic wrap of one φ ghost layer (self-exchange through MPI).
   void wrap_phi(const std::vector<field::Field*>& fields);
 
   // ---- Overlapped exchange (requires EngineConfig::overlap_halo) ----
-  /// Post an overlapped radial exchange: pack kernels run now, the sends
-  /// go to the rank's copy stream (Comm::isend) and the receives are
-  /// posted. Interior kernels may run between begin and finish; the ghost
-  /// planes of the exchanged fields must not be touched until finish (the
-  /// validator flags such reads as InflightGhostRead). Returns a handle;
-  /// at most kAsyncSlots exchanges may be in flight per exchanger.
+  /// Post an overlapped radial exchange on a free async slot: the first
+  /// half of exchange_r, with the sends on the rank's copy stream
+  /// (Comm::isend). Interior kernels may run between begin and finish;
+  /// the ghost planes of the exchanged fields must not be touched until
+  /// finish (the validator flags such reads as InflightGhostRead). Returns
+  /// a handle; at most kAsyncSlots exchanges may be in flight.
   int begin_exchange_r(const std::vector<field::Field*>& fields);
-  /// Complete a posted exchange: wait on both neighbours, then unpack the
-  /// ghost layers exactly as the synchronous path does.
+  /// Complete a posted exchange: the second half of exchange_r.
   void finish_exchange_r(int handle);
 
   /// Logical bytes moved through MPI so far (run scale, sum of payloads):
@@ -96,10 +102,17 @@ class HaloExchanger {
   void pack_r(const std::vector<field::Field*>& fields, BufferSet& bufs);
   /// Unpack bufs.recv_lo/hi into the radial ghost layers.
   void unpack_r(const std::vector<field::Field*>& fields, BufferSet& bufs);
-  void account_r_sends(i64 count);
-  /// Ghost-window host prefetch (um_hints): page the receive buffers of
-  /// `bufs` host-ward ahead of an exchange of `count` elements.
-  void prefetch_recv(BufferSet& bufs, i64 count);
+  /// First half of every radial exchange: pack, prefetch the receive
+  /// buffers (um_hints), post both sides' sends (isend when `overlap`)
+  /// and receives, count the bytes, and (overlapped only) mark the ghost
+  /// columns in flight. `tag_lo` travels to the rank below, `tag_hi` above.
+  void post_r(const std::vector<field::Field*>& fields, BufferSet& bufs,
+              int tag_lo, int tag_hi, bool overlap, Request& req_lo,
+              Request& req_hi);
+  /// Second half: wait on both neighbours, clear the in-flight marks
+  /// (overlapped only), unpack, break fusion.
+  void complete_r(const std::vector<field::Field*>& fields, BufferSet& bufs,
+                  bool overlap, Request& req_lo, Request& req_hi);
 
   par::Engine& engine_;
   Comm& comm_;

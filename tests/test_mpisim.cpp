@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "field/field.hpp"
@@ -10,6 +11,7 @@
 #include "mpisim/decomposition.hpp"
 #include "mpisim/halo.hpp"
 #include "variants/code_version.hpp"
+#include "watchdog.hpp"
 
 namespace simas::mpisim {
 namespace {
@@ -68,6 +70,118 @@ TEST(World, RunsAllRanksAndPropagatesExceptions) {
     if (r == 1) throw std::runtime_error("rank failure");
   }),
                std::runtime_error);
+}
+
+// ---- Abort rule: a throwing rank must not hang its peers -------------
+// Each test arms a watchdog, so a regression fails in bounded time
+// instead of wedging the test runner.
+
+TEST(World, ThrowingRankWakesPeerBlockedInRecv) {
+  testutil::Watchdog watchdog(30);
+  World world(2);
+  bool peer_threw = false;
+  try {
+    world.run([&](int rank) {
+      par::Engine eng(manual_gpu());
+      Comm comm(world, rank, eng);
+      const auto buf = eng.memory().register_array(
+          "buf", 8 * 8, gpusim::ScaleClass::Surface);
+      std::vector<real> data(8, 1.0);
+      if (rank == 0) throw std::runtime_error("rank 0 failed before send");
+      try {
+        comm.recv(0, 5, data, buf);
+      } catch (const std::runtime_error&) {
+        peer_threw = true;
+        throw;
+      }
+    });
+    ADD_FAILURE() << "World::run returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "rank 0 failed before send");
+  }
+  EXPECT_TRUE(peer_threw);
+}
+
+TEST(World, ThrowingRankWakesPeerBlockedInAllreduce) {
+  testutil::Watchdog watchdog(30);
+  World world(2);
+  try {
+    world.run([&](int rank) {
+      par::Engine eng(manual_gpu());
+      Comm comm(world, rank, eng);
+      if (rank == 0) throw std::runtime_error("rank 0 failed first");
+      (void)comm.allreduce_sum(1.0);
+    });
+    ADD_FAILURE() << "World::run returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "rank 0 failed first");
+  }
+}
+
+TEST(World, RethrowsOriginatingErrorAndStaysReusable) {
+  testutil::Watchdog watchdog(30);
+  World world(3);
+  // Rank 2 leaves a message nobody receives and fails; rank 0 (blocked
+  // in recv) and rank 1 (blocked in a collective) abort. The rethrown
+  // error is rank 2's, not the lowest-index rank's.
+  try {
+    world.run([&](int rank) {
+      par::Engine eng(manual_gpu());
+      Comm comm(world, rank, eng);
+      const auto buf = eng.memory().register_array(
+          "buf", 8 * 8, gpusim::ScaleClass::Surface);
+      std::vector<real> data(8, 7.0);
+      if (rank == 0) comm.recv(2, 9, data, buf);
+      if (rank == 1) (void)comm.allreduce_sum(1.0);
+      if (rank == 2) {
+        comm.send(1, 9, data, buf);
+        throw std::runtime_error("rank 2 failed");
+      }
+    });
+    ADD_FAILURE() << "World::run returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "rank 2 failed");
+  }
+
+  // The failed run's stale message and half-arrived collective are gone.
+  std::vector<double> sums(3, 0.0);
+  world.run([&](int rank) {
+    par::Engine eng(manual_gpu());
+    Comm comm(world, rank, eng);
+    const auto buf = eng.memory().register_array(
+        "buf", 8 * 8, gpusim::ScaleClass::Surface);
+    std::vector<real> data(8, static_cast<real>(rank));
+    if (rank == 2) comm.send(1, 9, data, buf);
+    if (rank == 1) {
+      comm.recv(2, 9, data, buf);
+      EXPECT_DOUBLE_EQ(data[0], 2.0);
+    }
+    sums[static_cast<std::size_t>(rank)] = comm.allreduce_sum(rank + 1.0);
+  });
+  for (const double s : sums) EXPECT_DOUBLE_EQ(s, 6.0);
+}
+
+TEST(World, AbandonedWaitsThrowWorldAborted) {
+  testutil::Watchdog watchdog(30);
+  World world(3);
+  std::vector<int> aborted(3, 0);
+  EXPECT_THROW(world.run([&](int rank) {
+    par::Engine eng(manual_gpu());
+    Comm comm(world, rank, eng);
+    const auto buf = eng.memory().register_array(
+        "buf", 8 * 8, gpusim::ScaleClass::Surface);
+    std::vector<real> data(8, 0.0);
+    try {
+      if (rank == 0) throw std::logic_error("origin");
+      if (rank == 1) comm.recv(0, 1, data, buf);
+      if (rank == 2) (void)comm.allreduce_max(1.0);
+    } catch (const WorldAborted&) {
+      aborted[static_cast<std::size_t>(rank)] = 1;
+      throw;
+    }
+  }),
+               std::logic_error);
+  EXPECT_EQ(aborted, (std::vector<int>{0, 1, 1}));
 }
 
 TEST(Comm, SendRecvDeliversPayload) {
@@ -210,6 +324,157 @@ TEST(Comm, ManualDeviceBuffersGoPeerToPeer) {
   });
   // The sender paid a P2P transfer; no UM migration costs anywhere.
   EXPECT_GT(mpi_time[0], 0.0);
+}
+
+// ---- Nonblocking point-to-point ------------------------------------
+
+TEST(Comm, IsendIrecvWaitDeliversPayload) {
+  World world(2);
+  world.run([&](int rank) {
+    par::Engine eng(manual_gpu());
+    Comm comm(world, rank, eng);
+    const auto buf = eng.memory().register_array(
+        "buf", 64 * 8, gpusim::ScaleClass::Surface);
+    eng.memory().enter_data(buf);
+    std::vector<real> data(64, 0.0);
+    if (rank == 0) {
+      std::iota(data.begin(), data.end(), 1.0);
+      comm.isend(1, 7, data, buf);
+    } else {
+      Request req = comm.irecv(0, 7, data, buf);
+      EXPECT_TRUE(req.active);
+      EXPECT_DOUBLE_EQ(data[10], 0.0);  // nothing lands before wait()
+      comm.wait(req);
+      EXPECT_FALSE(req.active);
+      for (std::size_t i = 0; i < data.size(); ++i)
+        EXPECT_DOUBLE_EQ(data[i], static_cast<real>(i) + 1.0);
+      comm.wait(req);  // a completed request is a no-op
+    }
+  });
+}
+
+TEST(Comm, RecvAndIrecvWaitLeaveIdenticalLedgers) {
+  for (const auto mode :
+       {gpusim::MemoryMode::Manual, gpusim::MemoryMode::Unified}) {
+    std::vector<gpusim::ClockLedger> by_recv(2), by_wait(2);
+    for (const bool split : {false, true}) {
+      World world(2);
+      world.run([&](int rank) {
+        par::EngineConfig cfg = manual_gpu();
+        cfg.memory = mode;
+        par::Engine eng(cfg);
+        Comm comm(world, rank, eng);
+        const auto buf = eng.memory().register_array(
+            "buf", 1 << 12, gpusim::ScaleClass::Surface);
+        if (mode == gpusim::MemoryMode::Manual)
+          eng.memory().enter_data(buf);
+        else
+          eng.memory().on_device_access(buf, 1 << 12,
+                                        gpusim::TimeCategory::DataMotion);
+        std::vector<real> data((1 << 12) / 8, 2.0);
+        if (rank == 0) {
+          eng.ledger().advance(1.0e-3, gpusim::TimeCategory::Compute);
+          comm.send(1, 3, data, buf);
+        } else if (split) {
+          Request req = comm.irecv(0, 3, data, buf);
+          comm.wait(req);
+        } else {
+          comm.recv(0, 3, data, buf);
+        }
+        (split ? by_wait : by_recv)[static_cast<std::size_t>(rank)] =
+            eng.ledger();
+      });
+    }
+    for (std::size_t r = 0; r < 2; ++r) {
+      EXPECT_EQ(by_recv[r].now(), by_wait[r].now());
+      for (int c = 0; c < static_cast<int>(gpusim::TimeCategory::kCount); ++c)
+        EXPECT_EQ(by_recv[r].total(static_cast<gpusim::TimeCategory>(c)),
+                  by_wait[r].total(static_cast<gpusim::TimeCategory>(c)));
+      EXPECT_EQ(by_recv[r].hidden_mpi_time(), by_wait[r].hidden_mpi_time());
+    }
+    EXPECT_GT(by_recv[1].mpi_time(), 0.0);
+  }
+}
+
+/// Rank 0's ledger movement across one isend (rank 1 receives it).
+struct IsendDeltas {
+  double clock = 0.0;   ///< compute-clock advance
+  double mpi = 0.0;     ///< MPI category advance
+  double hidden = 0.0;  ///< hidden (copy-stream) MPI time
+  double latency = 0.0; ///< the device's posting latency
+  double p2p_cost = 0.0, um_prefetch_cost = 0.0;  ///< modeled transfer rates
+};
+
+template <class Setup>
+IsendDeltas isend_deltas(const par::EngineConfig& cfg, Setup setup) {
+  constexpr i64 kBytes = 1 << 16;
+  IsendDeltas out;
+  World world(2);
+  world.run([&](int rank) {
+    par::Engine eng(cfg);
+    Comm comm(world, rank, eng);
+    const auto buf = eng.memory().register_array(
+        "buf", kBytes, gpusim::ScaleClass::Surface);
+    setup(eng, buf);
+    std::vector<real> data(kBytes / sizeof(real), 1.0);
+    if (rank == 1) {
+      comm.recv(0, 4, data, buf);
+      return;
+    }
+    const double now0 = eng.ledger().now();
+    const double mpi0 = eng.ledger().mpi_time();
+    comm.isend(1, 4, data, buf);
+    out.clock = eng.ledger().now() - now0;
+    out.mpi = eng.ledger().mpi_time() - mpi0;
+    out.hidden = eng.ledger().hidden_mpi_time();
+    out.latency = eng.cost().device().p2p_latency_s;
+    out.p2p_cost =
+        eng.cost().p2p_transfer_time(kBytes, gpusim::ScaleClass::Surface);
+    out.um_prefetch_cost =
+        eng.cost().um_prefetch_time(kBytes, gpusim::ScaleClass::Surface);
+  });
+  return out;
+}
+
+par::EngineConfig unified_gpu() {
+  par::EngineConfig cfg = manual_gpu();
+  cfg.memory = gpusim::MemoryMode::Unified;
+  cfg.loops = par::LoopModel::Dc2x;
+  return cfg;
+}
+
+TEST(Comm, ManualDeviceIsendChargesOnlyThePostingLatency) {
+  const IsendDeltas d =
+      isend_deltas(manual_gpu(), [](par::Engine& eng, gpusim::ArrayId buf) {
+        eng.memory().enter_data(buf);
+      });
+  EXPECT_DOUBLE_EQ(d.clock, d.latency);
+  EXPECT_DOUBLE_EQ(d.mpi, d.latency);
+  EXPECT_DOUBLE_EQ(d.hidden, d.p2p_cost);  // the transfer rode the copy stream
+  EXPECT_GT(d.hidden, d.latency);
+}
+
+TEST(Comm, UnifiedIsendWithoutHintsSerializes) {
+  const IsendDeltas d =
+      isend_deltas(unified_gpu(), [](par::Engine& eng, gpusim::ArrayId buf) {
+        eng.memory().on_device_access(buf, 1 << 16,
+                                      gpusim::TimeCategory::DataMotion);
+      });
+  EXPECT_EQ(d.hidden, 0.0);     // nothing overlapped
+  EXPECT_GT(d.mpi, d.latency);  // page-out + staged copy on the compute clock
+  EXPECT_DOUBLE_EQ(d.clock, d.mpi);
+}
+
+TEST(Comm, UnifiedIsendAdvisedPreferredHostOverlaps) {
+  const IsendDeltas d =
+      isend_deltas(unified_gpu(), [](par::Engine& eng, gpusim::ArrayId buf) {
+        eng.mem_advise(buf, par::MemHint::AdvisePreferredHost);
+        EXPECT_TRUE(eng.memory().staging_overlap_eligible(buf));
+      });
+  EXPECT_DOUBLE_EQ(d.hidden, d.um_prefetch_cost);  // on the copy engine
+  EXPECT_GT(d.hidden, 0.0);
+  EXPECT_LT(d.clock, d.hidden);
+  EXPECT_DOUBLE_EQ(d.clock, d.mpi);
 }
 
 class HaloRoundTrip : public ::testing::TestWithParam<int> {};

@@ -22,6 +22,7 @@
 #include "service/field_cache.hpp"
 #include "service/job_server.hpp"
 #include "variants/code_version.hpp"
+#include "watchdog.hpp"
 
 namespace simas {
 namespace {
@@ -415,6 +416,58 @@ TEST(RunExperiment, InjectionRejectsWrongDecomposition) {
   wrong.boundary_fields = &fields;  // extracted under nranks == 2
   EXPECT_THROW((void)bench_support::run_experiment(wrong),
                std::runtime_error);
+}
+
+// A cached boundary field one element short on rank 1: rank 1 throws in
+// injection while rank 0 runs on into its first halo exchange. The run
+// must end with rank 1's error, not leave rank 0 blocked forever.
+bench_support::BoundaryFields short_rank1_fields(
+    const bench_support::ExperimentConfig& cfg) {
+  bench_support::BoundaryFields fields;
+  auto solving = cfg;
+  solving.boundary_out = &fields;
+  (void)bench_support::run_experiment(solving);
+  fields.ranks.at(1).br.pop_back();
+  return fields;
+}
+
+TEST(RunExperiment, ShortCachedFieldOnOneRankThrowsInsteadOfHanging) {
+  testutil::Watchdog watchdog(60);
+  auto cfg = tiny_job_cfg(55);
+  cfg.nranks = 2;
+  const bench_support::BoundaryFields fields = short_rank1_fields(cfg);
+  cfg.boundary_fields = &fields;
+  try {
+    (void)bench_support::run_experiment(cfg);
+    ADD_FAILURE() << "run_experiment returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("size mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(JobServer, CorruptFieldCacheEntryFailsTheJob) {
+  testutil::Watchdog watchdog(60);
+  auto cfg = tiny_job_cfg(56);
+  cfg.nranks = 2;
+  service::JobServerConfig scfg;
+  scfg.workers = 1;
+  scfg.host_threads_total = 2;
+  service::JobServer server(scfg);
+  server.field_cache().insert(service::FieldCache::key_for(cfg),
+                              short_rank1_fields(cfg));
+  service::JobDescription d;
+  d.id = 1;
+  d.config = cfg;
+  ASSERT_TRUE(server.submit(std::move(d)));
+  const auto results = server.drain();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_TRUE(results[0].field_cache_hit);
+  EXPECT_FALSE(results[0].ok);
+  EXPECT_NE(results[0].error.find("size mismatch"), std::string::npos)
+      << results[0].error;
+  EXPECT_EQ(server.metrics().counter("jobs.failed"), 1);
 }
 
 }  // namespace
