@@ -29,6 +29,7 @@ const char* check_name(Check c) {
     case Check::InflightGhostRead: return "inflight-ghost-read";
     case Check::PrefetchSpanMismatch: return "prefetch-span-mismatch";
     case Check::UseAfterEvict: return "use-after-evict";
+    case Check::ElementChecksUnavailable: return "element-checks-unavailable";
   }
   return "?";
 }
@@ -51,6 +52,8 @@ Severity check_severity(Check c) {
     case Check::PrefetchSpanMismatch:
     case Check::UseAfterEvict:
       return Severity::Warning;
+    case Check::ElementChecksUnavailable:
+      return Severity::Info;
   }
   return Severity::Error;
 }

@@ -50,10 +50,15 @@ enum class Check {
                         ///< cover the next device access: the kernel still
                         ///< demand-faults the uncovered pages, so the hint
                         ///< silently buys nothing (perf hazard, not a bug)
-  UseAfterEvict         ///< kernel accesses an array on the device after it
+  UseAfterEvict,        ///< kernel accesses an array on the device after it
                         ///< was prefetched/paged to the host with no
                         ///< intervening device prefetch: every touch is a
                         ///< fresh demand migration (ping-pong hazard)
+  // -- Build flavor --
+  ElementChecksUnavailable  ///< note: this validator was built without
+                            ///< element tagging (SIMAS_ELEMENT_SHADOW), so
+                            ///< the access-list, DC-legality and in-flight
+                            ///< element checks did not run
 };
 
 const char* check_name(Check c);

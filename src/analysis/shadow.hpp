@@ -2,6 +2,10 @@
 // Debug shadow instrumentation for the access-list verifier and the
 // DC-legality / race checker (analysis/validator.hpp).
 //
+// Checked build only: Array3, Field, the Engine and the Validator include
+// and use this header under SIMAS_ELEMENT_SHADOW (the `simas_checked`
+// library). The production library has no element hook at all.
+//
 // When EngineConfig::validate is on, every Field attaches a ShadowSlot to
 // its Array3; Array3::operator() then reports each element access here.
 // Between Validator::body_begin()/body_end() the slot is armed with a mode

@@ -1,9 +1,10 @@
 #pragma once
 // Static kernel-stream analyzer: ahead-of-run race/coherence verification.
 //
-// Where the runtime validator (analysis/validator.hpp) shadows every
-// element access — O(cells x steps) — this pass replays a captured event
-// trace (analysis/stream_capture.hpp) over the *declared* Access lists:
+// Where the runtime validator of the checked build
+// (analysis/validator.hpp) shadows every element access — O(cells x
+// steps) — this pass replays a captured event trace
+// (analysis/stream_capture.hpp) over the *declared* Access lists:
 // O(stream size), zero kernels executed.
 //
 // The op-level machinery is not re-implemented here: the replay feeds the
@@ -32,9 +33,9 @@
 // superset of the runtime findings (the differential harness in
 // tests/test_static_verifier.cpp pins this); a lying declaration slips
 // past the static pass but is caught the first time the stream actually
-// runs. Checks that need observed touches (UndeclaredAccess,
-// DeclaredWriteNotTouched) remain runtime-only — see the check matrix in
-// DESIGN.md §15.
+// runs on the checked build. Checks that need observed touches
+// (UndeclaredAccess, DeclaredWriteNotTouched) remain runtime-only — see
+// the check matrix in DESIGN.md §15.
 
 #include "analysis/diagnostics.hpp"
 #include "analysis/op_checker.hpp"

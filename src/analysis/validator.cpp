@@ -4,6 +4,61 @@
 
 namespace simas::analysis {
 
+Validator::Validator(const par::EngineConfig& cfg, gpusim::MemoryManager& mem)
+    : mem_(mem),
+      checker_(StaticModel::from(cfg),
+               [this](gpusim::ArrayId id) -> const std::string& {
+                 return state_for(id).name;
+               }) {}
+
+Validator::~Validator() = default;
+
+Validator::ArrayState& Validator::state_for(gpusim::ArrayId id) {
+  auto it = arrays_.find(id);
+  if (it == arrays_.end()) {
+    ArrayState st;
+    st.name = mem_.record(id).name;
+    it = arrays_.emplace(id, std::move(st)).first;
+  }
+  return it->second;
+}
+
+void Validator::on_event(const par::StreamEvent& ev) {
+  if (const auto* op = std::get_if<par::StreamOp>(&ev)) {
+    on_op(*op);
+  } else if (const auto* d = std::get_if<par::DataEventRec>(&ev)) {
+    checker_.on_data_event(d->event, d->id);
+#ifdef SIMAS_ELEMENT_SHADOW
+  } else if (const auto* hb = std::get_if<par::HaloBeginRec>(&ev)) {
+    begin_inflight_recv(*hb);
+  } else {
+    end_inflight_recv(std::get<par::HaloEndRec>(ev).id);
+#endif
+  }
+}
+
+ValidationReport Validator::take() {
+#ifndef SIMAS_ELEMENT_SHADOW
+  checker_.note(Check::ElementChecksUnavailable, "validator", {},
+                "element checks did not run: undeclared-access, "
+                "declared-write-not-touched and element-exact "
+                "duplicate-write, fused-conflict and inflight-ghost-read "
+                "need the checked build (link simas_checked, or compile "
+                "with -DSIMAS_ELEMENT_SHADOW)");
+#endif
+  return checker_.take();
+}
+
+#ifndef SIMAS_ELEMENT_SHADOW
+
+// Production build: op-level checks only. No kernel body is observed.
+void Validator::on_op(const par::StreamOp& op) {
+  const OpChecker::Step step = checker_.step(op);
+  if (step.kernel != nullptr) checker_.check_coherence(*step.kernel);
+}
+
+#else  // SIMAS_ELEMENT_SHADOW
+
 namespace {
 
 // Element-tag layout: [chain_id:24][op_slot:8][iteration+1:32]. The chain
@@ -49,41 +104,10 @@ void ShadowSlot::note_inflight(std::size_t off) {
   owner_->report_inflight(*this);
 }
 
-Validator::Validator(const par::EngineConfig& cfg, gpusim::MemoryManager& mem)
-    : mem_(mem),
-      checker_(StaticModel::from(cfg),
-               [this](gpusim::ArrayId id) -> const std::string& {
-                 return state_for(id).name;
-               }) {}
-
-Validator::~Validator() = default;
-
-Validator::ArrayState& Validator::state_for(gpusim::ArrayId id) {
-  auto it = arrays_.find(id);
-  if (it == arrays_.end()) {
-    ArrayState st;
-    st.name = mem_.record(id).name;
-    it = arrays_.emplace(id, std::move(st)).first;
-  }
-  return it->second;
-}
-
 const std::string& Validator::shadow_name(const ShadowSlot& slot) const {
   static const std::string none;
   const auto it = arrays_.find(slot.array_id_);
   return it == arrays_.end() ? none : it->second.name;
-}
-
-void Validator::on_event(const par::StreamEvent& ev) {
-  if (const auto* op = std::get_if<par::StreamOp>(&ev)) {
-    on_op(*op);
-  } else if (const auto* d = std::get_if<par::DataEventRec>(&ev)) {
-    checker_.on_data_event(d->event, d->id);
-  } else if (const auto* hb = std::get_if<par::HaloBeginRec>(&ev)) {
-    begin_inflight_recv(*hb);
-  } else {
-    end_inflight_recv(std::get<par::HaloEndRec>(ev).id);
-  }
 }
 
 void Validator::on_op(const par::StreamOp& op) {
@@ -256,5 +280,7 @@ void Validator::detach_shadow(gpusim::ArrayId id) {
   it->second.slot.reset();
   it->second.tags.reset();
 }
+
+#endif  // SIMAS_ELEMENT_SHADOW
 
 }  // namespace simas::analysis

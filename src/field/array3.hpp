@@ -2,11 +2,21 @@
 // 3-D array with ghost layers, i-fastest layout (matching the Fortran MAS
 // loop order `do k / do j / do i`). Indexing accepts i in [-g, n1+g) etc.;
 // the interior is [0, n1) x [0, n2) x [0, n3).
+//
+// The accessor comes in two build flavors from this one source. The
+// production library (`simas`) compiles operator() to an offset and a
+// load, which the compiler can inline into cell bodies and vectorize
+// across. The checked library
+// (`simas_checked`, which defines SIMAS_ELEMENT_SHADOW) adds the
+// validator's element hook: each access is reported to an attached
+// analysis::ShadowSlot (analysis/shadow.hpp) when validation is on.
 
 #include <cstddef>
 #include <vector>
 
+#ifdef SIMAS_ELEMENT_SHADOW
 #include "analysis/shadow.hpp"
+#endif
 #include "util/types.hpp"
 
 namespace simas::field {
@@ -30,11 +40,13 @@ class Array3 {
   /// in-flight ghost tracking.
   std::size_t radial_stride() const { return s2_; }
 
-  // Hot path: one strided offset plus a predictable not-taken branch.
-  // shadow_ is non-null only under SIMAS_VALIDATE (element tagging), so
-  // production runs pay a single compare-and-skip per access; validated
-  // runs take the unlikely branch but stay byte-identical in modeled time
-  // (the shadow never feeds the cost model).
+#ifdef SIMAS_ELEMENT_SHADOW
+  // Checked flavor: one strided offset plus a predictable not-taken
+  // branch. shadow_ is non-null only under SIMAS_VALIDATE (element
+  // tagging), so unvalidated runs pay a single compare-and-skip per
+  // access; validated runs take the unlikely branch but stay
+  // byte-identical in modeled time (the shadow never feeds the cost
+  // model).
   real& operator()(idx i, idx j, idx k) {
     const std::size_t off = offset(i, j, k);
     if (shadow_ != nullptr) [[unlikely]] shadow_->note(off);
@@ -45,16 +57,23 @@ class Array3 {
     if (shadow_ != nullptr) [[unlikely]] shadow_->note(off);
     return data_[off];
   }
+#else
+  // Production flavor: one strided offset and a load.
+  real& operator()(idx i, idx j, idx k) { return data_[offset(i, j, k)]; }
+  real operator()(idx i, idx j, idx k) const { return data_[offset(i, j, k)]; }
+#endif
 
   real* data() { return data_.data(); }
   const real* data() const { return data_.data(); }
 
   void fill(real v);
 
+#ifdef SIMAS_ELEMENT_SHADOW
   /// Attach the validator's shadow slot (nullptr detaches). Accesses via
   /// data() bypass the shadow by design: raw-pointer I/O paths report
   /// through the MemoryManager access notes instead.
   void set_shadow(analysis::ShadowSlot* slot) { shadow_ = slot; }
+#endif
 
   /// Interior-only L2 norm and max-abs (serial; used by tests/diagnostics).
   real norm2_interior() const;
@@ -70,7 +89,9 @@ class Array3 {
   idx n1_ = 0, n2_ = 0, n3_ = 0, g_ = 0;
   std::size_t s2_ = 0, s3_ = 0;
   std::vector<real> data_;
+#ifdef SIMAS_ELEMENT_SHADOW
   analysis::ShadowSlot* shadow_ = nullptr;
+#endif
 };
 
 }  // namespace simas::field

@@ -50,8 +50,9 @@ Engine::Engine(EngineConfig cfg)
   metrics_.bind(registry_);
   if (cfg_.validate) {
     validator_ = std::make_unique<analysis::Validator>(cfg_, mem_);
-    shadow_exec_ = true;
+#ifdef SIMAS_ELEMENT_SHADOW
     shadow_ctx_.owner = validator_.get();
+#endif
   }
   if (cfg_.capture_stream)
     capture_ = std::make_unique<analysis::StreamCapture>(mem_);
@@ -122,6 +123,7 @@ void Engine::note_halo_begin(gpusim::ArrayId id, std::size_t radial_stride,
 
 void Engine::note_halo_end(gpusim::ArrayId id) { emit(HaloEndRec{id}); }
 
+#ifdef SIMAS_ELEMENT_SHADOW
 void Engine::body_begin() {
   if (validator_ != nullptr) {
     validator_->body_begin();
@@ -134,6 +136,7 @@ void Engine::body_begin() {
 void Engine::body_end() {
   if (validator_ != nullptr) validator_->body_end();
 }
+#endif
 
 gpusim::ScaleClass Engine::resolve_scale(
     const KernelSite& site, std::initializer_list<Access> acc) const {

@@ -40,7 +40,9 @@
 #include <vector>
 
 #include "analysis/diagnostics.hpp"
+#ifdef SIMAS_ELEMENT_SHADOW
 #include "analysis/shadow.hpp"
+#endif
 #include "gpusim/clock_ledger.hpp"
 #include "gpusim/cost_model.hpp"
 #include "gpusim/device_spec.hpp"
@@ -286,10 +288,16 @@ class Engine {
   /// Dump the process flight recorder when a drained validation report
   /// carries errors and the context's SIMAS_FLIGHT_DUMP path is set.
   void maybe_flight_dump(const analysis::ValidationReport& report);
+#ifdef SIMAS_ELEMENT_SHADOW
   // Validator body brackets (no-ops when validation is off); defined in
   // engine.cpp so this header needs only the forward declaration.
   void body_begin();
   void body_end();
+#else
+  // The production validator observes no kernel body: nothing to bracket.
+  void body_begin() {}
+  void body_end() {}
+#endif
   /// Surface-scaled when the site says so or any accessed array is a
   /// surface-sized buffer (halo pack/unpack).
   gpusim::ScaleClass resolve_scale(const KernelSite& site,
@@ -355,17 +363,28 @@ class Engine {
     }
   }
 
+  /// Publish the flat iteration id of the cell about to run, for the
+  /// validator's element tags. Only the checked flavor's validated
+  /// instantiation (kShadow = true) does anything; the production flavor
+  /// never instantiates it.
+  template <bool kShadow>
+  void tag_iteration([[maybe_unused]] i64 flat) const {
+#ifdef SIMAS_ELEMENT_SHADOW
+    if constexpr (kShadow) analysis::set_current_iteration(shadow_ctx_, flat);
+#endif
+  }
+
   template <class F>
   void execute3(Range3 r, F&& body) {
-    // The shadow/iteration-tagging path is selected once per launch (a
-    // separate template instantiation), not per element: plain runs
-    // carry zero per-iteration validation cost. Validated runs stay
+#ifdef SIMAS_ELEMENT_SHADOW
+    // The iteration-tagging path is selected once per launch (a separate
+    // template instantiation), not per element: unvalidated runs carry
+    // zero per-iteration validation cost. Validated runs stay
     // byte-identical in modeled time — the validator observes the op
     // stream and element accesses but never touches the clock ledger.
-    if (shadow_exec_)
-      execute3_impl<true>(r, body);
-    else
-      execute3_impl<false>(r, body);
+    if (validator_ != nullptr) return execute3_impl<true>(r, body);
+#endif
+    execute3_impl<false>(r, body);
   }
 
   template <bool kShadow, class F>
@@ -384,9 +403,7 @@ class Engine {
       idx k = r.k0 + static_cast<idx>(p0 / nj);
       for (i64 p = p0; p < p1; ++p) {
         for (idx i = r.i0; i < r.i1; ++i) {
-          if constexpr (kShadow)
-            analysis::set_current_iteration(shadow_ctx_,
-                                            p * ni + (i - r.i0));
+          tag_iteration<kShadow>(p * ni + (i - r.i0));
           body(i, j, k);
         }
         if (++j == r.j1) {
@@ -399,10 +416,10 @@ class Engine {
 
   template <class F>
   void execute1(Range1 r, F&& body) {
-    if (shadow_exec_)
-      execute1_impl<true>(r, body);
-    else
-      execute1_impl<false>(r, body);
+#ifdef SIMAS_ELEMENT_SHADOW
+    if (validator_ != nullptr) return execute1_impl<true>(r, body);
+#endif
+    execute1_impl<false>(r, body);
   }
 
   template <bool kShadow, class F>
@@ -415,8 +432,7 @@ class Engine {
       const idx lo = r.begin + static_cast<idx>(b * chunk);
       const idx hi = std::min<idx>(r.end, lo + static_cast<idx>(chunk));
       for (idx i = lo; i < hi; ++i) {
-        if constexpr (kShadow)
-          analysis::set_current_iteration(shadow_ctx_, i - r.begin);
+        tag_iteration<kShadow>(i - r.begin);
         body(i);
       }
     });
@@ -503,10 +519,10 @@ class Engine {
 
   template <class F>
   void execute_array_reduce(Range3 r, std::span<real> out, F&& term) {
-    if (shadow_exec_)
-      execute_array_reduce_impl<true>(r, out, term);
-    else
-      execute_array_reduce_impl<false>(r, out, term);
+#ifdef SIMAS_ELEMENT_SHADOW
+    if (validator_ != nullptr) return execute_array_reduce_impl<true>(r, out, term);
+#endif
+    execute_array_reduce_impl<false>(r, out, term);
   }
 
   template <bool kShadow, class F>
@@ -517,8 +533,7 @@ class Engine {
     // part of the results), like the scalar reductions.
     const i64 nblocks = ni;
     dispatch_blocks(nblocks, static_cast<i64>(r.count()), [&](i64 b) {
-      if constexpr (kShadow)
-        analysis::set_current_iteration(shadow_ctx_, b);
+      tag_iteration<kShadow>(b);
       const idx i = r.i0 + static_cast<idx>(b);
       real acc = 0.0;
       for (idx k = r.k0; k < r.k1; ++k)
@@ -557,16 +572,16 @@ class Engine {
   std::unique_ptr<analysis::Validator> validator_;
   /// Event-trace recorder; feeds static_verify().
   std::unique_ptr<analysis::StreamCapture> capture_;
-  /// Validation on: the execute loops publish per-iteration ids so shadow
-  /// slots can tag touched elements.
-  bool shadow_exec_ = false;
-  /// Identity the execute loops publish with each iteration id: this
+#ifdef SIMAS_ELEMENT_SHADOW
+  /// Identity the execute loops publish with each iteration id while
+  /// validation is on, so shadow slots can tag touched elements: this
   /// engine's validator and its current armed window. Slots owned by
   /// other engines (shared ThreadPool) ignore ids carrying a different
   /// owner/window, so interleaved engines cannot cross-pollute element
   /// tags. Updated by body_begin on the rank thread; pool workers read it
   /// after the job publication fence.
   analysis::ShadowExecContext shadow_ctx_;
+#endif
   /// Reused per-block partials scratch for reduce3/reduce1 (sized to the
   /// largest reduction seen; steady-state reductions never allocate).
   std::vector<real> partials_;
