@@ -5,7 +5,7 @@
 
 #include <iostream>
 
-#include "bench_support/run_experiment.hpp"
+#include "bench_support/paper_scale.hpp"
 #include "mhd/solver.hpp"
 #include "mpisim/comm.hpp"
 #include "util/table.hpp"

@@ -12,21 +12,24 @@
 
 #include <iostream>
 
-#include "bench_support/run_experiment.hpp"
+#include "run/run_experiment.hpp"
 #include "util/table.hpp"
 #include "variants/code_version.hpp"
 
 using namespace simas;
-using bench_support::ExperimentConfig;
-using bench_support::ExperimentResult;
-using bench_support::run_experiment;
+using run::ExperimentConfig;
+using run::ExperimentResult;
+using run::run_experiment;
 
 namespace {
 
 struct GraphRun {
   ExperimentResult result;
   double launch_gap_minutes = 0.0;  ///< slowest rank, paper-projected
-  par::GraphStats graph;            ///< rank 0
+  /// Rank 0's graph.* counter, as a table cell.
+  double graph(const char* name) const {
+    return static_cast<double>(result.ranks.front().metrics.counter(name));
+  }
 };
 
 GraphRun run_version(variants::CodeVersion version, int nranks, bool graph) {
@@ -41,7 +44,6 @@ GraphRun run_version(variants::CodeVersion version, int nranks, bool graph) {
   for (const auto& r : run.result.ranks)
     worst_gap = std::max(worst_gap, r.launch_gap_seconds_per_step);
   run.launch_gap_minutes = cfg.scale.minutes_for(worst_gap);
-  run.graph = run.result.ranks.front().graph;
   return run;
 }
 
@@ -63,8 +65,8 @@ void ablation_for(int nranks) {
         .cell(off.launch_gap_minutes, 1)
         .cell(on.launch_gap_minutes, 1)
         .cell(off.launch_gap_minutes - on.launch_gap_minutes, 1)
-        .cell(static_cast<double>(on.graph.replays), 0)
-        .cell(static_cast<double>(on.graph.replayed_ops), 0);
+        .cell(on.graph("graph.replays"), 0)
+        .cell(on.graph("graph.replayed_ops"), 0);
   }
   table.print(std::cout);
 }

@@ -4,11 +4,10 @@
 // this bench compares the modeled cost and the communication profile of
 // the two approaches within SIMAS.
 
+#include <algorithm>
 #include <iostream>
 
-#include "bench_support/run_experiment.hpp"
-#include "mhd/solver.hpp"
-#include "mpisim/comm.hpp"
+#include "run/run_experiment.hpp"
 #include "util/table.hpp"
 #include "variants/code_version.hpp"
 
@@ -23,39 +22,19 @@ struct StsRow {
 };
 
 StsRow run_conduction(bool sts, int stages, int nranks) {
-  const i64 run_cells = 24 * 16 * 32;
-  bench_support::PaperScale scale;
-  StsRow row;
-  std::mutex m;
-  mpisim::World world(nranks);
-  world.run([&](int rank) {
-    par::Engine engine(variants::engine_config(variants::CodeVersion::A,
-                                               gpusim::a100_40gb(), 1));
-    engine.cost().set_scales(scale.vol_scale(run_cells),
-                             scale.surf_scale(run_cells));
-    engine.cost().set_working_set_shrink(nranks);
-    mpisim::Comm comm(world, rank, engine);
-    mhd::SolverConfig cfg;
-    cfg.grid = bench_support::bench_grid();
-    cfg.phys.sts_conduction = sts;
-    cfg.phys.sts_stages = stages;
-    mhd::MasSolver solver(engine, comm, cfg);
-    solver.initialize();
-    solver.step();  // warmup
-    const double t0 = engine.ledger().now();
-    const double mpi0 = engine.ledger().mpi_time();
-    mhd::StepStats stats{};
-    for (int s = 0; s < 3; ++s) stats = solver.step();
-    std::lock_guard<std::mutex> lock(m);
-    const double per_step = (engine.ledger().now() - t0) / 3.0;
-    if (scale.minutes_for(per_step) > row.wall_minutes) {
-      row.wall_minutes = scale.minutes_for(per_step);
-      row.mpi_minutes =
-          scale.minutes_for((engine.ledger().mpi_time() - mpi0) / 3.0);
-      row.cond_iters = stats.conduction_iters;
-    }
-  });
-  return row;
+  run::ExperimentConfig cfg;
+  cfg.nranks = nranks;
+  cfg.grid = bench_support::bench_grid();
+  cfg.phys.sts_conduction = sts;
+  cfg.phys.sts_stages = stages;
+  const run::ExperimentResult res = run::run_experiment(cfg);
+  // Iterations from the rank whose step time sets wall_minutes.
+  const auto slowest = std::max_element(
+      res.ranks.begin(), res.ranks.end(), [](const auto& a, const auto& b) {
+        return a.seconds_per_step < b.seconds_per_step;
+      });
+  return {res.wall_minutes, res.mpi_minutes,
+          slowest->last_step.conduction_iters};
 }
 
 }  // namespace

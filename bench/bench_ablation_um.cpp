@@ -5,12 +5,12 @@
 
 #include <iostream>
 
-#include "bench_support/run_experiment.hpp"
+#include "run/run_experiment.hpp"
 #include "util/table.hpp"
 #include "variants/code_version.hpp"
 
 using namespace simas;
-using bench_support::ExperimentConfig;
+using run::ExperimentConfig;
 
 namespace {
 
@@ -28,7 +28,7 @@ double um_over_manual(double fault_latency_us, double staging_mult,
     cfg.nranks = nranks;
     cfg.device = device;
     cfg.grid = bench_support::bench_grid();
-    t[i++] = bench_support::run_experiment(cfg).wall_minutes;
+    t[i++] = run::run_experiment(cfg).wall_minutes;
   }
   return t[1] / t[0];
 }

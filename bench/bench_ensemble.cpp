@@ -48,8 +48,8 @@
 #include <string>
 #include <vector>
 
-#include "bench_support/run_experiment.hpp"
 #include "bench_support/write_file.hpp"
+#include "run/run_experiment.hpp"
 #include "service/introspection.hpp"
 #include "service/job_server.hpp"
 #include "telemetry/flight_recorder.hpp"
@@ -61,8 +61,8 @@
 #include "variants/code_version.hpp"
 
 using namespace simas;
-using bench_support::ExperimentConfig;
-using bench_support::ExperimentResult;
+using run::ExperimentConfig;
+using run::ExperimentResult;
 
 namespace {
 
@@ -263,18 +263,18 @@ int main(int argc, char** argv) {
   for (int s = 0; s < nshapes; ++s) {
     ShapeReference ref;
     ref.cfg = shape_config(s, nranks, steps, warmup);
-    ref.cold = fingerprint(bench_support::run_experiment(ref.cfg));
+    ref.cold = fingerprint(run::run_experiment(ref.cfg));
 
     par::GraphCache gcache;
-    bench_support::BoundaryFields fields;
+    run::BoundaryFields fields;
     ExperimentConfig pre = ref.cfg;
     pre.graph_cache = &gcache;
     pre.boundary_out = &fields;
-    (void)bench_support::run_experiment(pre);
+    (void)run::run_experiment(pre);
     ExperimentConfig hot = ref.cfg;
     hot.graph_cache = &gcache;
     hot.boundary_fields = &fields;
-    ref.warm = fingerprint(bench_support::run_experiment(hot));
+    ref.warm = fingerprint(run::run_experiment(hot));
     shapes.push_back(std::move(ref));
   }
 

@@ -5,13 +5,13 @@
 
 #include <iostream>
 
-#include "bench_support/run_experiment.hpp"
+#include "run/run_experiment.hpp"
 #include "util/table.hpp"
 #include "variants/code_version.hpp"
 
 using namespace simas;
-using bench_support::ExperimentConfig;
-using bench_support::run_experiment;
+using run::ExperimentConfig;
+using run::run_experiment;
 
 int main() {
   std::cout << "Fig. 2 reproduction: wall-clock minutes, test problem on "

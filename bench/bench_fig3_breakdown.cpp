@@ -5,13 +5,13 @@
 #include <iostream>
 #include <string>
 
-#include "bench_support/run_experiment.hpp"
+#include "run/run_experiment.hpp"
 #include "util/table.hpp"
 #include "variants/code_version.hpp"
 
 using namespace simas;
-using bench_support::ExperimentConfig;
-using bench_support::run_experiment;
+using run::ExperimentConfig;
+using run::run_experiment;
 
 namespace {
 

@@ -11,20 +11,20 @@
 #include <string>
 #include <vector>
 
-#include "bench_support/run_experiment.hpp"
 #include "bench_support/write_file.hpp"
+#include "run/run_experiment.hpp"
 #include "telemetry/perfetto.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
 #include "variants/code_version.hpp"
 
 using namespace simas;
-using bench_support::ExperimentConfig;
+using run::ExperimentConfig;
 
 namespace {
 
 struct TraceRun {
-  bench_support::ExperimentResult res;
+  run::ExperimentResult res;
   double t0 = 0.0, t1 = 0.0;
   double step_seconds = 0.0;
   /// Rank 0's timeline, the one Fig. 4 shows.
@@ -38,7 +38,7 @@ TraceRun trace_for(variants::CodeVersion version) {
   cfg.grid = bench_support::bench_grid();
   cfg.capture_trace = true;
   TraceRun out;
-  out.res = bench_support::run_experiment(cfg);
+  out.res = run::run_experiment(cfg);
   out.t0 = out.res.trace_t0;
   out.t1 = out.res.trace_t1;
   out.step_seconds =

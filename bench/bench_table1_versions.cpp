@@ -8,10 +8,8 @@
 #include <iostream>
 #include <string>
 
-#include "bench_support/run_experiment.hpp"
 #include "bench_support/write_file.hpp"
-#include "mhd/solver.hpp"
-#include "mpisim/comm.hpp"
+#include "run/run_experiment.hpp"
 #include "util/json.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
@@ -24,21 +22,7 @@ int main(int argc, char** argv) {
   const Options opts(argc, argv);
   if (!opts.only({"out"}, std::cerr)) return 1;
   const std::string out = opts.get("out", "BENCH_table1_versions.json");
-  // Instantiate and step a canonical solver so every kernel call-site
-  // registers itself, then gather the inventory.
-  variants::CodeInventory inv;
-  mpisim::World world(1);
-  world.run([&](int rank) {
-    par::Engine engine(variants::engine_config(variants::CodeVersion::A,
-                                               gpusim::a100_40gb(), 2));
-    mpisim::Comm comm(world, rank, engine);
-    mhd::SolverConfig cfg;
-    cfg.grid = bench_support::bench_grid();
-    mhd::MasSolver solver(engine, comm, cfg);
-    solver.initialize();
-    solver.run(2);
-    inv = variants::gather_inventory(engine);
-  });
+  const variants::CodeInventory inv = variants::canonical_inventory();
 
   std::cout << "Table I reproduction: code-version summary\n\n";
   Table table("SIMAS (rule-derived) vs paper (measured on MAS)");
@@ -91,11 +75,11 @@ int main(int argc, char** argv) {
     v.set("total_lines", variants::total_lines_for(inv, row.version));
     v.set("directive_lines", d.total());
     if (row.version != variants::CodeVersion::Cpu) {
-      bench_support::ExperimentConfig ecfg;
+      run::ExperimentConfig ecfg;
       ecfg.version = row.version;
       ecfg.nranks = 1;
       ecfg.grid = bench_support::bench_grid();
-      const auto res = bench_support::run_experiment(ecfg);
+      const auto res = run::run_experiment(ecfg);
       v.set("wall_minutes", res.wall_minutes);
       v.set("mpi_minutes", res.mpi_minutes);
       v.set("kernel_launches", res.metrics.counter("engine.launches"));

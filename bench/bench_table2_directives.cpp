@@ -4,9 +4,6 @@
 
 #include <iostream>
 
-#include "bench_support/run_experiment.hpp"
-#include "mhd/solver.hpp"
-#include "mpisim/comm.hpp"
 #include "util/table.hpp"
 #include "variants/directive_model.hpp"
 #include "variants/inventory.hpp"
@@ -14,19 +11,7 @@
 using namespace simas;
 
 int main() {
-  variants::CodeInventory inv;
-  mpisim::World world(1);
-  world.run([&](int rank) {
-    par::Engine engine(variants::engine_config(variants::CodeVersion::A,
-                                               gpusim::a100_40gb(), 2));
-    mpisim::Comm comm(world, rank, engine);
-    mhd::SolverConfig cfg;
-    cfg.grid = bench_support::bench_grid();
-    mhd::MasSolver solver(engine, comm, cfg);
-    solver.initialize();
-    solver.run(2);
-    inv = variants::gather_inventory(engine);
-  });
+  const variants::CodeInventory inv = variants::canonical_inventory();
 
   const auto d = variants::directives_for(inv, variants::CodeVersion::A);
   const auto paper = variants::paper_table2();

@@ -27,16 +27,16 @@
 #include <string>
 #include <vector>
 
-#include "bench_support/run_experiment.hpp"
 #include "bench_support/write_file.hpp"
+#include "run/run_experiment.hpp"
 #include "util/json.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
 #include "variants/code_version.hpp"
 
 using namespace simas;
-using bench_support::ExperimentConfig;
-using bench_support::run_experiment;
+using run::ExperimentConfig;
+using run::run_experiment;
 
 namespace {
 

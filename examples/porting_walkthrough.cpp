@@ -8,31 +8,16 @@
 
 #include <iostream>
 
-#include "bench_support/run_experiment.hpp"
-#include "mhd/solver.hpp"
-#include "mpisim/comm.hpp"
+#include "run/run_experiment.hpp"
 #include "util/table.hpp"
 #include "variants/directive_model.hpp"
 #include "variants/inventory.hpp"
 
 using namespace simas;
-using bench_support::ExperimentConfig;
+using run::ExperimentConfig;
 
 int main() {
-  // Gather the directive inventory from a canonical solver instance.
-  variants::CodeInventory inv;
-  mpisim::World world(1);
-  world.run([&](int rank) {
-    par::Engine engine(variants::engine_config(variants::CodeVersion::A,
-                                               gpusim::a100_40gb(), 2));
-    mpisim::Comm comm(world, rank, engine);
-    mhd::SolverConfig cfg;
-    cfg.grid = bench_support::bench_grid();
-    mhd::MasSolver solver(engine, comm, cfg);
-    solver.initialize();
-    solver.run(2);
-    inv = variants::gather_inventory(engine);
-  });
+  const variants::CodeInventory inv = variants::canonical_inventory();
 
   std::cout
       << "From OpenACC to `do concurrent`: the six-version porting path\n"
@@ -56,9 +41,9 @@ int main() {
       cfg.version = v;
       cfg.nranks = 1;
       cfg.grid = bench_support::bench_grid();
-      t1 = format_fixed(bench_support::run_experiment(cfg).wall_minutes, 1);
+      t1 = format_fixed(run::run_experiment(cfg).wall_minutes, 1);
       cfg.nranks = 8;
-      t8 = format_fixed(bench_support::run_experiment(cfg).wall_minutes, 1);
+      t8 = format_fixed(run::run_experiment(cfg).wall_minutes, 1);
     }
     table.row()
         .cell(std::string(variants::version_tag(v)))

@@ -6,7 +6,6 @@
 
 #include <iostream>
 
-#include "bench_support/run_experiment.hpp"
 #include "mhd/solver.hpp"
 #include "mpisim/comm.hpp"
 #include "util/options.hpp"

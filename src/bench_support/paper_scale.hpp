@@ -11,6 +11,7 @@
 // count. Absolute minutes are a model, not a measurement; the reproduction
 // target is the *shape* (ratios between code versions and rank counts).
 
+#include "grid/spherical_grid.hpp"
 #include "util/types.hpp"
 
 namespace simas::bench_support {
@@ -27,5 +28,13 @@ struct PaperScale {
   /// Projected minutes for the full run given modeled seconds/step.
   double minutes_for(double modeled_seconds_per_step) const;
 };
+
+/// Default run-scale grid for the benches: small enough that a full sweep
+/// of versions x rank counts finishes in seconds.
+grid::GridConfig bench_grid();
+
+/// Apply modeled run-to-run jitter (the paper plots the average of three
+/// runs with min/max error bars).
+double jitter_minutes(double minutes, double fraction, u64 seed, int sample);
 
 }  // namespace simas::bench_support

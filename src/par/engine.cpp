@@ -21,10 +21,8 @@ Engine::Engine(EngineConfig cfg)
                               &metrics_, &profiler_}) {
   const SimContext& ctx = cfg_.ctx != nullptr ? *cfg_.ctx
                                               : SimContext::process();
-  // Execution threads: borrow the configured/shared pool, else own one.
-  ThreadPool* shared =
-      cfg_.shared_pool != nullptr ? cfg_.shared_pool : ctx.shared_pool();
-  if (shared != nullptr) {
+  // Execution threads: borrow the context's shared pool, else own one.
+  if (ThreadPool* shared = ctx.shared_pool(); shared != nullptr) {
     pool_ = shared;
   } else {
     owned_pool_ = std::make_unique<ThreadPool>(cfg_.host_threads);

@@ -555,10 +555,10 @@ class Engine {
   gpusim::MemoryManager mem_;
   FlightMemObserver flight_obs_;
   trace::Recorder tracer_;
-  /// Kernel execution threads: borrowed (cfg.shared_pool / the context's
-  /// shared pool — N engines multiplexing one host-thread budget) or
-  /// owned. The multi-job pool makes concurrent run_blocks from several
-  /// engines safe; determinism is unaffected either way (partitioning is
+  /// Kernel execution threads: borrowed (the context's shared pool — N
+  /// engines multiplexing one host-thread budget) or owned. The
+  /// multi-job pool makes concurrent run_blocks from several engines
+  /// safe; determinism is unaffected either way (partitioning is
   /// caller-defined, the pool only places blocks).
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_ = nullptr;

@@ -40,7 +40,6 @@
 namespace simas::par {
 
 class SimContext;
-class ThreadPool;
 class GraphCache;
 
 enum class LoopModel { Acc, Dc2018, Dc2x };
@@ -100,12 +99,11 @@ struct EngineConfig {
   // ---- Re-entrancy / service-layer wiring (see par/sim_context.hpp) ----
   /// Context the engine runs under: environment snapshot, site table,
   /// optional shared host pool. nullptr = SimContext::process() (the
-  /// immutable process-default context).
+  /// immutable process-default context). When the context carries a
+  /// shared pool the engine borrows it for kernel execution instead of
+  /// owning `host_threads` worker threads; the pool must outlive the
+  /// Engine.
   const SimContext* ctx = nullptr;
-  /// Borrow this pool for kernel execution instead of owning worker
-  /// threads (overrides host_threads; also set via ctx->shared_pool()).
-  /// Must outlive the Engine.
-  ThreadPool* shared_pool = nullptr;
   /// Cross-engine captured-graph reuse: on first entry to a graph scope
   /// the engine seeds its local graph from cache[graph_cache_scope, name]
   /// (replay from pass one), and publishes its own finished captures
@@ -126,7 +124,7 @@ struct EngineConfig {
 
 /// Snapshot view of the engine.* metrics family, assembled by value from
 /// the telemetry registry (the store of record) — kept for the existing
-/// consumers (tests, benches, RankTiming).
+/// consumers (tests, benches, perfbench).
 struct EngineCounters {
   i64 kernel_launches = 0;  ///< launches actually issued (after fusion)
   i64 loops_executed = 0;   ///< logical parallel loops run

@@ -24,7 +24,7 @@ inline u64 bits_of(T v) {
 
 }  // namespace
 
-u64 FieldCache::key_for(const bench_support::ExperimentConfig& cfg) {
+u64 FieldCache::key_for(const run::ExperimentConfig& cfg) {
   u64 h = cfg.boundary.hash();
   h = mix(h, static_cast<u64>(cfg.grid.nr));
   h = mix(h, static_cast<u64>(cfg.grid.nt));
@@ -34,8 +34,7 @@ u64 FieldCache::key_for(const bench_support::ExperimentConfig& cfg) {
   return h;
 }
 
-std::shared_ptr<const bench_support::BoundaryFields> FieldCache::find(
-    u64 key) {
+std::shared_ptr<const run::BoundaryFields> FieldCache::find(u64 key) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = map_.find(key);
   if (it == map_.end()) {
@@ -46,10 +45,9 @@ std::shared_ptr<const bench_support::BoundaryFields> FieldCache::find(
   return it->second;
 }
 
-std::shared_ptr<const bench_support::BoundaryFields> FieldCache::insert(
-    u64 key, bench_support::BoundaryFields&& fields) {
-  auto entry = std::make_shared<const bench_support::BoundaryFields>(
-      std::move(fields));
+std::shared_ptr<const run::BoundaryFields> FieldCache::insert(
+    u64 key, run::BoundaryFields&& fields) {
+  auto entry = std::make_shared<const run::BoundaryFields>(std::move(fields));
   std::lock_guard<std::mutex> lock(mutex_);
   const auto [it, inserted] = map_.try_emplace(key, std::move(entry));
   if (inserted)

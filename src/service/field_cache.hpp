@@ -2,7 +2,7 @@
 // Shared read-only cache of PFSS boundary-field solutions.
 //
 // The PFSS initialization is a pure function of (BoundaryConfig, grid,
-// rank decomposition) — see bench_support::boundary_surface_br — so two
+// rank decomposition) — see run::boundary_surface_br — so two
 // jobs with the same boundary data need only one PCG solve: the first job
 // extracts the solved field's raw per-rank bytes, subsequent jobs inject
 // them (bit-identical; the kernels then execute on byte-equal arrays).
@@ -14,7 +14,7 @@
 #include <mutex>
 #include <unordered_map>
 
-#include "bench_support/run_experiment.hpp"
+#include "run/run_experiment.hpp"
 #include "util/types.hpp"
 
 namespace simas::service {
@@ -31,24 +31,22 @@ class FieldCache {
   /// Cache key for the boundary data an experiment config implies:
   /// boundary content hash combined with the grid and rank decomposition
   /// the per-rank field arrays depend on.
-  static u64 key_for(const bench_support::ExperimentConfig& cfg);
+  static u64 key_for(const run::ExperimentConfig& cfg);
 
   /// Published entry for `key`, or nullptr (counted as hit/miss).
-  std::shared_ptr<const bench_support::BoundaryFields> find(u64 key);
+  std::shared_ptr<const run::BoundaryFields> find(u64 key);
 
   /// Publish a solved field set; first-wins. Returns the canonical entry
   /// (the argument if this call won, the earlier entry otherwise).
-  std::shared_ptr<const bench_support::BoundaryFields> insert(
-      u64 key, bench_support::BoundaryFields&& fields);
+  std::shared_ptr<const run::BoundaryFields> insert(
+      u64 key, run::BoundaryFields&& fields);
 
   std::size_t size() const;
   Stats stats() const;
 
  private:
   mutable std::mutex mutex_;
-  std::unordered_map<u64,
-                     std::shared_ptr<const bench_support::BoundaryFields>>
-      map_;
+  std::unordered_map<u64, std::shared_ptr<const run::BoundaryFields>> map_;
   Stats stats_;
 };
 

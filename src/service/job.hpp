@@ -7,7 +7,7 @@
 
 #include <string>
 
-#include "bench_support/run_experiment.hpp"
+#include "run/run_experiment.hpp"
 #include "telemetry/span_tree.hpp"
 #include "telemetry/trace_context.hpp"
 #include "util/types.hpp"
@@ -15,12 +15,13 @@
 namespace simas::service {
 
 /// One requested simulation run. `config` is copied at submit time; the
-/// server fills in its own SimContext / shared pool / cache hooks, so
-/// clients describe *what* to run, never *how* it is scheduled.
+/// server fills in its own SimContext (which carries the shared pool) and
+/// cache hooks, so clients describe *what* to run, never *how* it is
+/// scheduled.
 struct JobDescription {
   i64 id = 0;          ///< client-chosen; echoed in the JobResult
   std::string name;    ///< label for logs/metrics (optional)
-  bench_support::ExperimentConfig config;
+  run::ExperimentConfig config;
   /// Trace identity. Normally left default: the server mints a root
   /// context at submission when tracing is on (JobServerConfig::trace)
   /// and threads it through the queue into the per-rank engines. A
@@ -33,7 +34,7 @@ struct JobResult {
   std::string name;
   bool ok = false;
   std::string error;  ///< exception text when !ok
-  bench_support::ExperimentResult result;
+  run::ExperimentResult result;
 
   // Serving-side wall-clock timing (host seconds, not modeled time).
   double queue_seconds = 0.0;    ///< submit -> worker pickup

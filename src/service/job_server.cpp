@@ -134,17 +134,16 @@ JobResult JobServer::run_job(JobDescription desc, double submitted_at,
   r.queue_seconds = picked_at - submitted_at;
   const telemetry::TraceContext trace = desc.trace;
 
-  bench_support::ExperimentConfig ecfg = std::move(desc.config);
+  run::ExperimentConfig ecfg = std::move(desc.config);
   ecfg.ctx = &ctx_;
-  ecfg.shared_pool = pool_.get();
   ecfg.trace = trace;
   if (cfg_.enable_graph_cache) ecfg.graph_cache = &graph_cache_;
 
   // Boundary-field cache: resolve the entry once, up front, so every rank
   // of the job sees the same decision (hit -> inject, miss -> solve and
   // publish). The shared_ptr pins the entry across the run.
-  std::shared_ptr<const bench_support::BoundaryFields> cached;
-  bench_support::BoundaryFields solved;
+  std::shared_ptr<const run::BoundaryFields> cached;
+  run::BoundaryFields solved;
   if (ecfg.boundary.enabled && cfg_.enable_field_cache) {
     r.field_cache_used = true;
     const u64 key = FieldCache::key_for(ecfg);
@@ -158,7 +157,7 @@ JobResult JobServer::run_job(JobDescription desc, double submitted_at,
   }
 
   try {
-    r.result = bench_support::run_experiment(ecfg);
+    r.result = run::run_experiment(ecfg);
     r.ok = true;
     if (ecfg.boundary_out != nullptr)
       field_cache_.insert(FieldCache::key_for(ecfg), std::move(solved));

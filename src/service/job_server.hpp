@@ -1,7 +1,7 @@
 #pragma once
 // JobServer: the ensemble serving layer. N worker threads pull submitted
 // ExperimentConfigs from a bounded AdmissionQueue and run them through
-// bench_support::run_experiment, all multiplexed over ONE shared host
+// run::run_experiment, all multiplexed over ONE shared host
 // ThreadPool — total execution threads stay fixed no matter how many jobs
 // run concurrently. Two cross-job caches amortize per-job startup:
 //

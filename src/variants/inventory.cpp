@@ -1,9 +1,15 @@
 #include "variants/inventory.hpp"
 
+#include "bench_support/paper_scale.hpp"
+#include "mhd/solver.hpp"
+#include "mpisim/comm.hpp"
 #include "par/engine.hpp"
 #include "par/stream.hpp"
+#include "variants/code_version.hpp"
 
 namespace simas::variants {
+
+namespace {
 
 CodeInventory gather_inventory(par::Engine& engine) {
   CodeInventory inv;
@@ -37,6 +43,24 @@ CodeInventory gather_inventory(par::Engine& engine) {
   // analog of MAS's 69,874; our core is smaller).
   inv.base_lines = 12000;
   inv.setup_duplicate_lines = 900;
+  return inv;
+}
+
+}  // namespace
+
+CodeInventory canonical_inventory() {
+  CodeInventory inv;
+  mpisim::World world(1);
+  world.run([&](int rank) {
+    par::Engine engine(engine_config(CodeVersion::A, gpusim::a100_40gb(), 2));
+    mpisim::Comm comm(world, rank, engine);
+    mhd::SolverConfig cfg;
+    cfg.grid = bench_support::bench_grid();
+    mhd::MasSolver solver(engine, comm, cfg);
+    solver.initialize();
+    solver.run(2);
+    inv = gather_inventory(engine);
+  });
   return inv;
 }
 

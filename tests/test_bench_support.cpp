@@ -1,19 +1,25 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "bench_support/paper_scale.hpp"
-#include "bench_support/run_experiment.hpp"
 #include "bench_support/write_file.hpp"
+#include "mhd/solver.hpp"
+#include "mpisim/comm.hpp"
+#include "run/run_experiment.hpp"
 #include "util/json.hpp"
 #include "util/ppm.hpp"
 #include "variants/code_version.hpp"
 
 namespace simas::bench_support {
 namespace {
+
+using run::ExperimentConfig;
+using run::run_experiment;
 
 TEST(PaperScale, ScaleFactors) {
   PaperScale s;
@@ -60,7 +66,7 @@ TEST(RunExperiment, ProducesValidatedResult) {
   EXPECT_GT(res.final_diag.total_mass, 0.0);
   for (const auto& r : res.ranks) {
     EXPECT_GT(r.seconds_per_step, 0.0);
-    EXPECT_GT(r.counters.kernel_launches, 0);
+    EXPECT_GT(r.metrics.counter("engine.launches"), 0);
   }
 }
 
@@ -89,6 +95,35 @@ TEST(RunExperiment, MoreRanksFasterForManualCodes) {
   cfg.nranks = 4;
   const double t4 = run_experiment(cfg).wall_minutes;
   EXPECT_LT(t4, t1 / 2.0);
+}
+
+TEST(RunExperiment, LastStepMatchesHandRolledSolver) {
+  ExperimentConfig cfg;
+  cfg.nranks = 1;
+  cfg.grid = bench_grid();
+  cfg.phys.sts_conduction = true;
+  cfg.phys.sts_stages = 8;
+  const mhd::StepStats got = run_experiment(cfg).ranks.at(0).last_step;
+
+  // The same warmup + measured steps, driven by hand.
+  mhd::StepStats want;
+  mpisim::World world(1);
+  world.run([&](int rank) {
+    par::Engine engine(variants::engine_config(cfg.version, cfg.device, 1));
+    mpisim::Comm comm(world, rank, engine);
+    mhd::SolverConfig scfg;
+    scfg.grid = cfg.grid;
+    scfg.phys = cfg.phys;
+    mhd::MasSolver solver(engine, comm, scfg);
+    solver.initialize();
+    for (int s = 0; s < cfg.warmup_steps + cfg.measure_steps; ++s)
+      want = solver.step();
+  });
+  EXPECT_EQ(std::memcmp(&got.dt, &want.dt, sizeof(want.dt)), 0)
+      << got.dt << " vs " << want.dt;
+  EXPECT_EQ(got.viscosity_iters, want.viscosity_iters);
+  EXPECT_EQ(got.conduction_iters, want.conduction_iters);
+  EXPECT_EQ(got.conduction_iters, cfg.phys.sts_stages);
 }
 
 TEST(Ppm, HeatColormapEndpoints) {

@@ -28,13 +28,13 @@
 #include <vector>
 
 #include "analysis/stream_capture.hpp"
-#include "bench_support/run_experiment.hpp"
 #include "field/field.hpp"
 #include "mhd/solver.hpp"
 #include "mpisim/comm.hpp"
 #include "par/engine.hpp"
 #include "par/env_config.hpp"
 #include "par/sim_context.hpp"
+#include "run/run_experiment.hpp"
 #include "service/introspection.hpp"
 #include "service/job_server.hpp"
 #include "telemetry/flight_recorder.hpp"
@@ -179,14 +179,14 @@ TEST(ObservabilitySpans, CommittedRulesGateModeledWallButNotHostWall) {
 }
 
 TEST(ObservabilitySpans, RunExperimentFillsCompleteRankSpans) {
-  bench_support::ExperimentConfig cfg;
+  run::ExperimentConfig cfg;
   cfg.version = variants::CodeVersion::A;
   cfg.nranks = 2;
   cfg.grid = bench_support::bench_grid();
   cfg.warmup_steps = 0;
   cfg.measure_steps = 1;
   cfg.trace = TraceContext::mint();
-  const auto result = bench_support::run_experiment(cfg);
+  const auto result = run::run_experiment(cfg);
   ASSERT_EQ(result.rank_spans.size(), 2u);
   telemetry::JobSpanRecord rec;
   rec.ctx = cfg.trace;
@@ -673,8 +673,8 @@ TEST(ObservabilityPerfSummary, RanksWorstRelativeRegressionFirst) {
 // ---------------------------------------------------------------------
 // Traced serving end to end: span records + Perfetto job tracks.
 
-bench_support::ExperimentConfig tiny_cfg(u64 seed) {
-  bench_support::ExperimentConfig cfg;
+run::ExperimentConfig tiny_cfg(u64 seed) {
+  run::ExperimentConfig cfg;
   cfg.version = variants::CodeVersion::A;
   cfg.nranks = 1;
   cfg.grid = bench_support::bench_grid();

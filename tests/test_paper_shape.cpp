@@ -5,14 +5,14 @@
 
 #include <gtest/gtest.h>
 
-#include "bench_support/run_experiment.hpp"
+#include "run/run_experiment.hpp"
 #include "variants/code_version.hpp"
 
 namespace simas {
 namespace {
 
-using bench_support::ExperimentConfig;
-using bench_support::run_experiment;
+using run::ExperimentConfig;
+using run::run_experiment;
 using variants::CodeVersion;
 
 ExperimentConfig cfg_for(CodeVersion v, int nranks,
@@ -30,7 +30,7 @@ class PaperShape : public ::testing::Test {
   static double wall(CodeVersion v, int n) {
     return run_experiment(cfg_for(v, n)).wall_minutes;
   }
-  static bench_support::ExperimentResult full(CodeVersion v, int n) {
+  static run::ExperimentResult full(CodeVersion v, int n) {
     return run_experiment(cfg_for(v, n));
   }
 };

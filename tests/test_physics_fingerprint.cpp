@@ -22,10 +22,10 @@
 #include <string>
 #include <vector>
 
-#include "bench_support/run_experiment.hpp"
 #include "mhd/pfss.hpp"
 #include "mhd/solver.hpp"
 #include "mpisim/comm.hpp"
+#include "run/run_experiment.hpp"
 #include "variants/code_version.hpp"
 
 namespace simas::mhd {

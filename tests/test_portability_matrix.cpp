@@ -18,21 +18,21 @@
 #include <string>
 #include <vector>
 
-#include "bench_support/run_experiment.hpp"
 #include "gpusim/cost_model.hpp"
 #include "gpusim/device_spec.hpp"
 #include "gpusim/unified_pages.hpp"
 #include "par/compiler_personality.hpp"
 #include "par/graph_cache.hpp"
+#include "run/run_experiment.hpp"
 #include "util/rng.hpp"
 #include "variants/code_version.hpp"
 
 namespace simas {
 namespace {
 
-using bench_support::ExperimentConfig;
-using bench_support::ExperimentResult;
-using bench_support::run_experiment;
+using run::ExperimentConfig;
+using run::ExperimentResult;
+using run::run_experiment;
 
 bool same_physics(const mhd::GlobalDiagnostics& a,
                   const mhd::GlobalDiagnostics& b) {
@@ -154,13 +154,13 @@ TEST(PortabilityMatrix, PersonalityChangeNeverSeedsFromAnotherCell) {
   const ExperimentResult cold = run_experiment(cfg);  // captures, publishes
   const auto first = cache.stats();
   ASSERT_GE(first.publishes, 1);
-  EXPECT_EQ(cold.ranks.at(0).graph.cache_seeds, 0);
+  EXPECT_EQ(cold.ranks.at(0).metrics.counter("graph.cache_seeds"), 0);
 
   const ExperimentResult warm = run_experiment(cfg);  // same cell: seeded
   const auto second = cache.stats();
   EXPECT_GT(second.hits, first.hits);
   EXPECT_EQ(second.publishes, first.publishes);
-  EXPECT_GT(warm.ranks.at(0).graph.cache_seeds, 0);
+  EXPECT_GT(warm.ranks.at(0).metrics.counter("graph.cache_seeds"), 0);
 
   cfg.personality = par::CompilerPersonality::Flang;  // new cell
   const ExperimentResult other = run_experiment(cfg);
@@ -168,7 +168,7 @@ TEST(PortabilityMatrix, PersonalityChangeNeverSeedsFromAnotherCell) {
   EXPECT_EQ(third.hits, second.hits);
   EXPECT_GT(third.misses, second.misses);
   EXPECT_GT(third.publishes, second.publishes);
-  EXPECT_EQ(other.ranks.at(0).graph.cache_seeds, 0);
+  EXPECT_EQ(other.ranks.at(0).metrics.counter("graph.cache_seeds"), 0);
 }
 
 TEST(PortabilityMatrix, ShapeKeySeparatesEveryCell) {

@@ -13,11 +13,11 @@
 #include <vector>
 
 #include "bench_support/host_threads.hpp"
-#include "bench_support/run_experiment.hpp"
 #include "par/env_config.hpp"
 #include "par/graph_cache.hpp"
 #include "par/sim_context.hpp"
 #include "par/site_table.hpp"
+#include "run/run_experiment.hpp"
 #include "service/admission_queue.hpp"
 #include "service/field_cache.hpp"
 #include "service/job_server.hpp"
@@ -162,8 +162,8 @@ TEST(AdmissionQueue, PopBlocksUntilPushArrives) {
 // ---------------------------------------------------------------------
 // FieldCache.
 
-bench_support::ExperimentConfig boundary_cfg(u64 seed) {
-  bench_support::ExperimentConfig cfg;
+run::ExperimentConfig boundary_cfg(u64 seed) {
+  run::ExperimentConfig cfg;
   cfg.grid = bench_support::bench_grid();
   cfg.nranks = 2;
   cfg.boundary.enabled = true;
@@ -190,10 +190,10 @@ TEST(FieldCache, KeyReflectsBoundaryGridAndDecomposition) {
 TEST(FieldCache, FirstInsertWinsAndHitsAreCounted) {
   service::FieldCache cache;
   EXPECT_EQ(cache.find(99), nullptr);  // miss
-  bench_support::BoundaryFields a;
+  run::BoundaryFields a;
   a.nranks = 1;
   const auto first = cache.insert(99, std::move(a));
-  bench_support::BoundaryFields b;
+  run::BoundaryFields b;
   b.nranks = 2;
   const auto second = cache.insert(99, std::move(b));
   EXPECT_EQ(first.get(), second.get());  // first publisher won
@@ -258,8 +258,8 @@ TEST(SimContext, CustomContextCarriesItsOwnEnv) {
 // ---------------------------------------------------------------------
 // JobServer.
 
-bench_support::ExperimentConfig tiny_job_cfg(u64 seed) {
-  bench_support::ExperimentConfig cfg;
+run::ExperimentConfig tiny_job_cfg(u64 seed) {
+  run::ExperimentConfig cfg;
   cfg.version = variants::CodeVersion::A;
   cfg.nranks = 1;
   cfg.grid = bench_support::bench_grid();
@@ -376,17 +376,17 @@ TEST(RunExperiment, BoundaryInjectionIsBitIdenticalToSolving) {
   // service layer actually compares — they are exactly equal.
   auto cfg = tiny_job_cfg(53);
   cfg.nranks = 2;
-  bench_support::BoundaryFields fields;
+  run::BoundaryFields fields;
   auto solving = cfg;
   solving.boundary_out = &fields;
-  const auto a = bench_support::run_experiment(solving);
+  const auto a = run::run_experiment(solving);
   EXPECT_GT(fields.info.iterations, 0);
   ASSERT_EQ(fields.ranks.size(), 2u);
   EXPECT_FALSE(fields.ranks[0].br.empty());
 
   auto injecting = cfg;
   injecting.boundary_fields = &fields;
-  const auto b = bench_support::run_experiment(injecting);
+  const auto b = run::run_experiment(injecting);
   EXPECT_EQ(std::memcmp(&a.final_diag, &b.final_diag, sizeof(a.final_diag)),
             0);
   EXPECT_EQ(a.pfss.iterations, b.pfss.iterations);
@@ -396,7 +396,7 @@ TEST(RunExperiment, BoundaryInjectionIsBitIdenticalToSolving) {
     EXPECT_NEAR(a.ranks[i].seconds_per_step, b.ranks[i].seconds_per_step,
                 1e-12 * a.ranks[i].seconds_per_step);
 
-  const auto c = bench_support::run_experiment(injecting);
+  const auto c = run::run_experiment(injecting);
   EXPECT_EQ(std::memcmp(&b.final_diag, &c.final_diag, sizeof(b.final_diag)),
             0);
   EXPECT_EQ(b.wall_minutes, c.wall_minutes);
@@ -407,26 +407,24 @@ TEST(RunExperiment, BoundaryInjectionIsBitIdenticalToSolving) {
 TEST(RunExperiment, InjectionRejectsWrongDecomposition) {
   auto cfg = tiny_job_cfg(54);
   cfg.nranks = 2;
-  bench_support::BoundaryFields fields;
+  run::BoundaryFields fields;
   auto solving = cfg;
   solving.boundary_out = &fields;
-  (void)bench_support::run_experiment(solving);
+  (void)run::run_experiment(solving);
   auto wrong = cfg;
   wrong.nranks = 1;
   wrong.boundary_fields = &fields;  // extracted under nranks == 2
-  EXPECT_THROW((void)bench_support::run_experiment(wrong),
-               std::runtime_error);
+  EXPECT_THROW((void)run::run_experiment(wrong), std::runtime_error);
 }
 
 // A cached boundary field one element short on rank 1: rank 1 throws in
 // injection while rank 0 runs on into its first halo exchange. The run
 // must end with rank 1's error, not leave rank 0 blocked forever.
-bench_support::BoundaryFields short_rank1_fields(
-    const bench_support::ExperimentConfig& cfg) {
-  bench_support::BoundaryFields fields;
+run::BoundaryFields short_rank1_fields(const run::ExperimentConfig& cfg) {
+  run::BoundaryFields fields;
   auto solving = cfg;
   solving.boundary_out = &fields;
-  (void)bench_support::run_experiment(solving);
+  (void)run::run_experiment(solving);
   fields.ranks.at(1).br.pop_back();
   return fields;
 }
@@ -435,10 +433,10 @@ TEST(RunExperiment, ShortCachedFieldOnOneRankThrowsInsteadOfHanging) {
   testutil::Watchdog watchdog(60);
   auto cfg = tiny_job_cfg(55);
   cfg.nranks = 2;
-  const bench_support::BoundaryFields fields = short_rank1_fields(cfg);
+  const run::BoundaryFields fields = short_rank1_fields(cfg);
   cfg.boundary_fields = &fields;
   try {
-    (void)bench_support::run_experiment(cfg);
+    (void)run::run_experiment(cfg);
     ADD_FAILURE() << "run_experiment returned normally";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("size mismatch"),

@@ -23,12 +23,13 @@
 #include <thread>
 #include <vector>
 
-#include "bench_support/run_experiment.hpp"
 #include "field/field.hpp"
 #include "par/engine.hpp"
 #include "par/graph_cache.hpp"
+#include "par/sim_context.hpp"
 #include "par/site_table.hpp"
 #include "par/thread_pool.hpp"
+#include "run/run_experiment.hpp"
 #include "service/job_server.hpp"
 #include "variants/code_version.hpp"
 
@@ -177,10 +178,13 @@ TEST(SharedPool, AlternatingLaunchesMatchOwnedPoolResults) {
     field::Field f(eng, "svc_pool_ref", kN, kN, kN);
     ref = checkerboard_sum(eng, f, "ref", kN);
   }
-  // Two engines alternating launches over one borrowed pool.
+  // Two engines alternating launches over one pool borrowed through their
+  // context.
   par::ThreadPool pool(3);
+  par::SimContext ctx;
+  ctx.set_shared_pool(&pool);
   par::EngineConfig cfg;
-  cfg.shared_pool = &pool;
+  cfg.ctx = &ctx;
   par::Engine ea(cfg), eb(cfg);
   field::Field fa(ea, "svc_pool_a", kN, kN, kN);
   field::Field fb(eb, "svc_pool_b", kN, kN, kN);
@@ -202,13 +206,15 @@ TEST(SharedPool, ConcurrentEnginesOnOnePoolStayDeterministic) {
     ref = checkerboard_sum(eng, f, "ref", kN);
   }
   par::ThreadPool pool(4);
+  par::SimContext ctx;
+  ctx.set_shared_pool(&pool);
   std::vector<std::vector<real>> sums(kEngines);
   std::vector<std::thread> threads;
   threads.reserve(kEngines);
   for (int e = 0; e < kEngines; ++e) {
     threads.emplace_back([&, e] {
       par::EngineConfig cfg;
-      cfg.shared_pool = &pool;
+      cfg.ctx = &ctx;
       par::Engine eng(cfg);
       field::Field f(eng, "svc_conc_" + std::to_string(e), kN, kN, kN);
       for (int r = 0; r < kRounds; ++r)
@@ -226,8 +232,8 @@ TEST(SharedPool, ConcurrentEnginesOnOnePoolStayDeterministic) {
 // ---------------------------------------------------------------------
 // 3. Service-layer determinism: serving must not change the physics.
 
-bench_support::ExperimentConfig det_cfg() {
-  bench_support::ExperimentConfig cfg;
+run::ExperimentConfig det_cfg() {
+  run::ExperimentConfig cfg;
   cfg.version = variants::CodeVersion::A;
   cfg.nranks = 2;
   cfg.grid = bench_support::bench_grid();
@@ -240,8 +246,8 @@ bench_support::ExperimentConfig det_cfg() {
   return cfg;
 }
 
-void expect_same_run(const bench_support::ExperimentResult& a,
-                     const bench_support::ExperimentResult& b, i64 job) {
+void expect_same_run(const run::ExperimentResult& a,
+                     const run::ExperimentResult& b, i64 job) {
   EXPECT_EQ(std::memcmp(&a.final_diag, &b.final_diag, sizeof(a.final_diag)),
             0)
       << "job " << job << ": diagnostics differ";
@@ -266,15 +272,15 @@ TEST(ServiceDeterminism, FourSimultaneousJobsMatchWarmSerialRun) {
   // with a pre-populated local GraphCache and an injected field — then
   // serving concurrency is the only variable left.
   par::GraphCache gcache;
-  bench_support::BoundaryFields fields;
+  run::BoundaryFields fields;
   auto warmup = cfg;
   warmup.graph_cache = &gcache;
   warmup.boundary_out = &fields;
-  (void)bench_support::run_experiment(warmup);
+  (void)run::run_experiment(warmup);
   auto warm = cfg;
   warm.graph_cache = &gcache;
   warm.boundary_fields = &fields;
-  const auto ref = bench_support::run_experiment(warm);
+  const auto ref = run::run_experiment(warm);
 
   service::JobServerConfig scfg;
   scfg.workers = 4;
@@ -311,7 +317,7 @@ TEST(ServiceDeterminism, ColdServedJobMatchesPlainSerialRun) {
   // serial run bit for bit.
   auto cfg = det_cfg();
   cfg.boundary.seed = 78;
-  const auto ref = bench_support::run_experiment(cfg);
+  const auto ref = run::run_experiment(cfg);
 
   service::JobServerConfig scfg;
   scfg.workers = 1;

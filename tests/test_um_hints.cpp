@@ -13,9 +13,9 @@
 
 #include "analysis/diagnostics.hpp"
 #include "analysis/stream_capture.hpp"
-#include "bench_support/run_experiment.hpp"
 #include "field/field.hpp"
 #include "par/engine.hpp"
+#include "run/run_experiment.hpp"
 #include "variants/code_version.hpp"
 
 namespace simas {
@@ -240,7 +240,7 @@ TEST(HintDifferential, PhysicsBitIdenticalWithAndWithoutHints) {
       variants::CodeVersion::D2XU};
   for (int trial = 0; trial < 3; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
-    bench_support::ExperimentConfig cfg;
+    run::ExperimentConfig cfg;
     cfg.version = um_versions[trial % 3];
     cfg.nranks = 1 + static_cast<int>(rng() % 3);
     cfg.grid.nr = 12 + static_cast<int>(rng() % 4);
@@ -251,9 +251,9 @@ TEST(HintDifferential, PhysicsBitIdenticalWithAndWithoutHints) {
     cfg.overlap_halo = (rng() % 2) == 0;
 
     cfg.um_hints = false;
-    const auto off = bench_support::run_experiment(cfg);
+    const auto off = run::run_experiment(cfg);
     cfg.um_hints = true;
-    const auto on = bench_support::run_experiment(cfg);
+    const auto on = run::run_experiment(cfg);
 
     EXPECT_EQ(off.final_diag.total_mass, on.final_diag.total_mass);
     EXPECT_EQ(off.final_diag.kinetic_energy, on.final_diag.kinetic_energy);

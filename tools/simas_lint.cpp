@@ -44,10 +44,10 @@
 #include <vector>
 
 #include "analysis/diagnostics.hpp"
-#include "bench_support/run_experiment.hpp"
 #include "bench_support/write_file.hpp"
 #include "gpusim/device_spec.hpp"
 #include "par/compiler_personality.hpp"
+#include "run/run_experiment.hpp"
 #include "util/json.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
           for (const int hints : hint_modes) {
             if (hints != 0 && !unified) continue;  // hints are a UM knob
             for (const int nranks : ranks) {
-              bench_support::ExperimentConfig cfg;
+              run::ExperimentConfig cfg;
               cfg.version = v;
               cfg.nranks = nranks;
               cfg.device = gpusim::device_spec(dc);
@@ -142,8 +142,7 @@ int main(int argc, char** argv) {
               cfg.overlap_halo = overlap != 0;
               cfg.um_hints = hints != 0;
               cfg.capture_stream = true;
-              const bench_support::ExperimentResult res =
-                  bench_support::run_experiment(cfg);
+              const run::ExperimentResult res = run::run_experiment(cfg);
 
               ConfigReport cr;
               cr.version = v;
