@@ -194,13 +194,9 @@ PhaseStats serve_batch(service::JobServer& server, int njobs,
       stats.physics_identical = false;
       // Physics divergence is a flight-recorder dump trigger: the ring
       // holds the stream/halo/data events leading up to this job.
-      const std::string& dump = server.context().env().flight_dump;
-      if (!dump.empty()) {
-        telemetry::FlightRecorder& fr = telemetry::FlightRecorder::process();
-        fr.note(telemetry::FlightNote::PhysicsDivergence,
-                r.spans.ctx.trace_id, r.id);
-        fr.dump_to_file(dump, "physics_divergence");
-      }
+      server.context().flight_incident(
+          telemetry::FlightNote::PhysicsDivergence, r.spans.ctx.trace_id,
+          r.id);
     }
     std::string span_why;
     if (!r.spans.complete(1e-6, &span_why)) {

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "mhd/eos.hpp"
 #include "mhd/ops.hpp"
 
 namespace simas::mhd {
@@ -35,11 +36,10 @@ real cfl_timestep(MhdContext& c) {
        par::in(st.bct.id(), par::Span::Interior),
        par::in(st.bcp.id(), par::Span::Interior)},
       [&](idx i, idx j, idx k) -> real {
-        const real rho = std::max<real>(st.rho(i, j, k), 1.0e-12);
-        const real cs2 = gamma * std::max<real>(st.temp(i, j, k), 0.0);
         const real b2 = sq(st.bcr(i, j, k)) + sq(st.bct(i, j, k)) +
                         sq(st.bcp(i, j, k));
-        const real vf = std::sqrt(cs2 + b2 / rho);
+        const real vf =
+            fast_speed(gamma, st.temp(i, j, k), b2, st.rho(i, j, k));
         const real hr = lg.drc(i);
         const real ht = lg.rc(i) * lg.dtc(j);
         const real hp = lg.rc(i) * lg.stc(j) * lg.dph();

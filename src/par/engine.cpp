@@ -1,6 +1,7 @@
 #include "par/engine.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <utility>
 
@@ -9,20 +10,18 @@
 #include "analysis/validator.hpp"
 #include "par/graph_cache.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "util/logging.hpp"
 
 namespace simas::par {
 
 Engine::Engine(EngineConfig cfg)
     : cfg_(cfg),
+      ctx_(cfg.ctx != nullptr ? *cfg.ctx : SimContext::process()),
       cost_(cfg.device),
       mem_(cfg.memory, &cost_, &ledger_),
       sched_(SchedulerContext{&cfg_, &cost_, &ledger_, &mem_, &tracer_,
                               &metrics_, &profiler_}) {
-  const SimContext& ctx = cfg_.ctx != nullptr ? *cfg_.ctx
-                                              : SimContext::process();
   // Execution threads: borrow the context's shared pool, else own one.
-  if (ThreadPool* shared = ctx.shared_pool(); shared != nullptr) {
+  if (ThreadPool* shared = ctx_.shared_pool(); shared != nullptr) {
     pool_ = shared;
   } else {
     owned_pool_ = std::make_unique<ThreadPool>(cfg_.host_threads);
@@ -40,11 +39,7 @@ Engine::Engine(EngineConfig cfg)
   }
   // Environment overrides come from the context's one-time snapshot, not
   // from getenv(): engines never observe ambient process state directly.
-  if (ctx.env().validate) cfg_.validate = true;
-  if (ctx.env().validate_fatal) {
-    cfg_.validate = true;
-    cfg_.validate_fatal = true;
-  }
+  if (ctx_.env().validate || ctx_.env().validate_fatal) cfg_.validate = true;
   metrics_.bind(registry_);
   if (cfg_.validate) {
     validator_ = std::make_unique<analysis::Validator>(cfg_, mem_);
@@ -68,24 +63,23 @@ void Engine::FlightMemObserver::on_data_event(gpusim::DataEvent ev,
 Engine::~Engine() {
   mem_.set_observer(nullptr);
   if (validator_ == nullptr) return;
-  const analysis::ValidationReport report = validator_->take();
+  const analysis::ValidationReport report = take_validation_report();
   if (!report.diagnostics.empty()) {
-    for (const analysis::Diagnostic& d : report.diagnostics) {
-      if (d.severity == analysis::Severity::Error)
-        log_error(d.to_string());
-      else
-        log_warn(d.to_string());
-    }
-    log_warn("validator: " + std::to_string(report.errors()) + " error(s), " +
-             std::to_string(report.warnings()) + " warning(s) over " +
-             std::to_string(report.ops_checked) + " ops");
+    for (const analysis::Diagnostic& d : report.diagnostics)
+      std::fprintf(stderr, "[%s] %s\n",
+                   d.severity == analysis::Severity::Error ? "ERROR" : "WARN",
+                   d.to_string().c_str());
+    std::fprintf(stderr,
+                 "[WARN] validator: %d error(s), %d warning(s) over %lld "
+                 "ops\n",
+                 report.errors(), report.warnings(),
+                 static_cast<long long>(report.ops_checked));
   }
-  maybe_flight_dump(report);
-  if (cfg_.validate_fatal && report.errors() > 0) {
+  if (ctx_.env().validate_fatal && report.errors() > 0) {
     std::fprintf(stderr,
                  "simas: SIMAS_VALIDATE_FATAL set and the kernel-stream "
                  "validator recorded %d error(s); aborting\n",
-                 static_cast<int>(report.errors()));
+                 report.errors());
     std::abort();
   }
 }
@@ -93,19 +87,10 @@ Engine::~Engine() {
 analysis::ValidationReport Engine::take_validation_report() {
   if (validator_ == nullptr) return {};
   analysis::ValidationReport report = validator_->take();
-  maybe_flight_dump(report);
+  if (report.errors() > 0)
+    ctx_.flight_incident(telemetry::FlightNote::ValidatorError,
+                         cfg_.trace_id, report.errors());
   return report;
-}
-
-void Engine::maybe_flight_dump(const analysis::ValidationReport& report) {
-  if (report.errors() == 0) return;
-  const SimContext& ctx =
-      cfg_.ctx != nullptr ? *cfg_.ctx : SimContext::process();
-  if (ctx.env().flight_dump.empty()) return;
-  telemetry::FlightRecorder& fr = telemetry::FlightRecorder::process();
-  fr.note(telemetry::FlightNote::ValidatorError, cfg_.trace_id,
-          report.errors());
-  fr.dump_to_file(ctx.env().flight_dump, "validator_error");
 }
 
 analysis::ValidationReport Engine::static_verify() const {
@@ -247,8 +232,8 @@ void Engine::graph_begin(const std::string& name) {
     // First entry into this scope: seed from the cross-engine cache so
     // jobs of identical shape replay from their very first pass. The
     // local copy is engine-owned; divergence invalidates it locally only.
-    if (const CapturedGraph* cached =
-            cfg_.graph_cache->find(cfg_.graph_cache_scope, name)) {
+    if (const auto cached = cfg_.graph_cache->find(
+            GraphCache::key(cfg_.graph_cache_scope, name))) {
       *active_graph_ = *cached;
       graph_stats_.cache_seeds++;
     }
@@ -284,8 +269,11 @@ void Engine::graph_end() {
       // Publish finished captures for engines of the same shape
       // (first-wins; identical captures by construction, so losing the
       // race is harmless).
+      assert(active_graph_->captured());
       if (cfg_.graph_cache != nullptr)
-        cfg_.graph_cache->publish(cfg_.graph_cache_scope, *active_graph_);
+        cfg_.graph_cache->publish(
+            GraphCache::key(cfg_.graph_cache_scope, active_graph_->name()),
+            *active_graph_);
       break;
     case GraphMode::Replay:
       sched_.set_replay_active(false);

@@ -285,9 +285,6 @@ class Engine {
   /// order. Ops then go on to graph capture/replay and the scheduler.
   void emit(StreamEvent ev);
   void diverge();
-  /// Dump the process flight recorder when a drained validation report
-  /// carries errors and the context's SIMAS_FLIGHT_DUMP path is set.
-  void maybe_flight_dump(const analysis::ValidationReport& report);
 #ifdef SIMAS_ELEMENT_SHADOW
   // Validator body brackets (no-ops when validation is off); defined in
   // engine.cpp so this header needs only the forward declaration.
@@ -550,6 +547,8 @@ class Engine {
   };
 
   EngineConfig cfg_;
+  /// cfg.ctx, or SimContext::process() when unset; resolved once.
+  const SimContext& ctx_;
   gpusim::ClockLedger ledger_;
   gpusim::CostModel cost_;
   gpusim::MemoryManager mem_;

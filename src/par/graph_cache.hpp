@@ -9,51 +9,28 @@
 // cache by an experiment shape string plus rank, so jobs of identical
 // shape skip the capture pass entirely: their first PCG pass replays.
 //
-// Publication is first-wins: concurrent engines capturing the same scope
-// race benignly (both captures are identical by construction; the second
-// publish is dropped). Lookups copy the graph into the engine under the
-// cache mutex — the engine then owns its copy and mutates it freely
-// (invalidation on divergence stays engine-local and never poisons the
-// cache).
+// Publication is first-wins (util/first_wins_store.hpp): concurrent
+// engines capturing the same scope race benignly (both captures are
+// identical by construction; the second publish is dropped). Only
+// finalized captures are published. A lookup hands out a shared pointer
+// to the immutable entry; the engine copies it into its own graph outside
+// the cache mutex and then mutates that copy freely (invalidation on
+// divergence stays engine-local and never poisons the cache).
 
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "par/stream.hpp"
-#include "util/types.hpp"
+#include "util/first_wins_store.hpp"
 
 namespace simas::par {
 
-class GraphCache {
+class GraphCache : public FirstWinsStore<std::string, CapturedGraph> {
  public:
-  struct Stats {
-    i64 hits = 0;       ///< lookups that found a captured graph
-    i64 misses = 0;     ///< lookups that found nothing
-    i64 publishes = 0;  ///< graphs stored
-    i64 duplicates = 0; ///< publishes dropped (first-wins)
-  };
-
-  /// Captured graph for (scope, name), or nullptr. The returned pointer
-  /// stays valid for the cache's lifetime (entries are never removed).
-  const CapturedGraph* find(const std::string& scope,
-                            const std::string& name);
-
-  /// Store a finished capture; returns false if an entry already exists
-  /// (first publisher wins).
-  bool publish(const std::string& scope, const CapturedGraph& graph);
-
-  Stats stats() const;
-
- private:
+  /// Entry key of graph `name` captured under engine scope `scope`
+  /// (EngineConfig::graph_cache_scope).
   static std::string key(const std::string& scope, const std::string& name) {
     return scope + '\x1f' + name;
   }
-
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, std::unique_ptr<CapturedGraph>> map_;
-  Stats stats_;
 };
 
 }  // namespace simas::par

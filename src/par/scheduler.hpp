@@ -61,13 +61,11 @@ struct EngineConfig {
   double wrapper_init_overhead = 0.0;
   /// Run the kernel-stream validator (analysis/validator.hpp) over the op
   /// stream: coherence, access-list, and DC-legality checking. Also
-  /// enabled by the SIMAS_VALIDATE environment variable. Validation never
-  /// changes modeled time.
+  /// enabled by the SIMAS_VALIDATE and SIMAS_VALIDATE_FATAL environment
+  /// variables; the latter also aborts at Engine teardown if the
+  /// validator recorded errors not drained by take_validation_report().
+  /// Validation never changes modeled time.
   bool validate = false;
-  /// Abort at Engine teardown if the validator recorded any errors
-  /// (SIMAS_VALIDATE_FATAL). Reports drained via take_validation_report()
-  /// before teardown do not trip this.
-  bool validate_fatal = false;
   /// Record the full event trace — IR ops, Manual-mode data events, halo
   /// begin/finish windows — into an analysis::StreamCapture for
   /// ahead-of-run static verification (Engine::static_verify). Recording
@@ -97,8 +95,8 @@ struct EngineConfig {
   CompilerPersonality personality = CompilerPersonality::Nvfortran;
 
   // ---- Re-entrancy / service-layer wiring (see par/sim_context.hpp) ----
-  /// Context the engine runs under: environment snapshot, site table,
-  /// optional shared host pool. nullptr = SimContext::process() (the
+  /// Context the engine runs under: environment snapshot, optional shared
+  /// host pool, flight-dump trigger. nullptr = SimContext::process() (the
   /// immutable process-default context). When the context carries a
   /// shared pool the engine borrows it for kernel execution instead of
   /// owning `host_threads` worker threads; the pool must outlive the

@@ -313,22 +313,15 @@ void finish(const RunPlan& plan, ExperimentResult& result) {
   for (const auto& r : result.ranks) result.metrics.merge_from(r.metrics);
 
   // Flight-recorder dump triggers owned by this layer: a static-verifier
-  // error, or the explicit SIMAS_FLIGHT_DUMP end-of-run request.
-  const std::string& dump_path = plan.ctx.env().flight_dump;
-  if (!dump_path.empty()) {
-    i64 static_errors = 0;
-    for (const auto& rep : result.static_reports)
-      static_errors += rep.errors();
-    telemetry::FlightRecorder& fr = telemetry::FlightRecorder::process();
-    if (static_errors > 0) {
-      fr.note(telemetry::FlightNote::StaticVerifierError, cfg.trace.trace_id,
-              static_errors);
-      fr.dump_to_file(dump_path, "static_verifier_error");
-    } else {
-      fr.note(telemetry::FlightNote::ExplicitDump, cfg.trace.trace_id);
-      fr.dump_to_file(dump_path, "explicit_request");
-    }
-  }
+  // error, or else the explicit SIMAS_FLIGHT_DUMP end-of-run request.
+  i64 static_errors = 0;
+  for (const auto& rep : result.static_reports) static_errors += rep.errors();
+  if (static_errors > 0)
+    plan.ctx.flight_incident(telemetry::FlightNote::StaticVerifierError,
+                             cfg.trace.trace_id, static_errors);
+  else
+    plan.ctx.flight_incident(telemetry::FlightNote::ExplicitDump,
+                             cfg.trace.trace_id);
 
   // SIMAS_PROFILE prints the merged profile; read from the one-time env
   // snapshot, never from getenv() mid-run.

@@ -1,7 +1,6 @@
 #include "service/field_cache.hpp"
 
 #include <type_traits>
-#include <utility>
 
 namespace simas::service {
 
@@ -32,39 +31,6 @@ u64 FieldCache::key_for(const run::ExperimentConfig& cfg) {
   h = mix(h, bits_of(cfg.grid.r_stretch));
   h = mix(h, static_cast<u64>(cfg.nranks));
   return h;
-}
-
-std::shared_ptr<const run::BoundaryFields> FieldCache::find(u64 key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = map_.find(key);
-  if (it == map_.end()) {
-    stats_.misses++;
-    return nullptr;
-  }
-  stats_.hits++;
-  return it->second;
-}
-
-std::shared_ptr<const run::BoundaryFields> FieldCache::insert(
-    u64 key, run::BoundaryFields&& fields) {
-  auto entry = std::make_shared<const run::BoundaryFields>(std::move(fields));
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto [it, inserted] = map_.try_emplace(key, std::move(entry));
-  if (inserted)
-    stats_.inserts++;
-  else
-    stats_.duplicates++;
-  return it->second;
-}
-
-std::size_t FieldCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return map_.size();
-}
-
-FieldCache::Stats FieldCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
 }
 
 }  // namespace simas::service

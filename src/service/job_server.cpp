@@ -3,12 +3,26 @@
 #include <algorithm>
 #include <array>
 #include <exception>
+#include <string>
 #include <utility>
 
 #include "bench_support/host_threads.hpp"
 #include "telemetry/flight_recorder.hpp"
 
 namespace simas::service {
+
+namespace {
+
+/// Publish one cross-job cache's counters as `<cache>.hits`,
+/// `<cache>.misses` and `<cache>.<publishes>`.
+void export_cache(telemetry::Registry& reg, const std::string& cache,
+                  const char* publishes, const FirstWinsStats& s) {
+  reg.counter(cache + ".hits").set(s.hits);
+  reg.counter(cache + ".misses").set(s.misses);
+  reg.counter(cache + "." + publishes).set(s.publishes);
+}
+
+}  // namespace
 
 JobServer::JobServer(JobServerConfig cfg)
     : cfg_(cfg),
@@ -160,7 +174,7 @@ JobResult JobServer::run_job(JobDescription desc, double submitted_at,
     r.result = run::run_experiment(ecfg);
     r.ok = true;
     if (ecfg.boundary_out != nullptr)
-      field_cache_.insert(FieldCache::key_for(ecfg), std::move(solved));
+      field_cache_.publish(FieldCache::key_for(ecfg), std::move(solved));
   } catch (const std::exception& e) {
     r.error = e.what();
   } catch (...) {
@@ -184,11 +198,9 @@ JobResult JobServer::run_job(JobDescription desc, double submitted_at,
 
   // A failed job is a flight-dump trigger when SIMAS_FLIGHT_DUMP is set:
   // the ring still holds the events leading up to the failure.
-  if (!r.ok && !ctx_.env().flight_dump.empty()) {
-    telemetry::FlightRecorder& fr = telemetry::FlightRecorder::process();
-    fr.note(telemetry::FlightNote::JobFailed, trace.trace_id, r.id);
-    fr.dump_to_file(ctx_.env().flight_dump, "job_failed");
-  }
+  if (!r.ok)
+    ctx_.flight_incident(telemetry::FlightNote::JobFailed, trace.trace_id,
+                         r.id);
   return r;
 }
 
@@ -218,14 +230,8 @@ std::vector<telemetry::JobSpanRecord> JobServer::recent_completed() const {
 
 telemetry::MetricsSnapshot JobServer::metrics() {
   std::lock_guard<std::mutex> lock(metrics_mutex_);
-  const FieldCache::Stats fc = field_cache_.stats();
-  registry_.counter("field_cache.hits").set(fc.hits);
-  registry_.counter("field_cache.misses").set(fc.misses);
-  registry_.counter("field_cache.inserts").set(fc.inserts);
-  const par::GraphCache::Stats gc = graph_cache_.stats();
-  registry_.counter("graph_cache.hits").set(gc.hits);
-  registry_.counter("graph_cache.misses").set(gc.misses);
-  registry_.counter("graph_cache.publishes").set(gc.publishes);
+  export_cache(registry_, "field_cache", "inserts", field_cache_.stats());
+  export_cache(registry_, "graph_cache", "publishes", graph_cache_.stats());
   const AdmissionQueue::Stats qs = queue_.stats();
   registry_.counter("queue.accepted").set(qs.accepted);
   registry_.counter("queue.rejected").set(qs.rejected);

@@ -153,11 +153,9 @@ par::EngineConfig engine_config(CodeVersion v, gpusim::DeviceSpec device,
   }
   cfg.device = std::move(device);
   cfg.host_threads = host_threads;
-  // Kernel fusion and async launches are OpenACC features; they only apply
-  // when plain loops are still OpenACC (Code 1). DC loops fission and
-  // launch synchronously (paper Sec. IV-B).
-  cfg.fusion_enabled = t.acc_parallel_loops;
-  cfg.async_enabled = t.acc_parallel_loops;
+  // Kernel fusion and async launches (OpenACC features, Code 1 only) are
+  // resolved from loops and gpu by par::lowering_policy; fusion_enabled
+  // and async_enabled stay on as the ablation inputs.
   // Code 6's wrapper routines add array-initialization kernels the
   // original code did not have (paper Sec. V-C: "a bit slower than
   // Code 2 (AD)... likely due to additional array initialization

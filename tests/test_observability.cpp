@@ -537,6 +537,100 @@ TEST(ObservabilityFlightDump, SeededValidatorErrorDumpsWithProvenance) {
   std::remove(path.c_str());
 }
 
+// Every trigger goes through SimContext::flight_incident: the dump's
+// reason is the name of the note it records.
+
+json::Value read_flight_dump(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "flight dump not written to " << path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  json::Value doc;
+  std::string err;
+  EXPECT_TRUE(json::parse(buf.str(), &doc, &err)) << err;
+  return doc;
+}
+
+/// The newest note event carrying `trace_id`, or nullptr.
+const json::Value* find_note(const json::Value& doc, u64 trace_id) {
+  const json::Value* found = nullptr;
+  const json::Value* events = doc.find("events");
+  if (events == nullptr) return nullptr;
+  for (const json::Value& ev : events->as_array()) {
+    if (ev.find("note") != nullptr &&
+        ev.find("trace_id")->as_number() == static_cast<double>(trace_id))
+      found = &ev;
+  }
+  return found;
+}
+
+TEST(ObservabilityFlightDump, EveryTriggerNamesItsNote) {
+  const std::string path = ::testing::TempDir() + "simas_flight_triggers.json";
+  par::EnvConfig env;
+  env.flight_dump = path;
+  par::SimContext ctx(env);
+
+  run::ExperimentConfig cfg;
+  cfg.version = variants::CodeVersion::A;
+  cfg.nranks = 2;
+  cfg.grid = bench_support::bench_grid();
+  cfg.warmup_steps = 0;
+  cfg.measure_steps = 1;
+
+  // (a) The explicit end-of-run dump of a clean run.
+  {
+    std::remove(path.c_str());
+    run::ExperimentConfig run_cfg = cfg;
+    run_cfg.ctx = &ctx;
+    run_cfg.trace = TraceContext::mint();
+    (void)run::run_experiment(run_cfg);
+    const json::Value doc = read_flight_dump(path);
+    ASSERT_NE(doc.find("reason"), nullptr);
+    EXPECT_EQ(doc.find("reason")->as_string(), "explicit_dump");
+    const json::Value* note = find_note(doc, run_cfg.trace.trace_id);
+    ASSERT_NE(note, nullptr);
+    EXPECT_EQ(note->find("note")->as_string(), "explicit_dump");
+  }
+
+  // (b) A job that fails on a corrupt field-cache entry (rank 1's field
+  // is one element short).
+  {
+    cfg.boundary.enabled = true;
+    cfg.boundary.seed = 57;
+    cfg.boundary.tol = 1.0e-4;
+    run::BoundaryFields fields;
+    run::ExperimentConfig solving = cfg;  // process context: no dump
+    solving.boundary_out = &fields;
+    (void)run::run_experiment(solving);
+    fields.ranks.at(1).br.pop_back();
+
+    std::remove(path.c_str());
+    service::JobServerConfig scfg;
+    scfg.ctx = &ctx;
+    scfg.workers = 1;
+    scfg.host_threads_total = 2;
+    scfg.trace = true;
+    service::JobServer server(scfg);
+    server.field_cache().publish(service::FieldCache::key_for(cfg),
+                                 std::move(fields));
+    service::JobDescription d;
+    d.id = 7;
+    d.config = cfg;
+    ASSERT_TRUE(server.submit(std::move(d)));
+    const auto results = server.drain();
+    ASSERT_EQ(results.size(), 1u);
+    ASSERT_FALSE(results[0].ok);
+    const json::Value doc = read_flight_dump(path);
+    ASSERT_NE(doc.find("reason"), nullptr);
+    EXPECT_EQ(doc.find("reason")->as_string(), "job_failed");
+    const json::Value* note = find_note(doc, results[0].spans.ctx.trace_id);
+    ASSERT_NE(note, nullptr);
+    EXPECT_EQ(note->find("note")->as_string(), "job_failed");
+    EXPECT_EQ(note->find("payload")->as_number(), 7.0);
+  }
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------
 // Metrics registry: bucket audit + snapshot-while-writing discipline.
 

@@ -192,17 +192,17 @@ TEST(FieldCache, FirstInsertWinsAndHitsAreCounted) {
   EXPECT_EQ(cache.find(99), nullptr);  // miss
   run::BoundaryFields a;
   a.nranks = 1;
-  const auto first = cache.insert(99, std::move(a));
+  const auto first = cache.publish(99, std::move(a));
   run::BoundaryFields b;
   b.nranks = 2;
-  const auto second = cache.insert(99, std::move(b));
+  const auto second = cache.publish(99, std::move(b));
   EXPECT_EQ(first.get(), second.get());  // first publisher won
   EXPECT_EQ(second->nranks, 1);
   EXPECT_EQ(cache.find(99).get(), first.get());
   const auto s = cache.stats();
   EXPECT_EQ(s.misses, 1);
   EXPECT_EQ(s.hits, 1);
-  EXPECT_EQ(s.inserts, 1);
+  EXPECT_EQ(s.publishes, 1);
   EXPECT_EQ(s.duplicates, 1);
   EXPECT_EQ(cache.size(), 1u);
 }
@@ -212,18 +212,19 @@ TEST(FieldCache, FirstInsertWinsAndHitsAreCounted) {
 
 TEST(GraphCache, PublishFindAndFirstWins) {
   par::GraphCache cache;
-  EXPECT_EQ(cache.find("scope", "pcg"), nullptr);
+  const std::string key = par::GraphCache::key("scope", "pcg");
+  EXPECT_EQ(cache.find(key), nullptr);
   par::CapturedGraph g("pcg");
   g.begin_capture();
   g.append(par::StreamOp{par::SyncOp{}});
   g.finalize();
-  EXPECT_TRUE(cache.publish("scope", g));
-  EXPECT_FALSE(cache.publish("scope", g));  // duplicate dropped
-  const par::CapturedGraph* found = cache.find("scope", "pcg");
+  const auto first = cache.publish(key, g);
+  EXPECT_EQ(cache.publish(key, g), first);  // duplicate dropped
+  const auto found = cache.find(key);
   ASSERT_NE(found, nullptr);
   EXPECT_TRUE(found->captured());
   EXPECT_EQ(found->size(), 1u);
-  EXPECT_EQ(cache.find("other_scope", "pcg"), nullptr);
+  EXPECT_EQ(cache.find(par::GraphCache::key("other_scope", "pcg")), nullptr);
   const auto s = cache.stats();
   EXPECT_EQ(s.publishes, 1);
   EXPECT_EQ(s.duplicates, 1);
@@ -239,7 +240,6 @@ TEST(SimContext, ProcessContextIsStableAndUsesProcessSnapshot) {
   const par::SimContext& b = par::SimContext::process();
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(a.env().host_threads, par::EnvConfig::process().host_threads);
-  EXPECT_EQ(&a.sites(), &par::SiteTable::process());
   EXPECT_EQ(a.shared_pool(), nullptr);
 }
 
@@ -453,8 +453,8 @@ TEST(JobServer, CorruptFieldCacheEntryFailsTheJob) {
   scfg.workers = 1;
   scfg.host_threads_total = 2;
   service::JobServer server(scfg);
-  server.field_cache().insert(service::FieldCache::key_for(cfg),
-                              short_rank1_fields(cfg));
+  server.field_cache().publish(service::FieldCache::key_for(cfg),
+                               short_rank1_fields(cfg));
   service::JobDescription d;
   d.id = 1;
   d.config = cfg;

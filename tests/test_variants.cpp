@@ -146,8 +146,9 @@ TEST(EngineConfig, FusionAndAsyncOnlyForCode1) {
   for (const auto v : gpu_versions()) {
     const auto cfg = engine_config(v, gpusim::a100_40gb());
     const bool is_acc = (v == CodeVersion::A);
-    EXPECT_EQ(cfg.fusion_enabled, is_acc) << version_tag(v);
-    EXPECT_EQ(cfg.async_enabled, is_acc) << version_tag(v);
+    const par::LoweringPolicy policy = par::lowering_policy(cfg);
+    EXPECT_EQ(policy.fuse, is_acc) << version_tag(v);
+    EXPECT_EQ(policy.async, is_acc) << version_tag(v);
   }
 }
 
