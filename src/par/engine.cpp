@@ -18,15 +18,14 @@ Engine::Engine(EngineConfig cfg)
       ctx_(cfg.ctx != nullptr ? *cfg.ctx : SimContext::process()),
       cost_(cfg.device),
       mem_(cfg.memory, &cost_, &ledger_),
+      // Execution threads: borrow the context's shared pool, else own one.
+      owned_pool_(ctx_.shared_pool() != nullptr
+                      ? nullptr
+                      : std::make_unique<ThreadPool>(cfg_.host_threads)),
+      pool_(owned_pool_ != nullptr ? owned_pool_.get() : ctx_.shared_pool()),
+      pool_lease_(*pool_),
       sched_(SchedulerContext{&cfg_, &cost_, &ledger_, &mem_, &tracer_,
                               &metrics_, &profiler_}) {
-  // Execution threads: borrow the context's shared pool, else own one.
-  if (ThreadPool* shared = ctx_.shared_pool(); shared != nullptr) {
-    pool_ = shared;
-  } else {
-    owned_pool_ = std::make_unique<ThreadPool>(cfg_.host_threads);
-    pool_ = owned_pool_.get();
-  }
   if (mem_.unified()) {
     // Paging pressure costs some sustained bandwidth even once resident
     // (observed as the modest non-MPI slowdown of the UM codes, Fig. 3).

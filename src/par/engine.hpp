@@ -80,6 +80,8 @@ class Engine {
   gpusim::CostModel& cost() { return cost_; }
   gpusim::MemoryManager& memory() { return mem_; }
   trace::Recorder& tracer() { return tracer_; }
+  /// The pool kernel bodies run on (owned, or the context's shared one).
+  const ThreadPool& pool() const { return *pool_; }
 
   /// Snapshot view of the engine.* counter family, synthesized from the
   /// telemetry registry (the store of record).
@@ -558,9 +560,11 @@ class Engine {
   /// engines multiplexing one host-thread budget) or owned. The
   /// multi-job pool makes concurrent run_blocks from several engines
   /// safe; determinism is unaffected either way (partitioning is
-  /// caller-defined, the pool only places blocks).
+  /// caller-defined, the pool only places blocks). The lease counts this
+  /// engine among the pool's callers for its spin gate.
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_ = nullptr;
+  ThreadPool::Lease pool_lease_;
   /// Store of record for every per-rank metric (see DESIGN.md §13).
   telemetry::Registry registry_;
   /// Hot-path handles into registry_, bound once in the constructor.

@@ -5,7 +5,35 @@
 
 namespace simas::par {
 
-ThreadPool::ThreadPool(int nthreads) : nthreads_(std::max(1, nthreads)) {
+namespace {
+
+/// Spin-wait hint: lets the sibling hyperthread run and saves power.
+inline void cpu_pause() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Spin with cpu_pause() until done() or `budget` has passed. Reads the
+/// clock once per 64 pauses.
+template <class Done>
+void spin_until(std::chrono::microseconds budget, Done&& done) {
+  const auto deadline = std::chrono::steady_clock::now() + budget;
+  do {
+    for (int i = 0; i < 64; ++i) {
+      if (done()) return;
+      cpu_pause();
+    }
+  } while (std::chrono::steady_clock::now() < deadline);
+}
+
+}  // namespace
+
+ThreadPool::ThreadPool(int nthreads)
+    : nthreads_(std::max(1, nthreads)),
+      hardware_threads_(static_cast<int>(std::thread::hardware_concurrency())) {
   workers_.reserve(static_cast<std::size_t>(nthreads_ - 1));
   for (int t = 0; t < nthreads_ - 1; ++t) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -16,6 +44,8 @@ ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
+    // Spinning workers watch the epoch, not stop_.
+    epoch_.fetch_add(1, std::memory_order_relaxed);
   }
   cv_work_.notify_all();
   for (auto& w : workers_) w.join();
@@ -57,6 +87,20 @@ void ThreadPool::run_one(Job& job, i64 block) {
   }
 }
 
+bool ThreadPool::spin_allowed() const {
+  return std::max(attached(), 1) + (nthreads_ - 1) <= hardware_threads_;
+}
+
+ThreadPool::Job* ThreadPool::front_claimable() {
+  while (!active_.empty()) {
+    Job* front = active_.front();
+    if (front->next.load(std::memory_order_relaxed) < front->nblocks)
+      return front;
+    active_.erase(active_.begin());
+  }
+  return nullptr;
+}
+
 void ThreadPool::unlink(Job* job) {
   const auto it = std::find(active_.begin(), active_.end(), job);
   if (it != active_.end()) active_.erase(it);
@@ -75,18 +119,19 @@ void ThreadPool::run_blocks(i64 nblocks, FunctionRef<void(i64)> fn) {
   job.fn = fn;
   job.nblocks = nblocks;
 
-  // Publish: link the stack job into the active list. Workers only learn
-  // about a job under the mutex, so a worker that misses this publish
-  // simply never touches the job; the caller needs no worker to finish.
+  // Publish: link the stack job into the active list and bump the epoch.
+  // Workers only learn about a job under the mutex, so a worker that
+  // misses this publish simply never touches the job; the caller needs no
+  // worker to finish. Spinning workers see the epoch move; a parked one
+  // needs a wake, and it wakes the next (see worker_loop).
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     active_.push_back(&job);
+    epoch_.fetch_add(1, std::memory_order_relaxed);
+    wake = parked_ > 0;
   }
-  // Cascading wake: rouse one worker; each woken worker wakes the next
-  // only while unclaimed blocks remain (see worker_loop). For jobs the
-  // caller drains by itself this avoids stampeding every parked worker
-  // through the mutex for nothing.
-  cv_work_.notify_one();
+  if (wake) cv_work_.notify_one();
 
   // The calling thread participates as a worker for its own job. Claiming
   // a block is one atomic fetch-add, uncontended in the common case.
@@ -97,18 +142,22 @@ void ThreadPool::run_blocks(i64 nblocks, FunctionRef<void(i64)> fn) {
   }
 
   // Wait for stragglers: spin briefly (they are mid-block, typically
-  // microseconds away), then sleep on the CV for the long tail.
-  if (job.done.load(std::memory_order_seq_cst) != nblocks) {
-    for (int spin = 0; spin < 256; ++spin) {
-      std::this_thread::yield();
-      if (job.done.load(std::memory_order_seq_cst) == nblocks) break;
+  // microseconds away), then sleep on the CV for the long tail. Under the
+  // spin gate the spin pauses; otherwise it yields the core.
+  const auto all_done = [&] {
+    return job.done.load(std::memory_order_seq_cst) == nblocks;
+  };
+  if (!all_done()) {
+    if (spin_allowed()) {
+      spin_until(kSpinBudget, all_done);
+    } else {
+      for (int spin = 0; spin < 256 && !all_done(); ++spin)
+        std::this_thread::yield();
     }
-    if (job.done.load(std::memory_order_seq_cst) != nblocks) {
+    if (!all_done()) {
       std::unique_lock<std::mutex> lock(mutex_);
       job.caller_waiting.store(true, std::memory_order_seq_cst);
-      cv_done_.wait(lock, [&] {
-        return job.done.load(std::memory_order_seq_cst) == nblocks;
-      });
+      cv_done_.wait(lock, all_done);
       job.caller_waiting.store(false, std::memory_order_seq_cst);
     }
   }
@@ -140,36 +189,48 @@ void ThreadPool::run_blocks(i64 nblocks, FunctionRef<void(i64)> fn) {
 }
 
 void ThreadPool::worker_loop() {
+  // `idle`: as of the last scan (under the mutex, at epoch `seen`), no
+  // job will hold unclaimed blocks once this worker's claim loop ends, so
+  // none can until a publish moves the epoch. Publishes bump the epoch
+  // under the mutex, so none can slip between a scan and the park.
+  u64 seen = 0;
+  bool idle = false;
+  const auto published = [&] {
+    return epoch_.load(std::memory_order_relaxed) != seen;
+  };
   for (;;) {
+    // Wait for the next publish off the mutex while the spin gate allows.
+    if (idle && spin_allowed()) spin_until(kSpinBudget, published);
     Job* job = nullptr;
+    bool wake_next = false;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      cv_work_.wait(lock, [&] { return stop_ || !active_.empty(); });
-      if (stop_) return;
-      // Front-of-list scan: prune exhausted jobs (their callers unlink
-      // them too, so this is belt-and-braces against a caller still
-      // spinning), pick the first with unclaimed blocks. Pruning inside
-      // the predicate's critical section keeps the wait from busy-looping
-      // on a list of exhausted jobs.
-      while (!active_.empty()) {
-        Job* front = active_.front();
-        if (front->next.load(std::memory_order_relaxed) >= front->nblocks) {
-          active_.erase(active_.begin());
-          continue;
-        }
-        job = front;
-        break;
+      if (idle && !published()) {
+        ++parked_;
+        cv_work_.wait(lock, [&] { return stop_ || published(); });
+        --parked_;
       }
-      if (job == nullptr) continue;  // list emptied: back to the wait
+      if (stop_) return;
+      job = front_claimable();
+      seen = epoch_.load(std::memory_order_relaxed);
+      if (job == nullptr) {
+        idle = true;
+        continue;
+      }
       // Register as a claimer *under the mutex*, while the job is still
       // linked: the job's caller unlinks under the mutex and then waits
       // for claimers to drain, so a registered claim holds the stack
       // frame alive until we deregister below.
       job->claimers.fetch_add(1, std::memory_order_acq_rel);
+      // Once this job is drained, only the jobs queued behind it can
+      // hold unclaimed blocks until the next publish.
+      idle = active_.size() == 1;
+      // Pass the wake on to a parked worker while blocks remain unclaimed
+      // (this job's, or another queued job's — the woken worker
+      // rescans). Spinning workers need no wake.
+      wake_next = parked_ > 0;
     }
-    // Continue the wake cascade while there is still unclaimed work
-    // (this job's, or another queued job's — the woken worker re-scans).
-    if (job->next.load(std::memory_order_relaxed) < job->nblocks)
+    if (wake_next && job->next.load(std::memory_order_relaxed) < job->nblocks)
       cv_work_.notify_one();
     for (;;) {
       const i64 b = job->next.fetch_add(1, std::memory_order_relaxed);

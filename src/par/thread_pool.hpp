@@ -12,14 +12,31 @@
 // free: with every worker busy elsewhere a job simply runs inline on its
 // caller.
 //
-// Hot-path protocol (no mutex, no allocation):
+// Hot-path protocol (no allocation):
 //  * block claiming  — one atomic fetch-add on the job's cursor per block;
 //  * completion      — one atomic fetch-add on the job's done-counter;
 //    the caller spins briefly on the counter, then sleeps on a CV.
-// The mutex + condition variables are used only at job *boundaries*: to
-// publish a job to sleeping workers and to sleep while waiting for
-// stragglers. Job handoff is a FunctionRef (two raw pointers) instead of
-// a std::function, so launching a job never heap-allocates.
+// The mutex guards only job *boundaries*: linking and unlinking a job,
+// registering a claimer, parking. Job handoff is a FunctionRef (two raw
+// pointers) instead of a std::function, so launching a job never
+// heap-allocates.
+//
+// Publish, spin, park: the caller links its job and bumps `epoch_`, both
+// under the mutex, and calls notify_one only if a worker is parked. A
+// worker that finds no unclaimed work spins on `epoch_` (with a CPU pause)
+// for up to kSpinBudget after the last publish it saw, and only then
+// parks on the CV, counted in `parked_`. So back-to-back launches find
+// their workers hot and pay no futex wake. A worker that drained the only
+// active job spins without retaking the mutex the caller needs to unlink.
+// A worker that claims a job while others are parked wakes one of them
+// if unclaimed blocks remain, so a burst after an idle gap still reaches
+// the whole pool.
+//
+// Spin gate: workers spin only while the pool's callers and its workers
+// fit on the hardware, max(attached, 1) + (width - 1) <= hardware
+// concurrency, where `attached` counts live Leases (one per Engine using
+// the pool). A pool shared by more engines than that (the JobServer's)
+// parks at once, so spinning never steals a core from a caller.
 //
 // Lifetime: a Job lives on its caller's stack. The caller unlinks it from
 // the active list under the mutex (so no *new* worker can reach it) and
@@ -33,6 +50,7 @@
 // is rethrown on the calling thread after the job completes.
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -60,7 +78,29 @@ class ThreadPool {
   /// threads concurrently; each call is an independent job.
   void run_blocks(i64 nblocks, FunctionRef<void(i64)> fn);
 
+  /// Registration of one caller (an Engine) for the spin gate: held for
+  /// the caller's lifetime, taken once at construction, never per launch.
+  class Lease {
+   public:
+    explicit Lease(ThreadPool& pool) : pool_(pool) {
+      pool_.attached_.fetch_add(1, std::memory_order_relaxed);
+    }
+    ~Lease() { pool_.attached_.fetch_sub(1, std::memory_order_relaxed); }
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+
+   private:
+    ThreadPool& pool_;
+  };
+
+  /// Live Leases on this pool.
+  int attached() const { return attached_.load(std::memory_order_relaxed); }
+
  private:
+  /// How long an idle worker (or a caller awaiting stragglers) spins
+  /// before it sleeps on a CV.
+  static constexpr std::chrono::microseconds kSpinBudget{50};
+
   /// One in-flight run_blocks() call, stack-allocated by the caller.
   struct Job {
     FunctionRef<void(i64)> fn;
@@ -84,6 +124,11 @@ class ThreadPool {
   };
 
   void worker_loop();
+  /// The spin gate: true while callers plus workers fit on the hardware.
+  bool spin_allowed() const;
+  /// First job in active_ with unclaimed blocks, pruning exhausted ones
+  /// (under lock); nullptr if none.
+  Job* front_claimable();
   /// Execute one claimed block: invoke, capture a thrown exception, count
   /// the block done, and wake the job's caller if it was the last one.
   void run_one(Job& job, i64 block);
@@ -92,6 +137,8 @@ class ThreadPool {
   void unlink(Job* job);
 
   int nthreads_;
+  int hardware_threads_;
+  std::atomic<int> attached_{0};
   std::vector<std::thread> workers_;
 
   // --- Job-boundary signalling only. active_ holds jobs that may still
@@ -100,6 +147,10 @@ class ThreadPool {
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
   std::vector<Job*> active_;  ///< guarded by mutex_
+  /// Bumped (under mutex_) by every publish and by the destructor; idle
+  /// workers spin on it without the mutex.
+  alignas(64) std::atomic<u64> epoch_{0};
+  int parked_ = 0;            ///< workers asleep in cv_work_; under mutex_
   bool stop_ = false;         // written under mutex_, read in waits
 };
 

@@ -1,17 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <new>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "par/engine.hpp"
+#include "par/sim_context.hpp"
 #include "par/site_table.hpp"
 #include "par/thread_pool.hpp"
+#include "watchdog.hpp"
 
 // Counting global allocator for this test binary: the steady-state kernel
 // launch path (pool dispatch, IR recording, reductions) must not
@@ -89,8 +94,9 @@ TEST(ThreadPool, FewerBlocksThanThreads) {
 }
 
 TEST(ThreadPool, RapidBackToBackJobsStress) {
-  // Hammers the job-boundary handoff: generation fencing, the claimers
-  // teardown fence, and the caller-sleep protocol under immediate reuse.
+  // Hammers the job-boundary handoff: the publish epoch seen by spinning
+  // workers, the claimers teardown fence, and the caller-sleep protocol
+  // under immediate reuse.
   ThreadPool pool(4);
   std::atomic<i64> total{0};
   i64 expected = 0;
@@ -101,6 +107,68 @@ TEST(ThreadPool, RapidBackToBackJobsStress) {
                     [&](i64) { total.fetch_add(1, std::memory_order_relaxed); });
   }
   EXPECT_EQ(total.load(), expected);
+}
+
+TEST(ThreadPool, IdleLongerThanSpinThenLaunch) {
+  // Each round sleeps well past the workers' spin budget, so they have
+  // parked: the launch must wake them (or run on its caller) and still
+  // run every block exactly once.
+  testutil::Watchdog watchdog(60);
+  ThreadPool pool(4);
+  for (int round = 0; round < 50; ++round) {
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+    std::vector<std::atomic<int>> hits(97);
+    pool.run_blocks(97, [&](i64 b) {
+      hits[static_cast<std::size_t>(b)].fetch_add(1,
+                                                  std::memory_order_relaxed);
+    });
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+  }
+}
+
+TEST(ThreadPool, DestroyWhileWorkersSpin) {
+  // Destroy the pool right after a launch, while its workers are still
+  // spinning for the next publish: the destructor's stop must reach them
+  // without a park in between, or join() hangs and the watchdog fires.
+  testutil::Watchdog watchdog(60);
+  for (int round = 0; round < 200; ++round) {
+    auto pool = std::make_unique<ThreadPool>(4);
+    std::atomic<i64> sum{0};
+    pool->run_blocks(16, [&](i64 b) { sum += b; });
+    ASSERT_EQ(sum.load(), 16 * 15 / 2);
+    pool.reset();
+  }
+}
+
+TEST(ThreadPool, ConcurrentCallersOnOnePool) {
+  // Four callers hammer one bare 4-wide pool: jobs interleave in the
+  // active list, and every block of every launch runs exactly once.
+  testutil::Watchdog watchdog(120);
+  constexpr int kCallers = 4, kLaunches = 500;
+  constexpr i64 kBlocks = 24;
+  ThreadPool pool(4);
+  std::vector<std::vector<int>> hits(
+      kCallers, std::vector<int>(static_cast<std::size_t>(kBlocks), 0));
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      std::vector<int>& mine = hits[static_cast<std::size_t>(c)];
+      for (int l = 0; l < kLaunches; ++l) {
+        std::vector<std::atomic<int>> once(static_cast<std::size_t>(kBlocks));
+        pool.run_blocks(kBlocks, [&](i64 b) {
+          once[static_cast<std::size_t>(b)].fetch_add(
+              1, std::memory_order_relaxed);
+        });
+        for (i64 b = 0; b < kBlocks; ++b)
+          mine[static_cast<std::size_t>(b)] +=
+              once[static_cast<std::size_t>(b)].load() == 1 ? 1 : 0;
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (const auto& mine : hits)
+    for (const int n : mine) EXPECT_EQ(n, kLaunches);
 }
 
 TEST(ThreadPool, ExceptionPropagatesAndPoolRemainsUsable) {
@@ -353,6 +421,32 @@ TEST(Engine, UnifiedMemorySlowerThanManual) {
     modeled[t++] = eng.ledger().now() - mark;
   }
   EXPECT_GT(modeled[1], modeled[0]);
+}
+
+TEST(Engine, PoolLeaseCountsLiveEngines) {
+  // A context's shared pool counts every live engine built under it.
+  ThreadPool shared(2);
+  SimContext ctx;
+  ctx.set_shared_pool(&shared);
+  EngineConfig cfg;
+  cfg.ctx = &ctx;
+  EXPECT_EQ(shared.attached(), 0);
+  {
+    Engine a(cfg);
+    EXPECT_EQ(shared.attached(), 1);
+    {
+      Engine b(cfg), c(cfg);
+      EXPECT_EQ(shared.attached(), 3);
+    }
+    EXPECT_EQ(shared.attached(), 1);
+  }
+  EXPECT_EQ(shared.attached(), 0);
+
+  // An owned pool has exactly its engine attached.
+  EngineConfig own;
+  own.host_threads = 2;
+  Engine solo(own);
+  EXPECT_EQ(solo.pool().attached(), 1);
 }
 
 TEST(Engine, SteadyStateLaunchPathIsAllocationFree) {
