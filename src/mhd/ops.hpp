@@ -88,8 +88,18 @@ class RadialSplit {
   void interior(const par::KernelSite& site,
                 std::initializer_list<par::Access> acc, Cell&& cell) const {
     if (ihi_ > ilo_)
-      c_.eng.for_each(site, par::Range3{ilo_, ihi_, 0, c_.st.nt, 0, c_.st.np},
-                      acc, std::forward<Cell>(cell));
+      c_.eng.for_each(site, interior_range(), acc, std::forward<Cell>(cell));
+  }
+
+  /// interior() for the n components of a vector system: one
+  /// Engine::for_each_n sweep (access_of(c), cell_of(c) per component).
+  template <class AccessOf, class CellOf>
+  void interior_n(const par::KernelSite& site, int n, AccessOf&& access_of,
+                  CellOf&& cell_of) const {
+    if (ihi_ > ilo_)
+      c_.eng.for_each_n(site, interior_range(), n,
+                        std::forward<AccessOf>(access_of),
+                        std::forward<CellOf>(cell_of));
   }
 
   /// True under a split: the planes next to an in-flight ghost still need
@@ -112,6 +122,10 @@ class RadialSplit {
   }
 
  private:
+  par::Range3 interior_range() const {
+    return par::Range3{ilo_, ihi_, 0, c_.st.nt, 0, c_.st.np};
+  }
+
   MhdContext& c_;
   int pending_;
   idx ilo_ = 0, ihi_ = 0;

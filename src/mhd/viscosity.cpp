@@ -1,3 +1,5 @@
+#include <array>
+
 #include "mhd/ops.hpp"
 #include "solvers/pcg.hpp"
 
@@ -53,13 +55,18 @@ int viscous_update(MhdContext& c, real dt) {
     // same op sequence — a requirement of the solver's GraphScope capture.
     RadialSplit split(c, post_radial_exchange(c, x),
                       static_cast<int>(x.size()));
-    for (std::size_t comp = 0; comp < x.size(); ++comp) {
-      field::Field& xf = *x[comp];
-      field::Field& yf = *y[comp];
-      split.interior(site_mv, {par::in(xf.id(), split.span()),
-                               par::out(yf.id())},
-                     [&](idx i, idx j, idx k) { mv_cell(xf, yf, i, j, k); });
-    }
+    split.interior_n(
+        site_mv, static_cast<int>(x.size()),
+        [&](int comp) {
+          return std::array{par::in(x[comp]->id(), split.span()),
+                            par::out(y[comp]->id())};
+        },
+        [&](int comp) {
+          return [&mv_cell, &xf = *x[comp], &yf = *y[comp]](idx i, idx j,
+                                                           idx k) {
+            mv_cell(xf, yf, i, j, k);
+          };
+        });
     if (split.has_shell()) {
       static const par::KernelSite& site_mv_shell =
           SIMAS_SITE("visc_matvec_shell", SiteKind::ParallelLoop, 0,
@@ -84,31 +91,37 @@ int viscous_update(MhdContext& c, real dt) {
 
   auto precond = [&](const solvers::Pcg::Fields& r,
                      const solvers::Pcg::Fields& z) {
-    for (std::size_t comp = 0; comp < r.size(); ++comp) {
-      const field::Field& rf = *r[comp];
-      field::Field& zf = *z[comp];
-      c.eng.for_each(site_pc, interior,
-                     {par::in(rf.id()), par::out(zf.id())},
-                     [&, dt, nu](idx i, idx j, idx k) {
-                       const grid::LapCoeffs& cf = mt.lap(i, j);
-                       const real diag =
-                           1.0 + dt * nu *
-                                     (cf.cr0 + cf.cr1 + cf.ct0 + cf.ct1 +
-                                      2.0 * cf.cp);
-                       zf(i, j, k) = rf(i, j, k) / diag;
-                     });
-    }
+    c.eng.for_each_n(
+        site_pc, interior, static_cast<int>(r.size()),
+        [&](int comp) {
+          return std::array{par::in(r[comp]->id()), par::out(z[comp]->id())};
+        },
+        [&](int comp) {
+          return [&mt, &rf = *r[comp], &zf = *z[comp], dt,
+                  nu](idx i, idx j, idx k) {
+            const grid::LapCoeffs& cf = mt.lap(i, j);
+            const real diag =
+                1.0 + dt * nu * (cf.cr0 + cf.cr1 + cf.ct0 + cf.ct1 +
+                                 2.0 * cf.cp);
+            zf(i, j, k) = rf(i, j, k) / diag;
+          };
+        });
   };
 
   // RHS = v* (current velocities); they also serve as the initial guess.
   std::vector<field::Field*> rhs{&st.wrk1, &st.wrk2, &st.wrk3};
   std::vector<field::Field*> unknowns = st.velocity_fields();
-  for (std::size_t comp = 0; comp < unknowns.size(); ++comp) {
-    field::Field& u = *unknowns[comp];
-    field::Field& b = *rhs[comp];
-    c.eng.for_each(site_rhs, interior, {par::in(u.id()), par::out(b.id())},
-                   [&](idx i, idx j, idx k) { b(i, j, k) = u(i, j, k); });
-  }
+  c.eng.for_each_n(
+      site_rhs, interior, static_cast<int>(unknowns.size()),
+      [&](int comp) {
+        return std::array{par::in(unknowns[comp]->id()),
+                          par::out(rhs[comp]->id())};
+      },
+      [&](int comp) {
+        return [&u = *unknowns[comp], &b = *rhs[comp]](idx i, idx j, idx k) {
+          b(i, j, k) = u(i, j, k);
+        };
+      });
 
   solvers::PcgSystem sys;
   sys.x = unknowns;

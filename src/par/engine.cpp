@@ -120,8 +120,8 @@ void Engine::body_end() {
 }
 #endif
 
-gpusim::ScaleClass Engine::resolve_scale(
-    const KernelSite& site, std::initializer_list<Access> acc) const {
+gpusim::ScaleClass Engine::resolve_scale(const KernelSite& site,
+                                         std::span<const Access> acc) const {
   if (site.surface_scaled) return gpusim::ScaleClass::Surface;
   for (const Access& a : acc) {
     if (mem_.record(a.id).scale == gpusim::ScaleClass::Surface)
@@ -132,7 +132,7 @@ gpusim::ScaleClass Engine::resolve_scale(
 
 template <class Op>
 void Engine::record(const KernelSite& site, i64 cells,
-                    std::initializer_list<Access> acc) {
+                    std::span<const Access> acc) {
   Op op;
   op.site = &site;
   op.cells = cells;
@@ -143,11 +143,11 @@ void Engine::record(const KernelSite& site, i64 cells,
 }
 
 template void Engine::record<LaunchOp>(const KernelSite&, i64,
-                                       std::initializer_list<Access>);
+                                       std::span<const Access>);
 template void Engine::record<ReduceOp>(const KernelSite&, i64,
-                                       std::initializer_list<Access>);
+                                       std::span<const Access>);
 template void Engine::record<ArrayReduceOp>(const KernelSite&, i64,
-                                            std::initializer_list<Access>);
+                                            std::span<const Access>);
 
 void Engine::break_fusion() { emit(StreamOp{FusionBreakOp{}}); }
 

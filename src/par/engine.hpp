@@ -35,6 +35,7 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -173,10 +174,42 @@ class Engine {
   template <class F>
   void for_each(const KernelSite& site, Range3 r,
                 std::initializer_list<Access> acc, F&& body) {
-    record<LaunchOp>(site, r.count(), acc);
-    body_begin();
-    execute3(r, std::forward<F>(body));
-    body_end();
+    for_each_n(site, r, 1, [acc](int) { return acc; },
+               [&body](int) -> F& { return body; });
+  }
+
+  /// Component sweep: n launches of one site over one range, one per
+  /// component of a solver vector system (the three velocity components
+  /// of the viscous PCG). access_of(c) returns component c's access list
+  /// (any contiguous range of Access, e.g. a std::array) and body_of(c)
+  /// its cell body. The n ops are recorded first, in component order, as
+  /// n separate for_each calls would record them; the cells then run as
+  /// ONE host job over n x nblocks blocks, so the host joins once per
+  /// sweep instead of once per component. body_of is called inside each
+  /// block, so the cell bodies never outlive this call. Components must be
+  /// independent: std::logic_error if one writes an array another one
+  /// declares.
+  template <class AccessOf, class BodyOf>
+  void for_each_n(const KernelSite& site, Range3 r, int n,
+                  AccessOf&& access_of, BodyOf&& body_of) {
+    check_independent(site, n, access_of);
+#ifdef SIMAS_ELEMENT_SHADOW
+    // Element checks need one armed window per op: record and run the
+    // components op by op (per-launch split, DESIGN.md §11).
+    if (validator_ != nullptr) {
+      for (int c = 0; c < n; ++c) {
+        record<LaunchOp>(site, r.count(), access_of(c));
+        body_begin();
+        auto one = [&body_of, c](int) -> decltype(auto) { return body_of(c); };
+        execute3_impl<true>(r, 1, one);
+        body_end();
+      }
+      return;
+    }
+#endif
+    for (int c = 0; c < n; ++c)
+      record<LaunchOp>(site, r.count(), access_of(c));
+    execute3_impl<false>(r, n, body_of);
   }
 
   /// 1-D variant for packed buffers and solver vectors.
@@ -194,21 +227,26 @@ class Engine {
   template <class F>
   real reduce_sum(const KernelSite& site, Range3 r,
                   std::initializer_list<Access> acc, F&& term) {
-    record<ReduceOp>(site, r.count(), acc);
-    body_begin();
-    const real v = reduce3(r, std::forward<F>(term), /*take_max=*/false);
-    body_end();
-    return v;
+    return reduce_n(site, r, 1, [acc](int) { return acc; },
+                    [&term](int) -> F& { return term; }, /*take_max=*/false);
   }
 
   template <class F>
   real reduce_max(const KernelSite& site, Range3 r,
                   std::initializer_list<Access> acc, F&& term) {
-    record<ReduceOp>(site, r.count(), acc);
-    body_begin();
-    const real v = reduce3(r, std::forward<F>(term), /*take_max=*/true);
-    body_end();
-    return v;
+    return reduce_n(site, r, 1, [acc](int) { return acc; },
+                    [&term](int) -> F& { return term; }, /*take_max=*/true);
+  }
+
+  /// Component reduction: the sum over components of n reduce_sum calls
+  /// over one range, recorded as n ReduceOps and run as one host job (the
+  /// component-sweep rules of for_each_n). Each component's partials are
+  /// summed in block order, then the component totals in component order
+  /// from 0.0: bit for bit the loop `s += reduce_sum(...)` over c.
+  template <class AccessOf, class TermOf>
+  real reduce_sum_n(const KernelSite& site, Range3 r, int n,
+                    AccessOf&& access_of, TermOf&& term_of) {
+    return reduce_n(site, r, n, access_of, term_of, /*take_max=*/false);
   }
 
   template <class F>
@@ -279,8 +317,30 @@ class Engine {
   // Op recording (front-end): build the kernel IR op (LaunchOp, ReduceOp
   // or ArrayReduceOp) and emit it. Instantiated in engine.cpp.
   template <class Op>
-  void record(const KernelSite& site, i64 cells,
-              std::initializer_list<Access> acc);
+  void record(const KernelSite& site, i64 cells, std::span<const Access> acc);
+  /// The components of one sweep must be independent: throws
+  /// std::logic_error if component c writes an array that component d
+  /// (d != c) declares at all. Allocation-free unless it throws.
+  template <class AccessOf>
+  static void check_independent(const KernelSite& site, int n,
+                                AccessOf& access_of) {
+    for (int c = 0; c < n; ++c) {
+      const auto mine = access_of(c);
+      for (int d = 0; d < n; ++d) {
+        if (d == c) continue;
+        const auto theirs = access_of(d);
+        for (const Access& w : std::span<const Access>(mine)) {
+          if (!w.write) continue;
+          for (const Access& a : std::span<const Access>(theirs))
+            if (a.id == w.id)
+              throw std::logic_error(
+                  "Engine: component sweep '" + site.name + "': component " +
+                  std::to_string(c) + " writes an array component " +
+                  std::to_string(d) + " declares");
+        }
+      }
+    }
+  }
   /// The one place the engine's observers learn about an event: every op,
   /// data event and halo window is encoded into the flight ring, appended
   /// to the stream capture and fed to the validator here, in program
@@ -300,7 +360,7 @@ class Engine {
   /// Surface-scaled when the site says so or any accessed array is a
   /// surface-sized buffer (halo pack/unpack).
   gpusim::ScaleClass resolve_scale(const KernelSite& site,
-                                   std::initializer_list<Access> acc) const;
+                                   std::span<const Access> acc) const;
 
   // ---- Host execution (see DESIGN.md §11 "Host execution layer") ----
   //
@@ -311,7 +371,9 @@ class Engine {
   // their grain is free to adapt to the shape; scalar reductions combine
   // per-block partials in block order, so their partitioning is *pinned*
   // (kReducePlanesPerBlock / kReduceChunk) — changing it would change
-  // partial-sum rounding and every golden result built on it.
+  // partial-sum rounding and every golden result built on it. How many
+  // pinned blocks one pool claim takes (reduce_group) is placement, not
+  // partitioning: free to follow the shape like a plain loop's grain.
 
   /// Pinned reduction partitioning (frozen: determines partial-sum order).
   static constexpr i64 kReducePlanesPerBlock = 8;
@@ -348,17 +410,30 @@ class Engine {
     return std::max<i64>(kMinBlockCells, ceil_div(n, kTargetBlocks));
   }
 
-  /// Run fn(b) for b in [0, nblocks): inline for small kernels, else on
-  /// the pool. Blocks execute exactly once either way; results are
-  /// identical by construction.
+  /// Claim unit of a pinned 3-D reduction: g consecutive pinned blocks
+  /// per pool claim, so a claim carries at least ~kMinBlockCells cells
+  /// (the floor plane_grain gives plain loops). Each block still writes
+  /// its own partial, so the partial-sum order is untouched; g only sets
+  /// how many blocks one fetch-add hands a thread. Shape-derived only.
+  static i64 reduce_group(i64 ni) {
+    return ceil_div(kMinBlockCells,
+                    kReducePlanesPerBlock * std::max<i64>(1, ni));
+  }
+
+  /// Run fn(b) for b in [0, claims) as ONE host job covering `kernels`
+  /// recorded ops of `cells` cells each: inline when one kernel is small,
+  /// else on the pool, with one join. Claims execute exactly once either
+  /// way; results are identical by construction. pool.jobs and
+  /// pool.inline_kernels count kernels; pool.joins counts pooled jobs.
   template <class Fn>
-  void dispatch_blocks(i64 nblocks, i64 cells, Fn&& fn) {
+  void dispatch_blocks(int kernels, i64 claims, i64 cells, Fn&& fn) {
     if (cells <= kInlineCells) {
-      metrics_.pool_inline.add();
-      for (i64 b = 0; b < nblocks; ++b) fn(b);
+      metrics_.pool_inline.add(kernels);
+      for (i64 b = 0; b < claims; ++b) fn(b);
     } else {
-      metrics_.pool_jobs.add();
-      pool_->run_blocks(nblocks, fn);
+      metrics_.pool_jobs.add(kernels);
+      metrics_.pool_joins.add();
+      pool_->run_blocks(claims, fn);
     }
   }
 
@@ -373,29 +448,23 @@ class Engine {
 #endif
   }
 
-  template <class F>
-  void execute3(Range3 r, F&& body) {
-#ifdef SIMAS_ELEMENT_SHADOW
-    // The iteration-tagging path is selected once per launch (a separate
-    // template instantiation), not per element: unvalidated runs carry
-    // zero per-iteration validation cost. Validated runs stay
-    // byte-identical in modeled time — the validator observes the op
-    // stream and element accesses but never touches the clock ledger.
-    if (validator_ != nullptr) return execute3_impl<true>(r, body);
-#endif
-    execute3_impl<false>(r, body);
-  }
-
-  template <bool kShadow, class F>
-  void execute3_impl(Range3 r, F& body) {
+  /// The one 3-D loop nest: n components x nblocks plane blocks, block bb
+  /// running plane block bb % nblocks of component bb / nblocks. The
+  /// iteration-tagging path (kShadow) is selected once per launch by the
+  /// caller, never per element: unvalidated runs carry zero per-iteration
+  /// validation cost, and validated runs stay byte-identical in modeled
+  /// time (the validator never touches the clock ledger).
+  template <bool kShadow, class BodyOf>
+  void execute3_impl(Range3 r, int n, BodyOf& body_of) {
     const idx nj = r.nj();
     const i64 ni = r.ni();
     const i64 planes = static_cast<i64>(nj) * r.nk();
     if (planes <= 0 || ni <= 0) return;
     const i64 ppb = plane_grain(planes, ni);
     const i64 nblocks = ceil_div(planes, ppb);
-    dispatch_blocks(nblocks, planes * ni, [&](i64 b) {
-      const i64 p0 = b * ppb;
+    dispatch_blocks(n, n * nblocks, planes * ni, [&](i64 bb) {
+      auto&& body = body_of(static_cast<int>(bb / nblocks));
+      const i64 p0 = (bb % nblocks) * ppb;
       const i64 p1 = std::min<i64>(planes, p0 + ppb);
       // Incremental (j,k) walk: one div/mod per block, not per plane.
       idx j = r.j0 + static_cast<idx>(p0 % nj);
@@ -427,7 +496,7 @@ class Engine {
     if (n <= 0) return;
     const i64 chunk = chunk_grain(n);
     const i64 nblocks = ceil_div(n, chunk);
-    dispatch_blocks(nblocks, n, [&](i64 b) {
+    dispatch_blocks(1, nblocks, n, [&](i64 b) {
       const idx lo = r.begin + static_cast<idx>(b * chunk);
       const idx hi = std::min<idx>(r.end, lo + static_cast<idx>(chunk));
       for (idx i = lo; i < hi; ++i) {
@@ -452,44 +521,84 @@ class Engine {
     return partials_.data();
   }
 
-  template <class F>
-  real reduce3(Range3 r, F&& term, bool take_max) {
+  static constexpr real identity(bool take_max) {
+    return take_max ? max_identity() : 0.0;
+  }
+  static real combine(real acc, real v, bool take_max) {
+    return take_max ? nan_max(acc, v) : acc + v;
+  }
+
+  /// Record and run n component reductions (reduce_sum / reduce_max are
+  /// n = 1). The checked flavor with a validator records and runs op by
+  /// op, each inside its own body window, like for_each_n.
+  template <class AccessOf, class TermOf>
+  real reduce_n(const KernelSite& site, Range3 r, int n, AccessOf&& access_of,
+                TermOf&& term_of, bool take_max) {
+    check_independent(site, n, access_of);
+#ifdef SIMAS_ELEMENT_SHADOW
+    if (validator_ != nullptr) {
+      real total = identity(take_max);
+      for (int c = 0; c < n; ++c) {
+        record<ReduceOp>(site, r.count(), access_of(c));
+        body_begin();
+        auto one = [&term_of, c](int) -> decltype(auto) { return term_of(c); };
+        total = combine(total, reduce3(r, 1, one, take_max), take_max);
+        body_end();
+      }
+      return total;
+    }
+#endif
+    for (int c = 0; c < n; ++c)
+      record<ReduceOp>(site, r.count(), access_of(c));
+    return reduce3(r, n, term_of, take_max);
+  }
+
+  /// The one 3-D reduction nest. Pinned partitioning (partial-sum order is
+  /// part of the results): kReducePlanesPerBlock planes per block, one
+  /// partial per (component, block). A pool claim takes reduce_group
+  /// consecutive blocks of one component, so claim cc covers component
+  /// cc / nclaims. Partials combine in block order per component, then
+  /// the component totals in component order.
+  template <class TermOf>
+  real reduce3(Range3 r, int n, TermOf& term_of, bool take_max) {
     const idx nj = r.nj(), nk = r.nk();
+    const i64 ni = r.ni();
     const i64 planes = static_cast<i64>(nj) * nk;
-    if (planes <= 0 || r.ni() <= 0) return take_max ? max_identity() : 0.0;
-    // Pinned partitioning: partial-sum order is part of the results.
-    const i64 planes_per_block = kReducePlanesPerBlock;
-    const i64 nblocks = ceil_div(planes, planes_per_block);
-    real* partial = reduce_partials(nblocks);
-    dispatch_blocks(nblocks, planes * r.ni(), [&](i64 b) {
-      const i64 p0 = b * planes_per_block;
-      const i64 p1 = std::min<i64>(planes, p0 + planes_per_block);
-      idx j = r.j0 + static_cast<idx>(p0 % nj);
-      idx k = r.k0 + static_cast<idx>(p0 / nj);
-      real acc = take_max ? max_identity() : 0.0;
-      for (i64 p = p0; p < p1; ++p) {
-        for (idx i = r.i0; i < r.i1; ++i) {
-          const real v = term(i, j, k);
-          if (take_max) {
-            acc = nan_max(acc, v);
-          } else {
-            acc += v;
+    if (planes <= 0 || ni <= 0) return identity(take_max);
+    const i64 ppb = kReducePlanesPerBlock;
+    const i64 nblocks = ceil_div(planes, ppb);
+    const i64 group = reduce_group(ni);
+    const i64 nclaims = ceil_div(nblocks, group);
+    real* partial = reduce_partials(n * nblocks);
+    dispatch_blocks(n, n * nclaims, planes * ni, [&](i64 cc) {
+      const i64 c = cc / nclaims;
+      auto&& term = term_of(static_cast<int>(c));
+      real* part = partial + c * nblocks;
+      const i64 b0 = (cc % nclaims) * group;
+      const i64 b1 = std::min(nblocks, b0 + group);
+      // Consecutive blocks are consecutive planes: one (j,k) walk per claim.
+      idx j = r.j0 + static_cast<idx>((b0 * ppb) % nj);
+      idx k = r.k0 + static_cast<idx>((b0 * ppb) / nj);
+      for (i64 b = b0; b < b1; ++b) {
+        const i64 p1 = std::min<i64>(planes, (b + 1) * ppb);
+        real acc = identity(take_max);
+        for (i64 p = b * ppb; p < p1; ++p) {
+          for (idx i = r.i0; i < r.i1; ++i)
+            acc = combine(acc, term(i, j, k), take_max);
+          if (++j == r.j1) {
+            j = r.j0;
+            ++k;
           }
         }
-        if (++j == r.j1) {
-          j = r.j0;
-          ++k;
-        }
+        part[b] = acc;
       }
-      partial[b] = acc;
     });
-    real total = take_max ? max_identity() : 0.0;
-    for (i64 b = 0; b < nblocks; ++b) {
-      if (take_max) {
-        total = nan_max(total, partial[b]);
-      } else {
-        total += partial[b];
-      }
+    real total = identity(take_max);
+    for (i64 c = 0; c < n; ++c) {
+      real sub = identity(take_max);
+      for (i64 b = 0; b < nblocks; ++b)
+        sub = combine(sub, partial[c * nblocks + b], take_max);
+      total = combine(total, sub, take_max);
     }
     return total;
   }
@@ -504,7 +613,7 @@ class Engine {
     const i64 chunk = kReduceChunk;
     const i64 nblocks = ceil_div(n, chunk);
     real* partial = reduce_partials(nblocks);
-    dispatch_blocks(nblocks, n, [&](i64 b) {
+    dispatch_blocks(1, nblocks, n, [&](i64 b) {
       const idx lo = r.begin + static_cast<idx>(b * chunk);
       const idx hi = std::min<idx>(r.end, lo + static_cast<idx>(chunk));
       real acc = 0.0;
@@ -531,7 +640,7 @@ class Engine {
     // One block per output element: pinned (inner accumulation order is
     // part of the results), like the scalar reductions.
     const i64 nblocks = ni;
-    dispatch_blocks(nblocks, static_cast<i64>(r.count()), [&](i64 b) {
+    dispatch_blocks(1, nblocks, static_cast<i64>(r.count()), [&](i64 b) {
       tag_iteration<kShadow>(b);
       const idx i = r.i0 + static_cast<idx>(b);
       real acc = 0.0;

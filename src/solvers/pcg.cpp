@@ -1,7 +1,9 @@
 #include "solvers/pcg.hpp"
 
+#include <array>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "telemetry/ranges.hpp"
 
@@ -13,6 +15,22 @@ Pcg::Pcg(par::Engine& engine, mpisim::Comm& comm, const grid::LocalGrid& lg,
          std::string name)
     : eng_(engine), comm_(comm), lg_(lg), name_(std::move(name)) {}
 
+namespace {
+
+/// The interior range every component of a system vector shares: one
+/// Range3 covers all components of a sweep, so their extents must agree.
+par::Range3 component_range(const Pcg::Fields& v, const field::Field& ref,
+                            const char* who) {
+  for (const field::Field* f : v)
+    if (f->a().n1() != ref.a().n1() || f->a().n2() != ref.a().n2() ||
+        f->a().n3() != ref.a().n3())
+      throw std::invalid_argument(std::string(who) +
+                                  ": component shape mismatch");
+  return par::Range3{0, ref.a().n1(), 0, ref.a().n2(), 0, ref.a().n3()};
+}
+
+}  // namespace
+
 real Pcg::dot(const Fields& a, const Fields& b) {
   static const par::KernelSite& site =
       SIMAS_SITE("pcg_dot", SiteKind::ScalarReduction, 0,
@@ -20,18 +38,21 @@ real Pcg::dot(const Fields& a, const Fields& b) {
                  /*async_capable=*/false);
   if (a.size() != b.size())
     throw std::invalid_argument("Pcg::dot: component mismatch");
+  if (a.empty()) return comm_.allreduce_sum(0.0);
+  const par::Range3 range = component_range(a, *a[0], "Pcg::dot");
+  component_range(b, *a[0], "Pcg::dot");
   const grid::Metric& mt = lg_.metric();
-  real local = 0.0;
-  for (std::size_t c = 0; c < a.size(); ++c) {
-    const field::Field& fa = *a[c];
-    const field::Field& fb = *b[c];
-    local += eng_.reduce_sum(
-        site, par::Range3{0, fa.a().n1(), 0, fa.a().n2(), 0, fa.a().n3()},
-        {par::in(fa.id()), par::in(fb.id())},
-        [&](idx i, idx j, idx k) -> real {
+  // One ReduceOp per component, one host job for all of them.
+  const real local = eng_.reduce_sum_n(
+      site, range, static_cast<int>(a.size()),
+      [&](int c) {
+        return std::array{par::in(a[c]->id()), par::in(b[c]->id())};
+      },
+      [&](int c) {
+        return [&fa = *a[c], &fb = *b[c], &mt](idx i, idx j, idx k) -> real {
           return fa(i, j, k) * fb(i, j, k) * mt.vol(i, j);
-        });
-  }
+        };
+      });
   return comm_.allreduce_sum(local);
 }
 
@@ -50,35 +71,45 @@ PcgResult Pcg::solve(const ApplyFn& apply, const PrecondFn& precond,
   if (nc == 0 || sys.b.size() != nc || sys.r.size() != nc ||
       sys.p.size() != nc || sys.ap.size() != nc || sys.z.size() != nc)
     throw std::invalid_argument("Pcg::solve: inconsistent system");
+  par::Range3 interior;
+  for (const Fields* v : {&sys.x, &sys.b, &sys.r, &sys.p, &sys.ap, &sys.z})
+    interior = component_range(*v, *sys.x[0], "Pcg::solve");
+  const int n = static_cast<int>(nc);
+  // Each vector operation below is one component sweep: one op per
+  // component in the stream, one host job for the system.
 
   PcgResult res;
   SIMAS_RANGE(eng_, name_ + ".pcg");
 
   // r = b - A x
   apply(sys.x, sys.ap);
-  for (std::size_t c = 0; c < nc; ++c) {
-    field::Field& b = *sys.b[c];
-    field::Field& ap = *sys.ap[c];
-    field::Field& r = *sys.r[c];
-    const par::Range3 interior{0, r.a().n1(), 0, r.a().n2(), 0, r.a().n3()};
-    eng_.for_each(site_resid, interior,
-                  {par::in(b.id()), par::in(ap.id()), par::out(r.id())},
-                  [&](idx i, idx j, idx k) {
-                    r(i, j, k) = b(i, j, k) - ap(i, j, k);
-                  });
-  }
+  eng_.for_each_n(
+      site_resid, interior, n,
+      [&](int c) {
+        return std::array{par::in(sys.b[c]->id()), par::in(sys.ap[c]->id()),
+                          par::out(sys.r[c]->id())};
+      },
+      [&](int c) {
+        return [&b = *sys.b[c], &ap = *sys.ap[c],
+                &r = *sys.r[c]](idx i, idx j, idx k) {
+          r(i, j, k) = b(i, j, k) - ap(i, j, k);
+        };
+      });
 
   // Convergence is monitored on the preconditioned residual norm
   // sqrt(<r, z>) relative to its initial value — one global dot per
   // iteration, as production Krylov solvers do.
   precond(sys.r, sys.z);
-  for (std::size_t c = 0; c < nc; ++c) {
-    field::Field& z = *sys.z[c];
-    field::Field& p = *sys.p[c];
-    const par::Range3 interior{0, p.a().n1(), 0, p.a().n2(), 0, p.a().n3()};
-    eng_.for_each(site_pinit, interior, {par::in(z.id()), par::out(p.id())},
-                  [&](idx i, idx j, idx k) { p(i, j, k) = z(i, j, k); });
-  }
+  eng_.for_each_n(
+      site_pinit, interior, n,
+      [&](int c) {
+        return std::array{par::in(sys.z[c]->id()), par::out(sys.p[c]->id())};
+      },
+      [&](int c) {
+        return [&z = *sys.z[c], &p = *sys.p[c]](idx i, idx j, idx k) {
+          p(i, j, k) = z(i, j, k);
+        };
+      });
   real rz = dot(sys.r, sys.z);
   const real rz0 = std::max(rz, 1.0e-300);
   if (rz == 0.0) {
@@ -102,21 +133,23 @@ PcgResult Pcg::solve(const ApplyFn& apply, const PrecondFn& precond,
       if (pap <= 0.0) break;  // loss of positive-definiteness
       const real alpha = rz / pap;
 
-      for (std::size_t c = 0; c < nc; ++c) {
-        field::Field& x = *sys.x[c];
-        field::Field& r = *sys.r[c];
-        field::Field& p = *sys.p[c];
-        field::Field& ap = *sys.ap[c];
-        const par::Range3 interior{0, x.a().n1(), 0, x.a().n2(), 0,
-                                   x.a().n3()};
-        eng_.for_each(site_xupd, interior,
-                      {par::in(p.id()), par::in(ap.id()), par::in(x.id()),
-                       par::out(x.id()), par::in(r.id()), par::out(r.id())},
-                      [&, alpha](idx i, idx j, idx k) {
-                        x(i, j, k) += alpha * p(i, j, k);
-                        r(i, j, k) -= alpha * ap(i, j, k);
-                      });
-      }
+      eng_.for_each_n(
+          site_xupd, interior, n,
+          [&](int c) {
+            return std::array{par::in(sys.p[c]->id()),
+                              par::in(sys.ap[c]->id()),
+                              par::in(sys.x[c]->id()),
+                              par::out(sys.x[c]->id()),
+                              par::in(sys.r[c]->id()),
+                              par::out(sys.r[c]->id())};
+          },
+          [&](int c) {
+            return [&x = *sys.x[c], &r = *sys.r[c], &p = *sys.p[c],
+                    &ap = *sys.ap[c], alpha](idx i, idx j, idx k) {
+              x(i, j, k) += alpha * p(i, j, k);
+              r(i, j, k) -= alpha * ap(i, j, k);
+            };
+          });
 
       precond(sys.r, sys.z);
       rz_new = dot(sys.r, sys.z);
@@ -130,17 +163,18 @@ PcgResult Pcg::solve(const ApplyFn& apply, const PrecondFn& precond,
     const real beta = rz_new / rz;
     rz = rz_new;
     par::Engine::GraphScope graph(eng_, name_ + "/pupd");
-    for (std::size_t c = 0; c < nc; ++c) {
-      field::Field& z = *sys.z[c];
-      field::Field& p = *sys.p[c];
-      const par::Range3 interior{0, p.a().n1(), 0, p.a().n2(), 0,
-                                 p.a().n3()};
-      eng_.for_each(site_pupd, interior,
-                    {par::in(z.id()), par::in(p.id()), par::out(p.id())},
-                    [&, beta](idx i, idx j, idx k) {
-                      p(i, j, k) = z(i, j, k) + beta * p(i, j, k);
-                    });
-    }
+    eng_.for_each_n(
+        site_pupd, interior, n,
+        [&](int c) {
+          return std::array{par::in(sys.z[c]->id()), par::in(sys.p[c]->id()),
+                            par::out(sys.p[c]->id())};
+        },
+        [&](int c) {
+          return [&z = *sys.z[c], &p = *sys.p[c], beta](idx i, idx j,
+                                                            idx k) {
+            p(i, j, k) = z(i, j, k) + beta * p(i, j, k);
+          };
+        });
   }
   return res;
 }

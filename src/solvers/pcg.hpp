@@ -7,6 +7,11 @@
 // reduction regardless of component count. This communication structure is
 // what the paper's Fig. 4 profiles ("viscosity solver iterations").
 //
+// On the host each vector operation is one component sweep
+// (Engine::for_each_n / reduce_sum_n): the op stream still carries one op
+// per component, but the components run as one host job with one join,
+// and a dot adds the component partial sums in component order.
+//
 // The operator callback must fill any ghost values it needs (rank halos,
 // periodic wraps). Inner products are volume-weighted and summed over
 // components: the flux-form diffusion operators used by the solver are SPD
@@ -35,7 +40,8 @@ struct PcgResult {
 };
 
 /// One field per component for every CG vector. All spans must have the
-/// same length (the component count) and identical field shapes.
+/// same length (the component count) and identical field shapes; solve()
+/// throws std::invalid_argument otherwise.
 struct PcgSystem {
   std::vector<field::Field*> x;   ///< solution (in: initial guess)
   std::vector<field::Field*> b;   ///< right-hand side

@@ -22,6 +22,7 @@ struct EngineMetrics {
   Counter bytes_touched;  ///< engine.bytes_touched (run scale)
   Counter pool_jobs;      ///< pool.jobs — kernels dispatched to the pool
   Counter pool_inline;    ///< pool.inline_kernels — run on the caller
+  Counter pool_joins;     ///< pool.joins — pooled host jobs (one join each)
   Histogram kernel_cells; ///< engine.kernel_cells — iteration-space sizes
 
   /// Upper bounds of engine.kernel_cells: decades from 1e3 (the inline
@@ -36,6 +37,7 @@ struct EngineMetrics {
     bytes_touched = reg.counter("engine.bytes_touched");
     pool_jobs = reg.counter("pool.jobs");
     pool_inline = reg.counter("pool.inline_kernels");
+    pool_joins = reg.counter("pool.joins");
     kernel_cells =
         reg.histogram("engine.kernel_cells", std::span<const double>(
                                                  kCellBounds));

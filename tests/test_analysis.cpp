@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -183,6 +184,35 @@ TEST(AccessList, UndeclaredAccessIsTheMissingClauseBug) {
   EXPECT_EQ(d->site, "an_acc_undeclared");
   EXPECT_GT(rep.errors(), 0);
   scrub(eng, {&a, &b});
+}
+
+TEST(AccessList, UndeclaredReadInsideComponentSweepIsReported) {
+  // for_each_n under a validator records and runs op by op, each in its
+  // own body window: the second component's undeclared read of c is
+  // still caught and pinned on the sweep's site.
+  par::Engine eng(validating_config());
+  field::Field a0(eng, "an_acc_sweep_a0", 4, 4, 4);
+  field::Field a1(eng, "an_acc_sweep_a1", 4, 4, 4);
+  field::Field c(eng, "an_acc_sweep_c", 4, 4, 4);
+  for (field::Field* f : {&a0, &a1, &c}) f->enter_data();
+  static const par::KernelSite& site =
+      SIMAS_SITE("an_acc_sweep_undeclared", SiteKind::ParallelLoop, 0);
+  field::Field* outs[] = {&a0, &a1};
+  eng.for_each_n(
+      site, par::Range3{0, 4, 0, 4, 0, 4}, 2,
+      [&](int comp) { return std::array{par::out(outs[comp]->id())}; },
+      [&](int comp) {
+        return [&, comp](idx i, idx j, idx k) {
+          (*outs[comp])(i, j, k) = comp == 1 ? c(i, j, k) : 1.0;
+        };
+      });
+  const ValidationReport rep = eng.take_validation_report();
+  const analysis::Diagnostic* d = rep.find(Check::UndeclaredAccess);
+  ASSERT_NE(d, nullptr) << rep.to_string();
+  EXPECT_EQ(d->array, "an_acc_sweep_c");
+  EXPECT_EQ(d->site, "an_acc_sweep_undeclared");
+  EXPECT_EQ(rep.errors(), 1) << rep.to_string();
+  scrub(eng, {&a0, &a1, &c});
 }
 
 TEST(AccessList, DeclaredWriteNeverTouchedInflatesCostModel) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "bench_support/paper_scale.hpp"
 #include "mhd/eos.hpp"
 #include "mhd/ops.hpp"
 #include "mhd/solver.hpp"
@@ -235,6 +236,41 @@ TEST(Radiation, HeatingRaisesColdAtmosphereAndLossesCoolHot) {
     radiation_heating(c, 0.1);
     EXPECT_LT(st.temp(0, 3, 4), before);
     EXPECT_GT(st.temp(0, 3, 4), 0.0);  // positivity preserved
+  });
+}
+
+TEST(HostJoins, BenchGridStepJoinsOncePerComponentSweep) {
+  // One bench-grid step (version A, 1 rank, 4 threads) issues 302 kernels:
+  // 196 pooled and 106 inline. The viscous PCG runs each 3-component
+  // sweep and dot as one host job, so the pooled kernels take 114 joins,
+  // not one each. Placement is shape-derived, so the counts are exact.
+  mpisim::World world(1);
+  world.run([&](int rank) {
+    par::Engine engine(variants::engine_config(variants::CodeVersion::A,
+                                               gpusim::a100_40gb(), 4));
+    mpisim::Comm comm(world, rank, engine);
+    SolverConfig cfg;
+    cfg.grid = bench_support::bench_grid();
+    MasSolver solver(engine, comm, cfg);
+    solver.initialize();
+    (void)solver.step();
+    const telemetry::MetricsSnapshot before = engine.metrics_snapshot();
+    const StepStats st = solver.step();
+    const telemetry::MetricsSnapshot after = engine.metrics_snapshot();
+    const auto delta = [&](const char* name) {
+      return after.counter(name) - before.counter(name);
+    };
+    EXPECT_EQ(st.viscosity_iters, 6);
+    EXPECT_EQ(st.conduction_iters, 6);
+    EXPECT_EQ(delta("engine.loops"), 302);
+    EXPECT_EQ(delta("pool.jobs"), 196);
+    EXPECT_EQ(delta("pool.inline_kernels"), 106);
+    // The checked flavor under a validator runs each component op by op.
+    bool op_by_op = false;
+#ifdef SIMAS_ELEMENT_SHADOW
+    op_by_op = engine.validator() != nullptr;
+#endif
+    EXPECT_EQ(delta("pool.joins"), op_by_op ? 196 : 114);
   });
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -9,6 +10,7 @@
 #include <new>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -240,31 +242,54 @@ TEST(Engine, ForEachCoversRange) {
   EXPECT_TRUE(seen.count({3, 2, 4}));
 }
 
+/// The pinned partition summed serially, one 8-plane block at a time:
+/// the ungrouped reference every reduction, however its claims group the
+/// blocks, must reproduce bit for bit.
+template <class Term>
+real pinned_reference_sum(Range3 r, Term term) {
+  real total = 0.0;
+  const i64 planes = static_cast<i64>(r.nj()) * r.nk();
+  for (i64 p0 = 0; p0 < planes; p0 += 8) {
+    real acc = 0.0;
+    for (i64 p = p0; p < std::min<i64>(planes, p0 + 8); ++p) {
+      const idx j = r.j0 + static_cast<idx>(p % r.nj());
+      const idx k = r.k0 + static_cast<idx>(p / r.nj());
+      for (idx i = r.i0; i < r.i1; ++i) acc += term(i, j, k);
+    }
+    total += acc;
+  }
+  return total;
+}
+
 TEST(Engine, ReduceSumMatchesSerialAndThreadCountInvariant) {
-  real sums[3];
-  int t = 0;
-  for (int nthreads : {1, 2, 4}) {
-    EngineConfig cfg = gpu_config(LoopModel::Acc, gpusim::MemoryMode::Manual);
-    cfg.host_threads = nthreads;
-    Engine eng(cfg);
-    const auto id = eng.memory().register_array("a", 1 << 20);
-    static const KernelSite& site =
-        SIMAS_SITE("test_engine_reduce", SiteKind::ScalarReduction, 0, false,
+  static const KernelSite& site =
+      SIMAS_SITE("test_engine_reduce", SiteKind::ScalarReduction, 0, false,
                  false, /*async_capable=*/false);
-    sums[t++] = eng.reduce_sum(site, Range3{0, 13, 0, 17, 0, 11}, {in(id)},
-                               [&](idx i, idx j, idx k) {
-                                 return 0.1 * i + 0.01 * j + 0.001 * k;
-                               });
+  const auto term = [](idx i, idx j, idx k) {
+    return 0.1 * static_cast<real>(i) + 0.01 * static_cast<real>(j) +
+           0.001 * static_cast<real>(k) + 1.0 / static_cast<real>(1 + i + j);
+  };
+  // A pool claim takes g = ceil(1024 / (8 ni)) pinned blocks: g = 10 over
+  // 24 blocks (inline), 6 over 64 (pooled, last claim short), 19 over 10
+  // (one claim), and 1 (ni = 200, pooled).
+  const Range3 shapes[] = {Range3{0, 13, 0, 17, 0, 11},
+                           Range3{0, 24, 0, 16, 0, 32},
+                           Range3{0, 7, 0, 7, 0, 11},
+                           Range3{0, 200, 0, 9, 0, 5}};
+  for (const Range3& r : shapes) {
+    const real serial = pinned_reference_sum(r, term);
+    for (int nthreads : {1, 2, 4}) {
+      EngineConfig cfg =
+          gpu_config(LoopModel::Acc, gpusim::MemoryMode::Manual);
+      cfg.host_threads = nthreads;
+      Engine eng(cfg);
+      const auto id = eng.memory().register_array("a", 1 << 20);
+      // Deterministic blocked reduction: bitwise equal to the serial loop
+      // in the same block order, at every thread count.
+      EXPECT_EQ(eng.reduce_sum(site, r, {in(id)}, term), serial)
+          << "ni=" << r.ni() << " threads=" << nthreads;
+    }
   }
-  // Deterministic blocked reduction: bitwise identical across thread counts.
-  EXPECT_EQ(sums[0], sums[1]);
-  EXPECT_EQ(sums[1], sums[2]);
-  // And equal to the serial loop in the same block order.
-  real serial = 0.0;
-  for (i64 p = 0; p < 13 * 17 * 11; ++p) {
-    // block order matches plane-major order of the engine
-  }
-  (void)serial;
 }
 
 TEST(Engine, ReduceMaxFindsMaximum) {
@@ -449,11 +474,229 @@ TEST(Engine, PoolLeaseCountsLiveEngines) {
   EXPECT_EQ(solo.pool().attached(), 1);
 }
 
+// ---------------------------------------------------------------------
+// Component sweeps (for_each_n / reduce_sum_n) and grouped reduction
+// claims. Every comparison is bitwise: host placement may never change a
+// result.
+
+/// Flat cell index of (i, j, k) in an (ni, nj, nk) box.
+std::size_t flat(idx i, idx j, idx k, idx ni, idx nj) {
+  return static_cast<std::size_t>((k * nj + j) * ni + i);
+}
+
+/// A rounding-sensitive cell value per component.
+real cell_value(int c, idx i, idx j, idx k) {
+  return 0.1 * static_cast<real>(i) + 1.0e-3 * static_cast<real>(j) +
+         1.0e-7 * static_cast<real>(k) + 0.37 * static_cast<real>(c) +
+         1.0 / static_cast<real>(1 + i + j + k);
+}
+
+/// An inline shape (512 cells) and two pooled ones; the last has a plane
+/// count that is not a multiple of the 8-plane reduction block.
+/// Array names per component (built without string concatenation, which
+/// trips GCC 12's -Wrestrict false positive at -O3).
+const char* const kComponentNames[] = {"c0", "c1", "c2"};
+
+const Range3 kSweepShapes[] = {
+    Range3{0, 8, 0, 8, 0, 8}, Range3{0, 24, 0, 16, 0, 32},
+    Range3{1, 34, 0, 9, 2, 17}};
+
+TEST(EngineBatch, ForEachNMatchesSeparateLaunchesAndRunsEachCellOnce) {
+  static const KernelSite& site =
+      SIMAS_SITE("test_batch_for_each", SiteKind::ParallelLoop, 0);
+  for (const Range3& r : kSweepShapes) {
+    const std::size_t cells = static_cast<std::size_t>(r.count());
+    for (const int n : {1, 2, 3}) {
+      for (const int nthreads : {1, 2, 4}) {
+        EngineConfig cfg =
+            gpu_config(LoopModel::Acc, gpusim::MemoryMode::Manual);
+        cfg.host_threads = nthreads;
+        Engine batched(cfg), separate(cfg);
+        std::vector<gpusim::ArrayId> ids_b, ids_s;
+        for (int c = 0; c < n; ++c) {
+          ids_b.push_back(batched.memory().register_array(
+              kComponentNames[c], static_cast<i64>(cells * 8)));
+          ids_s.push_back(separate.memory().register_array(
+              kComponentNames[c], static_cast<i64>(cells * 8)));
+        }
+        std::vector<std::vector<real>> out_b(n, std::vector<real>(cells)),
+            out_s(n, std::vector<real>(cells));
+        std::vector<std::atomic<int>> visits(static_cast<std::size_t>(n) *
+                                             cells);
+        const auto at = [&](idx i, idx j, idx k) {
+          return flat(i - r.i0, j - r.j0, k - r.k0, r.ni(), r.nj());
+        };
+        batched.for_each_n(
+            site, r, n,
+            [&](int c) { return std::array{out(ids_b[c])}; },
+            [&](int c) {
+              return [&, c](idx i, idx j, idx k) {
+                out_b[c][at(i, j, k)] = cell_value(c, i, j, k);
+                visits[c * cells + at(i, j, k)].fetch_add(1);
+              };
+            });
+        for (int c = 0; c < n; ++c)
+          separate.for_each(site, r, {out(ids_s[c])},
+                            [&](idx i, idx j, idx k) {
+                              out_s[c][at(i, j, k)] = cell_value(c, i, j, k);
+                            });
+        for (const std::atomic<int>& v : visits) ASSERT_EQ(v.load(), 1);
+        EXPECT_EQ(out_b, out_s) << "n=" << n << " threads=" << nthreads;
+        // Same op stream: n ops each, identical modeled time.
+        EXPECT_EQ(batched.counters().loops_executed, n);
+        EXPECT_EQ(batched.counters().kernel_launches,
+                  separate.counters().kernel_launches);
+        EXPECT_EQ(batched.ledger().now(), separate.ledger().now());
+      }
+    }
+  }
+}
+
+TEST(EngineBatch, ReduceSumNMatchesSeparateReductionsBitForBit) {
+  static const KernelSite& site =
+      SIMAS_SITE("test_batch_reduce", SiteKind::ScalarReduction, 0, false,
+                 false, /*async_capable=*/false);
+  for (const Range3& r : kSweepShapes) {
+    for (const int n : {1, 2, 3}) {
+      for (const int nthreads : {1, 2, 4}) {
+        EngineConfig cfg =
+            gpu_config(LoopModel::Acc, gpusim::MemoryMode::Manual);
+        cfg.host_threads = nthreads;
+        Engine batched(cfg), separate(cfg);
+        std::vector<gpusim::ArrayId> ids_b, ids_s;
+        for (int c = 0; c < n; ++c) {
+          ids_b.push_back(batched.memory().register_array(
+              kComponentNames[c], r.count() * 8));
+          ids_s.push_back(separate.memory().register_array(
+              kComponentNames[c], r.count() * 8));
+        }
+        const real got = batched.reduce_sum_n(
+            site, r, n, [&](int c) { return std::array{in(ids_b[c])}; },
+            [](int c) {
+              return [c](idx i, idx j, idx k) {
+                return cell_value(c, i, j, k);
+              };
+            });
+        real want = 0.0;
+        for (int c = 0; c < n; ++c)
+          want += separate.reduce_sum(
+              site, r, {in(ids_s[c])},
+              [c](idx i, idx j, idx k) { return cell_value(c, i, j, k); });
+        EXPECT_EQ(got, want) << "n=" << n << " threads=" << nthreads;
+        EXPECT_EQ(batched.counters().reduction_loops, n);
+        EXPECT_EQ(batched.ledger().now(), separate.ledger().now());
+      }
+    }
+  }
+}
+
+TEST(EngineBatch, ReduceMaxPropagatesNanFromAnyBlockUnderGrouping) {
+  // ni = 24: 6 pinned blocks per claim, 64 blocks, pooled. The NaN sits
+  // in the first, a middle, or the very last block.
+  static const KernelSite& site =
+      SIMAS_SITE("test_batch_max_nan", SiteKind::ScalarReduction, 0, false,
+                 false, /*async_capable=*/false);
+  const Range3 r{0, 24, 0, 16, 0, 32};
+  for (const i64 nan_plane : {i64{0}, i64{205}, i64{511}}) {
+    for (const int nthreads : {1, 4}) {
+      EngineConfig cfg = gpu_config(LoopModel::Acc, gpusim::MemoryMode::Manual);
+      cfg.host_threads = nthreads;
+      Engine eng(cfg);
+      const auto id = eng.memory().register_array("a", r.count() * 8);
+      const real m = eng.reduce_max(
+          site, r, {in(id)}, [&](idx i, idx j, idx k) {
+            return i == 23 && k * 16 + j == nan_plane
+                       ? std::numeric_limits<real>::quiet_NaN()
+                       : static_cast<real>(i + j + k);
+          });
+      EXPECT_TRUE(std::isnan(m))
+          << "plane " << nan_plane << ", " << nthreads << " thread(s)";
+    }
+  }
+}
+
+TEST(EngineBatch, ConflictingComponentsThrowBeforeRecording) {
+  Engine eng(gpu_config(LoopModel::Acc, gpusim::MemoryMode::Manual));
+  const auto a = eng.memory().register_array("a", 1 << 16);
+  const auto b = eng.memory().register_array("b", 1 << 16);
+  static const KernelSite& loop =
+      SIMAS_SITE("test_batch_conflict", SiteKind::ParallelLoop, 0);
+  static const KernelSite& red =
+      SIMAS_SITE("test_batch_conflict_reduce", SiteKind::ScalarReduction, 0,
+                 false, false, /*async_capable=*/false);
+  const Range3 r{0, 8, 0, 8, 0, 8};
+  const auto cell = [](int) { return [](idx, idx, idx) {}; };
+  // Component 1 reads the array component 0 writes.
+  EXPECT_THROW(eng.for_each_n(
+                   loop, r, 2,
+                   [&](int c) {
+                     return c == 0 ? std::array{out(a), in(b)}
+                                   : std::array{in(a), out(b)};
+                   },
+                   cell),
+               std::logic_error);
+  // Both components write one array.
+  EXPECT_THROW(eng.for_each_n(
+                   loop, r, 2, [&](int) { return std::array{out(a)}; }, cell),
+               std::logic_error);
+  EXPECT_THROW(eng.reduce_sum_n(
+                   red, r, 2,
+                   [&](int c) { return std::array{c == 0 ? out(a) : in(a)}; },
+                   [](int) { return [](idx, idx, idx) { return 1.0; }; }),
+               std::logic_error);
+  // Nothing reached the op stream; disjoint components still run.
+  EXPECT_EQ(eng.counters().loops_executed, 0);
+  eng.for_each_n(
+      loop, r, 2,
+      [&](int c) { return std::array{out(c == 0 ? a : b)}; }, cell);
+  EXPECT_EQ(eng.counters().loops_executed, 2);
+}
+
+TEST(EngineBatch, PoolJoinsCountOncePerPooledSweep) {
+  EngineConfig cfg = gpu_config(LoopModel::Acc, gpusim::MemoryMode::Manual);
+  cfg.host_threads = 4;
+  Engine eng(cfg);
+  std::vector<gpusim::ArrayId> ids;
+  for (int c = 0; c < 3; ++c)
+    ids.push_back(eng.memory().register_array(kComponentNames[c], 1 << 20));
+  static const KernelSite& loop =
+      SIMAS_SITE("test_batch_joins", SiteKind::ParallelLoop, 0);
+  static const KernelSite& red =
+      SIMAS_SITE("test_batch_joins_reduce", SiteKind::ScalarReduction, 0,
+                 false, false, /*async_capable=*/false);
+  const auto acc = [&](int c) { return std::array{in(ids[c])}; };
+  const auto sweep = [&](Range3 r) {
+    eng.for_each_n(loop, r, 3, acc,
+                   [](int) { return [](idx, idx, idx) {}; });
+    (void)eng.reduce_sum_n(red, r, 3, acc, [](int) {
+      return [](idx, idx, idx) { return 1.0; };
+    });
+  };
+  const auto count = [&](const char* name) {
+    return eng.metrics_snapshot().counter(name);
+  };
+  // The checked flavor under a validator runs each component op by op.
+  i64 joins_per_sweep = 1;
+#ifdef SIMAS_ELEMENT_SHADOW
+  if (eng.validator() != nullptr) joins_per_sweep = 3;
+#endif
+  sweep(Range3{0, 32, 0, 16, 0, 16});  // 8192 cells per component: pooled
+  EXPECT_EQ(count("pool.jobs"), 6);    // kernels, as before
+  EXPECT_EQ(count("pool.joins"), 2 * joins_per_sweep);
+  EXPECT_EQ(count("pool.inline_kernels"), 0);
+  sweep(Range3{0, 8, 0, 8, 0, 8});     // 512 cells per component: inline
+  EXPECT_EQ(count("pool.inline_kernels"), 6);
+  EXPECT_EQ(count("pool.joins"), 2 * joins_per_sweep);
+}
+
 TEST(Engine, SteadyStateLaunchPathIsAllocationFree) {
   EngineConfig cfg = gpu_config(LoopModel::Acc, gpusim::MemoryMode::Manual);
   cfg.host_threads = 4;
   Engine eng(cfg);
   const auto id = eng.memory().register_array("a", 1 << 22);
+  const std::array ids{eng.memory().register_array("v0", 1 << 16),
+                       eng.memory().register_array("v1", 1 << 16),
+                       eng.memory().register_array("v2", 1 << 16)};
   static const KernelSite& loop_site =
       SIMAS_SITE("alloc_free_loop", SiteKind::ParallelLoop, 0);
   static const KernelSite& red_site =
@@ -474,6 +717,16 @@ TEST(Engine, SteadyStateLaunchPathIsAllocationFree) {
     eng.array_reduce(ar_site, Range3{0, 8, 0, 16, 0, 16}, {in(id)},
                      std::span<real>(acc),
                      [](idx i, idx, idx) { return static_cast<real>(i); });
+    eng.for_each_n(
+        loop_site, r, 3, [&](int c) { return std::array{out(ids[c])}; },
+        [](int) { return [](idx, idx, idx) {}; });
+    sink += eng.reduce_sum_n(
+        red_site, r, 3, [&](int c) { return std::array{in(ids[c])}; },
+        [](int c) {
+          return [c](idx i, idx, idx) {
+            return 1e-3 * static_cast<real>(i + c);
+          };
+        });
   };
   // Warm-up lets one-time scratch (reduction partials) reach capacity.
   for (int warm = 0; warm < 3; ++warm) step();

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "grid/local_grid.hpp"
 #include "mhd/config.hpp"
@@ -114,6 +118,36 @@ TEST(Pcg, ConductionRelaxesHotSpot) {
     ASSERT_GT(mhd::conduction_update(c, 0.05), 0);
     EXPECT_LT(st.temp(5, 4, 6), 3.0);
     EXPECT_GT(st.temp(4, 4, 6), 1.0 - 1e-12);
+  });
+}
+
+TEST(Pcg, RejectsMismatchedComponentShapes) {
+  // One Range3 covers every component of a sweep, so each system vector's
+  // components must share component 0's extents; a mismatch in any of
+  // x/b/r/p/ap/z is rejected before any op is issued.
+  with_solver(small_cfg(), [&](MasSolver& solver, par::Engine& eng,
+                               mpisim::Comm& comm) {
+    std::vector<std::unique_ptr<field::Field>> own;
+    const auto make = [&](idx n1) {
+      own.push_back(std::make_unique<field::Field>(
+          eng, "pcg_shape_" + std::to_string(own.size()), n1, 4, 6));
+      return own.back().get();
+    };
+    solvers::Pcg pcg(eng, comm, solver.local_grid(), "shape_check");
+    const auto noop = [](const solvers::Pcg::Fields&,
+                         const solvers::Pcg::Fields&) {};
+    for (int odd = 0; odd < 6; ++odd) {
+      solvers::PcgSystem sys;
+      std::vector<field::Field*>* vecs[] = {&sys.x, &sys.b,  &sys.r,
+                                            &sys.p, &sys.ap, &sys.z};
+      for (int v = 0; v < 6; ++v)
+        *vecs[v] = {make(5), make(v == odd ? 3 : 5)};
+      const i64 loops = eng.counters().loops_executed;
+      EXPECT_THROW(pcg.solve(noop, noop, sys, solvers::PcgOptions{}),
+                   std::invalid_argument)
+          << "mismatch in vector " << odd;
+      EXPECT_EQ(eng.counters().loops_executed, loops);
+    }
   });
 }
 
