@@ -87,8 +87,8 @@ class RadialSplit {
   template <class Cell>
   void interior(const par::KernelSite& site,
                 std::initializer_list<par::Access> acc, Cell&& cell) const {
-    if (ihi_ > ilo_)
-      c_.eng.for_each(site, interior_range(), acc, std::forward<Cell>(cell));
+    interior_n(site, 1, [acc](int) { return acc; },
+               [&cell](int) -> Cell& { return cell; });
   }
 
   /// interior() for the n components of a vector system: one

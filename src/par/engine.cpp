@@ -290,12 +290,29 @@ void Engine::graph_end() {
   active_graph_ = nullptr;
 }
 
+EngineCounters Engine::counters() const {
+  const telemetry::SiteProfileRow sum = profiler_.totals();
+  EngineCounters c;
+  c.kernel_launches = sum.launches;
+  c.loops_executed = sum.launches + sum.fused;
+  c.fused_launches = sum.fused;
+  c.reduction_loops = sum.reductions;
+  c.bytes_touched = sum.bytes;
+  return c;
+}
+
 telemetry::MetricsSnapshot Engine::metrics_snapshot() {
   // Publish the cold families into the registry before snapshotting.
   // Registration is idempotent (name lookup after the first call); `set`
   // mirrors the externally-accumulated totals. Modeled times are gauges
   // merged with Max across ranks (wall semantics: the slowest rank is the
   // wall), byte/call totals are counters and sum.
+  const EngineCounters ec = counters();
+  registry_.counter("engine.launches").set(ec.kernel_launches);
+  registry_.counter("engine.loops").set(ec.loops_executed);
+  registry_.counter("engine.fused_launches").set(ec.fused_launches);
+  registry_.counter("engine.reduction_loops").set(ec.reduction_loops);
+  registry_.counter("engine.bytes_touched").set(ec.bytes_touched);
   registry_.gauge("time.modeled_seconds").set(ledger_.now());
   registry_.gauge("time.compute_seconds")
       .set(ledger_.total(gpusim::TimeCategory::Compute));

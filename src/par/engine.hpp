@@ -37,6 +37,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -84,26 +85,19 @@ class Engine {
   /// The pool kernel bodies run on (owned, or the context's shared one).
   const ThreadPool& pool() const { return *pool_; }
 
-  /// Snapshot view of the engine.* counter family, synthesized from the
-  /// telemetry registry (the store of record).
-  EngineCounters counters() const {
-    EngineCounters c;
-    c.kernel_launches = metrics_.launches.value();
-    c.loops_executed = metrics_.loops.value();
-    c.fused_launches = metrics_.fused.value();
-    c.reduction_loops = metrics_.reductions.value();
-    c.bytes_touched = metrics_.bytes_touched.value();
-    return c;
-  }
+  /// Snapshot view of the engine.* counter family: the column sums of
+  /// the per-site profile (the store of record for per-kernel counts).
+  EngineCounters counters() const;
 
   /// This rank's metrics registry. Subsystems owned by the rank (the halo
   /// exchanger) register their own metrics here at construction time.
   telemetry::Registry& metrics_registry() { return registry_; }
   /// Per-kernel-site hot-spot accumulation (always on; O(1) per launch).
   const telemetry::SiteProfiler& site_profiler() const { return profiler_; }
-  /// Full metrics snapshot. Publishes the colder families first — time.*
-  /// from the ClockLedger, mem.* from MemoryStats/UmStats, graph.* from
-  /// GraphStats — so one call captures everything the rank knows.
+  /// Full metrics snapshot. Publishes the site profile's engine.* sums
+  /// and the colder families first — time.* from the ClockLedger, mem.*
+  /// from MemoryStats/UmStats, graph.* from GraphStats — so one call
+  /// captures everything the rank knows.
   telemetry::MetricsSnapshot metrics_snapshot();
 
   /// Live kernel-stream validator; nullptr when validation is off.
@@ -180,46 +174,26 @@ class Engine {
 
   /// Component sweep: n launches of one site over one range, one per
   /// component of a solver vector system (the three velocity components
-  /// of the viscous PCG). access_of(c) returns component c's access list
-  /// (any contiguous range of Access, e.g. a std::array) and body_of(c)
-  /// its cell body. The n ops are recorded first, in component order, as
-  /// n separate for_each calls would record them; the cells then run as
-  /// ONE host job over n x nblocks blocks, so the host joins once per
-  /// sweep instead of once per component. body_of is called inside each
-  /// block, so the cell bodies never outlive this call. Components must be
-  /// independent: std::logic_error if one writes an array another one
-  /// declares.
+  /// of the viscous PCG), recorded as n for_each calls would record them
+  /// and run as ONE host job (launch()). access_of(c) returns component
+  /// c's access list (any contiguous range of Access, e.g. a std::array)
+  /// and body_of(c) its cell body, called inside each block so that no
+  /// body outlives this call.
   template <class AccessOf, class BodyOf>
   void for_each_n(const KernelSite& site, Range3 r, int n,
                   AccessOf&& access_of, BodyOf&& body_of) {
-    check_independent(site, n, access_of);
-#ifdef SIMAS_ELEMENT_SHADOW
-    // Element checks need one armed window per op: record and run the
-    // components op by op (per-launch split, DESIGN.md §11).
-    if (validator_ != nullptr) {
-      for (int c = 0; c < n; ++c) {
-        record<LaunchOp>(site, r.count(), access_of(c));
-        body_begin();
-        auto one = [&body_of, c](int) -> decltype(auto) { return body_of(c); };
-        execute3_impl<true>(r, 1, one);
-        body_end();
-      }
-      return;
-    }
-#endif
-    for (int c = 0; c < n; ++c)
-      record<LaunchOp>(site, r.count(), access_of(c));
-    execute3_impl<false>(r, n, body_of);
+    launch<LaunchOp>(site, r.count(), n, access_of,
+                     [&](auto shadow, int c0, int cn) {
+                       loop3(shadow, r, c0, cn, body_of);
+                     });
   }
 
   /// 1-D variant for packed buffers and solver vectors.
   template <class F>
   void for_each1(const KernelSite& site, Range1 r,
                  std::initializer_list<Access> acc, F&& body) {
-    record<LaunchOp>(site, r.count(), acc);
-    body_begin();
-    execute1(r, std::forward<F>(body));
-    body_end();
+    launch<LaunchOp>(site, r.count(), 1, [acc](int) { return acc; },
+                     [&](auto shadow, int, int) { loop1(shadow, r, body); });
   }
 
   // ------------------------------------------------------------------
@@ -249,16 +223,6 @@ class Engine {
     return reduce_n(site, r, n, access_of, term_of, /*take_max=*/false);
   }
 
-  template <class F>
-  real reduce_sum1(const KernelSite& site, Range1 r,
-                   std::initializer_list<Access> acc, F&& term) {
-    record<ReduceOp>(site, r.count(), acc);
-    body_begin();
-    const real v = reduce1(r, std::forward<F>(term));
-    body_end();
-    return v;
-  }
-
   // ------------------------------------------------------------------
   // Array reduction: out[i - r.i0] accumulates term(i, j, k) over (j, k).
   //
@@ -270,10 +234,10 @@ class Engine {
   void array_reduce(const KernelSite& site, Range3 r,
                     std::initializer_list<Access> acc, std::span<real> out,
                     F&& term) {
-    record<ArrayReduceOp>(site, r.count(), acc);
-    body_begin();
-    execute_array_reduce(r, out, std::forward<F>(term));
-    body_end();
+    launch<ArrayReduceOp>(site, r.count(), 1, [acc](int) { return acc; },
+                          [&](auto shadow, int, int) {
+                            array_reduce_loop(shadow, r, out, term);
+                          });
   }
 
   // ------------------------------------------------------------------
@@ -318,6 +282,36 @@ class Engine {
   // or ArrayReduceOp) and emit it. Instantiated in engine.cpp.
   template <class Op>
   void record(const KernelSite& site, i64 cells, std::span<const Access> acc);
+
+  /// The one launch path behind every kernel entry point: check that the
+  /// n components are independent, record n ops of `cells` cells (op c
+  /// declares access_of(c)) and run them. run(shadow, c0, cn) runs
+  /// components [c0, c0 + cn). Element checks need one armed window per
+  /// op, so the checked flavor with a validator records and runs op by op,
+  /// each in its own body window, with shadow = std::true_type (plain
+  /// loops then publish iteration ids for the element tags). Otherwise
+  /// all n ops are recorded in component order and run as ONE host job
+  /// with std::false_type. The split is made once per launch, never per
+  /// cell.
+  template <class Op, class AccessOf, class Run>
+  void launch(const KernelSite& site, i64 cells, int n, AccessOf&& access_of,
+              Run&& run) {
+    check_independent(site, n, access_of);
+#ifdef SIMAS_ELEMENT_SHADOW
+    if (validator_ != nullptr) {
+      for (int c = 0; c < n; ++c) {
+        record<Op>(site, cells, access_of(c));
+        body_begin();
+        run(std::true_type{}, c, 1);
+        body_end();
+      }
+      return;
+    }
+#endif
+    for (int c = 0; c < n; ++c) record<Op>(site, cells, access_of(c));
+    run(std::false_type{}, 0, n);
+  }
+
   /// The components of one sweep must be independent: throws
   /// std::logic_error if component c writes an array that component d
   /// (d != c) declares at all. Allocation-free unless it throws.
@@ -348,14 +342,10 @@ class Engine {
   void emit(StreamEvent ev);
   void diverge();
 #ifdef SIMAS_ELEMENT_SHADOW
-  // Validator body brackets (no-ops when validation is off); defined in
-  // engine.cpp so this header needs only the forward declaration.
+  // Validator body brackets around one op's cells; defined in engine.cpp
+  // so this header needs only the forward declaration.
   void body_begin();
   void body_end();
-#else
-  // The production validator observes no kernel body: nothing to bracket.
-  void body_begin() {}
-  void body_end() {}
 #endif
   /// Surface-scaled when the site says so or any accessed array is a
   /// surface-sized buffer (halo pack/unpack).
@@ -366,18 +356,17 @@ class Engine {
   //
   // Determinism rules: anything that changes *which values are combined
   // in which order* must depend on the problem shape only — never on the
-  // thread count or on who executes a block. Plain loops (execute3 /
-  // execute1 / execute_array_reduce) write each cell exactly once, so
-  // their grain is free to adapt to the shape; scalar reductions combine
-  // per-block partials in block order, so their partitioning is *pinned*
-  // (kReducePlanesPerBlock / kReduceChunk) — changing it would change
-  // partial-sum rounding and every golden result built on it. How many
-  // pinned blocks one pool claim takes (reduce_group) is placement, not
-  // partitioning: free to follow the shape like a plain loop's grain.
+  // thread count or on who executes a block. Plain loops (loop3 / loop1 /
+  // array_reduce_loop) write each cell exactly once, so their grain is
+  // free to adapt to the shape; scalar reductions combine per-block
+  // partials in block order, so their partitioning is *pinned*
+  // (kReducePlanesPerBlock) — changing it would change partial-sum
+  // rounding and every golden result built on it. How many pinned blocks
+  // one pool claim takes (reduce_group) is placement, not partitioning:
+  // free to follow the shape like a plain loop's grain.
 
   /// Pinned reduction partitioning (frozen: determines partial-sum order).
   static constexpr i64 kReducePlanesPerBlock = 8;
-  static constexpr i64 kReduceChunk = 4096;
   /// Adaptive-grain target block count for plain loops: enough blocks to
   /// feed/balance any plausible host, few enough that the per-block
   /// claim fetch-add never dominates. Shape-derived only.
@@ -439,23 +428,21 @@ class Engine {
 
   /// Publish the flat iteration id of the cell about to run, for the
   /// validator's element tags. Only the checked flavor's validated
-  /// instantiation (kShadow = true) does anything; the production flavor
-  /// never instantiates it.
-  template <bool kShadow>
-  void tag_iteration([[maybe_unused]] i64 flat) const {
+  /// launches (shadow = std::true_type) do anything; the production
+  /// flavor never instantiates that path.
+  template <class Shadow>
+  void tag_iteration(Shadow, [[maybe_unused]] i64 flat) const {
 #ifdef SIMAS_ELEMENT_SHADOW
-    if constexpr (kShadow) analysis::set_current_iteration(shadow_ctx_, flat);
+    if constexpr (Shadow::value)
+      analysis::set_current_iteration(shadow_ctx_, flat);
 #endif
   }
 
-  /// The one 3-D loop nest: n components x nblocks plane blocks, block bb
-  /// running plane block bb % nblocks of component bb / nblocks. The
-  /// iteration-tagging path (kShadow) is selected once per launch by the
-  /// caller, never per element: unvalidated runs carry zero per-iteration
-  /// validation cost, and validated runs stay byte-identical in modeled
-  /// time (the validator never touches the clock ledger).
-  template <bool kShadow, class BodyOf>
-  void execute3_impl(Range3 r, int n, BodyOf& body_of) {
+  /// The one 3-D loop nest: components [c0, c0 + n) x nblocks plane
+  /// blocks, block bb running plane block bb % nblocks of component
+  /// c0 + bb / nblocks.
+  template <class Shadow, class BodyOf>
+  void loop3(Shadow shadow, Range3 r, int c0, int n, BodyOf& body_of) {
     const idx nj = r.nj();
     const i64 ni = r.ni();
     const i64 planes = static_cast<i64>(nj) * r.nk();
@@ -463,7 +450,7 @@ class Engine {
     const i64 ppb = plane_grain(planes, ni);
     const i64 nblocks = ceil_div(planes, ppb);
     dispatch_blocks(n, n * nblocks, planes * ni, [&](i64 bb) {
-      auto&& body = body_of(static_cast<int>(bb / nblocks));
+      auto&& body = body_of(c0 + static_cast<int>(bb / nblocks));
       const i64 p0 = (bb % nblocks) * ppb;
       const i64 p1 = std::min<i64>(planes, p0 + ppb);
       // Incremental (j,k) walk: one div/mod per block, not per plane.
@@ -471,7 +458,7 @@ class Engine {
       idx k = r.k0 + static_cast<idx>(p0 / nj);
       for (i64 p = p0; p < p1; ++p) {
         for (idx i = r.i0; i < r.i1; ++i) {
-          tag_iteration<kShadow>(p * ni + (i - r.i0));
+          tag_iteration(shadow, p * ni + (i - r.i0));
           body(i, j, k);
         }
         if (++j == r.j1) {
@@ -482,16 +469,8 @@ class Engine {
     });
   }
 
-  template <class F>
-  void execute1(Range1 r, F&& body) {
-#ifdef SIMAS_ELEMENT_SHADOW
-    if (validator_ != nullptr) return execute1_impl<true>(r, body);
-#endif
-    execute1_impl<false>(r, body);
-  }
-
-  template <bool kShadow, class F>
-  void execute1_impl(Range1 r, F& body) {
+  template <class Shadow, class F>
+  void loop1(Shadow shadow, Range1 r, F& body) {
     const i64 n = r.count();
     if (n <= 0) return;
     const i64 chunk = chunk_grain(n);
@@ -500,14 +479,10 @@ class Engine {
       const idx lo = r.begin + static_cast<idx>(b * chunk);
       const idx hi = std::min<idx>(r.end, lo + static_cast<idx>(chunk));
       for (idx i = lo; i < hi; ++i) {
-        tag_iteration<kShadow>(i - r.begin);
+        tag_iteration(shadow, i - r.begin);
         body(i);
       }
     });
-  }
-
-  static constexpr real max_identity() {
-    return std::numeric_limits<real>::lowest();
   }
 
   /// Per-block partial results, sized on demand and reused across calls:
@@ -522,45 +497,34 @@ class Engine {
   }
 
   static constexpr real identity(bool take_max) {
-    return take_max ? max_identity() : 0.0;
+    return take_max ? std::numeric_limits<real>::lowest() : 0.0;
   }
   static real combine(real acc, real v, bool take_max) {
     return take_max ? nan_max(acc, v) : acc + v;
   }
 
   /// Record and run n component reductions (reduce_sum / reduce_max are
-  /// n = 1). The checked flavor with a validator records and runs op by
-  /// op, each inside its own body window, like for_each_n.
+  /// n = 1). Each run's total combines into the result in component
+  /// order, so an op-by-op launch returns the same bits as one job.
   template <class AccessOf, class TermOf>
   real reduce_n(const KernelSite& site, Range3 r, int n, AccessOf&& access_of,
                 TermOf&& term_of, bool take_max) {
-    check_independent(site, n, access_of);
-#ifdef SIMAS_ELEMENT_SHADOW
-    if (validator_ != nullptr) {
-      real total = identity(take_max);
-      for (int c = 0; c < n; ++c) {
-        record<ReduceOp>(site, r.count(), access_of(c));
-        body_begin();
-        auto one = [&term_of, c](int) -> decltype(auto) { return term_of(c); };
-        total = combine(total, reduce3(r, 1, one, take_max), take_max);
-        body_end();
-      }
-      return total;
-    }
-#endif
-    for (int c = 0; c < n; ++c)
-      record<ReduceOp>(site, r.count(), access_of(c));
-    return reduce3(r, n, term_of, take_max);
+    real total = identity(take_max);
+    launch<ReduceOp>(site, r.count(), n, access_of, [&](auto, int c0, int cn) {
+      total = combine(total, reduce3(r, c0, cn, term_of, take_max), take_max);
+    });
+    return total;
   }
 
-  /// The one 3-D reduction nest. Pinned partitioning (partial-sum order is
-  /// part of the results): kReducePlanesPerBlock planes per block, one
-  /// partial per (component, block). A pool claim takes reduce_group
-  /// consecutive blocks of one component, so claim cc covers component
-  /// cc / nclaims. Partials combine in block order per component, then
-  /// the component totals in component order.
+  /// The one 3-D reduction nest over components [c0, c0 + n). Pinned
+  /// partitioning (partial-sum order is part of the results):
+  /// kReducePlanesPerBlock planes per block, one partial per (component,
+  /// block). A pool claim takes reduce_group consecutive blocks of one
+  /// component, so claim cc covers component c0 + cc / nclaims. Partials
+  /// combine in block order per component, then the component totals in
+  /// component order.
   template <class TermOf>
-  real reduce3(Range3 r, int n, TermOf& term_of, bool take_max) {
+  real reduce3(Range3 r, int c0, int n, TermOf& term_of, bool take_max) {
     const idx nj = r.nj(), nk = r.nk();
     const i64 ni = r.ni();
     const i64 planes = static_cast<i64>(nj) * nk;
@@ -572,7 +536,7 @@ class Engine {
     real* partial = reduce_partials(n * nblocks);
     dispatch_blocks(n, n * nclaims, planes * ni, [&](i64 cc) {
       const i64 c = cc / nclaims;
-      auto&& term = term_of(static_cast<int>(c));
+      auto&& term = term_of(c0 + static_cast<int>(c));
       real* part = partial + c * nblocks;
       const i64 b0 = (cc % nclaims) * group;
       const i64 b1 = std::min(nblocks, b0 + group);
@@ -603,45 +567,16 @@ class Engine {
     return total;
   }
 
-  /// Blocked 1-D sum with the pinned kReduceChunk partitioning:
-  /// deterministic and thread-count invariant, like every other entry
-  /// point.
-  template <class F>
-  real reduce1(Range1 r, F&& term) {
-    const i64 n = r.count();
-    if (n <= 0) return 0.0;
-    const i64 chunk = kReduceChunk;
-    const i64 nblocks = ceil_div(n, chunk);
-    real* partial = reduce_partials(nblocks);
-    dispatch_blocks(1, nblocks, n, [&](i64 b) {
-      const idx lo = r.begin + static_cast<idx>(b * chunk);
-      const idx hi = std::min<idx>(r.end, lo + static_cast<idx>(chunk));
-      real acc = 0.0;
-      for (idx i = lo; i < hi; ++i) acc += term(i);
-      partial[b] = acc;
-    });
-    real total = 0.0;
-    for (i64 b = 0; b < nblocks; ++b) total += partial[b];
-    return total;
-  }
-
-  template <class F>
-  void execute_array_reduce(Range3 r, std::span<real> out, F&& term) {
-#ifdef SIMAS_ELEMENT_SHADOW
-    if (validator_ != nullptr) return execute_array_reduce_impl<true>(r, out, term);
-#endif
-    execute_array_reduce_impl<false>(r, out, term);
-  }
-
-  template <bool kShadow, class F>
-  void execute_array_reduce_impl(Range3 r, std::span<real> out, F& term) {
+  template <class Shadow, class F>
+  void array_reduce_loop(Shadow shadow, Range3 r, std::span<real> out,
+                         F& term) {
     const idx ni = r.ni();
     if (ni <= 0) return;
     // One block per output element: pinned (inner accumulation order is
     // part of the results), like the scalar reductions.
     const i64 nblocks = ni;
     dispatch_blocks(1, nblocks, static_cast<i64>(r.count()), [&](i64 b) {
-      tag_iteration<kShadow>(b);
+      tag_iteration(shadow, b);
       const idx i = r.i0 + static_cast<idx>(b);
       real acc = 0.0;
       for (idx k = r.k0; k < r.k1; ++k)
@@ -685,7 +620,7 @@ class Engine {
   /// Event-trace recorder; feeds static_verify().
   std::unique_ptr<analysis::StreamCapture> capture_;
 #ifdef SIMAS_ELEMENT_SHADOW
-  /// Identity the execute loops publish with each iteration id while
+  /// Identity the loop nests publish with each iteration id while
   /// validation is on, so shadow slots can tag touched elements: this
   /// engine's validator and its current armed window. Slots owned by
   /// other engines (shared ThreadPool) ignore ids carrying a different
@@ -694,7 +629,7 @@ class Engine {
   /// after the job publication fence.
   analysis::ShadowExecContext shadow_ctx_;
 #endif
-  /// Reused per-block partials scratch for reduce3/reduce1 (sized to the
+  /// Reused per-block partials scratch for reduce3 (sized to the
   /// largest reduction seen; steady-state reductions never allocate).
   std::vector<real> partials_;
 

@@ -108,11 +108,10 @@ void Scheduler::on_mem_hint(const MemHintOp& op) {
                             ctx_.mem->record(op.id).name);
 }
 
-void Scheduler::charge_launch_and_bytes(const KernelSite& site, i64 cells,
-                                        i64 bytes, gpusim::ScaleClass scale,
-                                        bool fused, bool async,
-                                        double extra_traffic_factor,
-                                        gpusim::TimeCategory category) {
+void Scheduler::charge(const KernelOp& op, bool fused, bool async,
+                       bool reduction, double extra_traffic_factor) {
+  ctx_.metrics->kernel_cells.observe(static_cast<double>(op.cells));
+  const i64 bytes = touch_accesses(op.accesses, op.cells);
   const bool unified = ctx_.mem->unified() && ctx_.cfg->gpu;
   const double t0 = ctx_.ledger->now();
   double launch = ctx_.cost->launch_time(fused, async, unified);
@@ -127,43 +126,25 @@ void Scheduler::charge_launch_and_bytes(const KernelSite& site, i64 cells,
   }
   ctx_.ledger->advance(launch, gpusim::TimeCategory::LaunchGap);
   const double traffic =
-      ctx_.cost->kernel_time(bytes, scale) * extra_traffic_factor;
-  ctx_.ledger->advance(traffic, category);
-  ctx_.metrics->bytes_touched.add(bytes);
-  if (ctx_.profiler != nullptr)
-    ctx_.profiler->record(site, ctx_.ledger->now() - t0, cells, bytes,
-                          fused);
+      ctx_.cost->kernel_time(bytes, op.scale) * extra_traffic_factor;
+  ctx_.ledger->advance(traffic, op.category);
+  ctx_.profiler->record(*op.site, ctx_.ledger->now() - t0, op.cells, bytes,
+                        fused, reduction);
   if (ctx_.tracer->enabled())
     ctx_.tracer->record(t0, ctx_.ledger->now(), trace::Lane::Kernel,
-                        site.name);
+                        op.site->name);
 }
 
 void Scheduler::on_launch(const LaunchOp& op) {
-  ctx_.metrics->loops.add();
-  ctx_.metrics->kernel_cells.observe(static_cast<double>(op.cells));
-  const i64 bytes = touch_accesses(op.accesses, op.cells);
-
   const bool fused = chain_.launch(op.site->fusion_group);
-  if (fused)
-    ctx_.metrics->fused.add();
-  else
-    ctx_.metrics->launches.add();
-
-  charge_launch_and_bytes(*op.site, op.cells, bytes, op.scale, fused,
-                          policy_.async_launch(*op.site),
-                          1.0 + ctx_.cfg->wrapper_init_overhead, op.category);
+  charge(op, fused, policy_.async_launch(*op.site), /*reduction=*/false,
+         1.0 + ctx_.cfg->wrapper_init_overhead);
 }
 
 void Scheduler::on_reduce(const KernelOp& op, double traffic_factor) {
-  ctx_.metrics->loops.add();
-  ctx_.metrics->reductions.add();
-  ctx_.metrics->launches.add();
-  ctx_.metrics->kernel_cells.observe(static_cast<double>(op.cells));
   chain_.reset();  // reductions synchronize; they never fuse
-  const i64 bytes = touch_accesses(op.accesses, op.cells);
-  charge_launch_and_bytes(*op.site, op.cells, bytes, op.scale,
-                          /*fused=*/false, /*async=*/false, traffic_factor,
-                          op.category);
+  charge(op, /*fused=*/false, /*async=*/false, /*reduction=*/true,
+         traffic_factor);
 }
 
 void Scheduler::on_sync() {

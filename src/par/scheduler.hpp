@@ -120,9 +120,8 @@ struct EngineConfig {
   int flight_rank = 0;
 };
 
-/// Snapshot view of the engine.* metrics family, assembled by value from
-/// the telemetry registry (the store of record) — kept for the existing
-/// consumers (tests, benches, perfbench).
+/// The engine.* totals by value: column sums of the per-site profile
+/// (Engine::counters()).
 struct EngineCounters {
   i64 kernel_launches = 0;  ///< launches actually issued (after fusion)
   i64 loops_executed = 0;   ///< logical parallel loops run
@@ -243,10 +242,10 @@ class Scheduler {
   /// Sum the logical bytes the op touches and notify the memory manager
   /// (unified-memory page migration). Returns the byte total.
   i64 touch_accesses(const AccessList& accesses, i64 cells);
-  void charge_launch_and_bytes(const KernelSite& site, i64 cells, i64 bytes,
-                               gpusim::ScaleClass scale, bool fused,
-                               bool async, double extra_traffic_factor,
-                               gpusim::TimeCategory category);
+  /// Charge one kernel op: touch its accesses, advance the ledger by its
+  /// launch and traffic time, and count it in the per-site profile.
+  void charge(const KernelOp& op, bool fused, bool async, bool reduction,
+              double extra_traffic_factor);
 
   SchedulerContext ctx_;
   LoweringPolicy policy_;

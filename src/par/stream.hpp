@@ -115,7 +115,7 @@ struct KernelOp {
 
 /// A data-parallel loop nest (for_each / for_each1).
 struct LaunchOp : KernelOp {};
-/// A scalar reduction (reduce_sum / reduce_max / reduce_sum1).
+/// A scalar reduction (reduce_sum / reduce_max / reduce_sum_n).
 struct ReduceOp : KernelOp {};
 /// An indexed accumulation (array_reduce).
 struct ArrayReduceOp : KernelOp {};

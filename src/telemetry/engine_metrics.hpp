@@ -1,12 +1,14 @@
 #pragma once
-// The Engine's hot-path metric bundle: every counter the scheduler and
-// dispatcher touch per kernel, pre-resolved to registry handles at Engine
+// The Engine's metric bundle: every counter the scheduler and dispatcher
+// touch per kernel, pre-resolved to registry handles at Engine
 // construction so the launch path never does a name lookup (and never
 // allocates — see the allocation-counting test in tests/test_par.cpp).
 //
-// Colder families (mem.*, graph.*, time.*) are published into the same
-// registry at snapshot time by Engine::metrics_snapshot(); only what runs
-// per-launch lives here.
+// The per-kernel counts (engine.launches and its four siblings) live in
+// the per-site profile (telemetry/profiler.hpp); Engine::metrics_snapshot()
+// publishes their column sums at snapshot time, as it publishes the
+// colder families (mem.*, graph.*, time.*). bind() registers their names
+// first, so the snapshot order does not depend on when they are set.
 
 #include <span>
 
@@ -15,11 +17,6 @@
 namespace simas::telemetry {
 
 struct EngineMetrics {
-  Counter launches;       ///< engine.launches — issued after fusion
-  Counter loops;          ///< engine.loops — logical parallel loops
-  Counter fused;          ///< engine.fused_launches
-  Counter reductions;     ///< engine.reduction_loops
-  Counter bytes_touched;  ///< engine.bytes_touched (run scale)
   Counter pool_jobs;      ///< pool.jobs — kernels dispatched to the pool
   Counter pool_inline;    ///< pool.inline_kernels — run on the caller
   Counter pool_joins;     ///< pool.joins — pooled host jobs (one join each)
@@ -30,11 +27,10 @@ struct EngineMetrics {
   static constexpr double kCellBounds[] = {1e3, 1e4, 1e5, 1e6, 1e7};
 
   void bind(Registry& reg) {
-    launches = reg.counter("engine.launches");
-    loops = reg.counter("engine.loops");
-    fused = reg.counter("engine.fused_launches");
-    reductions = reg.counter("engine.reduction_loops");
-    bytes_touched = reg.counter("engine.bytes_touched");
+    for (const char* total :
+         {"engine.launches", "engine.loops", "engine.fused_launches",
+          "engine.reduction_loops", "engine.bytes_touched"})
+      reg.counter(total);
     pool_jobs = reg.counter("pool.jobs");
     pool_inline = reg.counter("pool.inline_kernels");
     pool_joins = reg.counter("pool.joins");

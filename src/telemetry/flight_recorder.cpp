@@ -1,5 +1,8 @@
 #include "telemetry/flight_recorder.hpp"
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <thread>
@@ -137,10 +140,16 @@ void FlightRecorder::dump_json(std::ostream& os,
 bool FlightRecorder::dump_to_file(const std::string& path,
                                   const std::string& reason) const {
   if (path.empty()) return false;
-  std::ofstream os(path);
+  static std::atomic<u64> dumps{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(dumps.fetch_add(1));
+  std::ofstream os(tmp);
   if (!os) return false;
   dump_json(os, reason);
-  return os.good();
+  os.close();
+  const bool ok = !os.fail() && std::rename(tmp.c_str(), path.c_str()) == 0;
+  if (!ok) (void)std::remove(tmp.c_str());
+  return ok;
 }
 
 }  // namespace simas::telemetry

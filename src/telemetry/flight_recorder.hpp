@@ -10,8 +10,8 @@
 // reductions, syncs, fusion breaks, memory hints, halo windows,
 // data-motion events, plus free-form notes for service-level incidents.
 // Each event is a handful of integers — no strings, no allocation — so
-// recording is a single fetch_add, one load and a few relaxed atomic
-// stores.
+// recording is a single fetch_add, the lap-order check and a few relaxed
+// atomic stores.
 //
 // Concurrency contract (TSan-clean by construction):
 //  * every slot field is a std::atomic of a primitive type, so no access
@@ -100,17 +100,11 @@ class FlightRecorder {
   /// The process-wide recorder every Engine records into.
   static FlightRecorder& process();
 
-  /// Recording on/off (on by default). Off turns record() into a single
-  /// relaxed load — used by the overhead A/B in bench_host_exec.
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
   /// Record one event. Allocation-free, O(1). The narrow fields are
   /// packed into two words so the hot path is one fetch_add, the lap-order
   /// check, six relaxed stores and the release publish.
   void record(FlightKind kind, u64 trace_id, i32 rank, double t, i32 site,
               i32 array, i64 payload, unsigned char detail = 0) {
-    if (!enabled_.load(std::memory_order_relaxed)) return;
     const u64 seq = head_.fetch_add(1, std::memory_order_relaxed);
     Slot& s = ring_[seq & (kCapacity - 1)];
     const u64 mine = tag_of(seq);
@@ -147,8 +141,10 @@ class FlightRecorder {
   /// SiteTable at dump time.
   void dump_json(std::ostream& os, const std::string& reason) const;
 
-  /// dump_json to a file; returns false (and stays silent) if the file
-  /// cannot be opened — the flight recorder must never take a run down.
+  /// dump_json to a temp file beside `path`, renamed over it: concurrent
+  /// dumps to one path leave one whole document (the last rename wins).
+  /// Returns false (and stays silent, leaving no temp file) if the file
+  /// cannot be written — the flight recorder must never take a run down.
   bool dump_to_file(const std::string& path, const std::string& reason) const;
 
  private:
@@ -189,7 +185,6 @@ class FlightRecorder {
 
   std::unique_ptr<Slot[]> ring_;
   std::atomic<u64> head_{0};
-  std::atomic<bool> enabled_{true};
 };
 
 }  // namespace simas::telemetry

@@ -17,12 +17,26 @@ SiteProfileSnapshot SiteProfiler::snapshot() const {
     row.kind = par::site_kind_name(e.site->kind);
     row.launches = e.launches;
     row.fused = e.fused;
+    row.reductions = e.reductions;
     row.cells = e.cells;
     row.bytes = e.bytes;
     row.seconds = e.seconds;
     snap.rows.push_back(std::move(row));
   }
   return snap;
+}
+
+SiteProfileRow SiteProfiler::totals() const {
+  SiteProfileRow sum;
+  for (const Entry& e : entries_) {
+    sum.launches += e.launches;
+    sum.fused += e.fused;
+    sum.reductions += e.reductions;
+    sum.cells += e.cells;
+    sum.bytes += e.bytes;
+    sum.seconds += e.seconds;
+  }
+  return sum;
 }
 
 double SiteProfileSnapshot::total_seconds() const {
@@ -45,6 +59,7 @@ void SiteProfileSnapshot::merge_from(const SiteProfileSnapshot& other) {
     }
     mine->launches += o.launches;
     mine->fused += o.fused;
+    mine->reductions += o.reductions;
     mine->cells += o.cells;
     mine->bytes += o.bytes;
     mine->seconds += o.seconds;

@@ -2,7 +2,9 @@
 // Hot-spot profiler: per-kernel-site aggregation of modeled time, launch
 // counts, cells, and bytes — the reproduction of the paper's Tables 1–3
 // methodology ("which kernels dominate, per code version") as a queryable
-// artifact instead of an eyeballed timeline.
+// artifact instead of an eyeballed timeline. It is also the store of
+// record for per-kernel counts: the engine.* launch, loop, fusion,
+// reduction and byte totals are its column sums (SiteProfiler::totals).
 //
 // The Scheduler feeds every charged kernel op into SiteProfiler::record;
 // the hot path is a single indexed accumulate into a vector keyed by the
@@ -26,6 +28,7 @@ struct SiteProfileRow {
   std::string kind;
   i64 launches = 0;   ///< launches issued for this site (fused ones excluded)
   i64 fused = 0;      ///< loops merged into a preceding launch
+  i64 reductions = 0; ///< launches that were scalar or array reductions
   i64 cells = 0;      ///< logical iteration-space cells executed
   i64 bytes = 0;      ///< logical bytes touched (run scale)
   double seconds = 0.0;  ///< modeled seconds charged (launch + traffic)
@@ -50,9 +53,10 @@ struct SiteProfileSnapshot {
 class SiteProfiler {
  public:
   /// Account one charged kernel op. `fused` marks a loop merged into the
-  /// previous launch (no launch of its own). Hot path: O(1) indexed adds.
+  /// previous launch (no launch of its own); `reduction` a scalar or
+  /// array reduction (never fused). Hot path: O(1) indexed adds.
   void record(const par::KernelSite& site, double seconds, i64 cells,
-              i64 bytes, bool fused) {
+              i64 bytes, bool fused, bool reduction) {
     const std::size_t id = static_cast<std::size_t>(site.id);
     if (id >= entries_.size()) entries_.resize(id + 1);
     Entry& e = entries_[id];
@@ -61,18 +65,20 @@ class SiteProfiler {
       e.fused++;
     else
       e.launches++;
+    if (reduction) e.reductions++;
     e.cells += cells;
     e.bytes += bytes;
     e.seconds += seconds;
   }
 
   SiteProfileSnapshot snapshot() const;
-  void reset() { entries_.clear(); }
+  /// Column sums over every site (name and kind left empty).
+  SiteProfileRow totals() const;
 
  private:
   struct Entry {
     const par::KernelSite* site = nullptr;  ///< null = id never seen
-    i64 launches = 0, fused = 0, cells = 0, bytes = 0;
+    i64 launches = 0, fused = 0, reductions = 0, cells = 0, bytes = 0;
     double seconds = 0.0;
   };
   std::vector<Entry> entries_;  ///< indexed by KernelSite::id

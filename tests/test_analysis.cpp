@@ -215,6 +215,41 @@ TEST(AccessList, UndeclaredReadInsideComponentSweepIsReported) {
   scrub(eng, {&a0, &a1, &c});
 }
 
+TEST(AccessList, UndeclaredWritesInsideForEach1AndArrayReduceAreReported) {
+  // for_each1 and array_reduce share the component sweeps' launch path;
+  // each op still runs in its own body window under a validator.
+  par::Engine eng(validating_config());
+  field::Field a(eng, "an_acc_fold_a", 4, 4, 4);
+  field::Field w1(eng, "an_acc_fold_w1", 4, 4, 4);
+  field::Field w2(eng, "an_acc_fold_w2", 4, 4, 4);
+  for (field::Field* f : {&a, &w1, &w2}) f->enter_data();
+  static const par::KernelSite& site1 =
+      SIMAS_SITE("an_acc_fold_1d", SiteKind::ParallelLoop, 0);
+  static const par::KernelSite& site2 =
+      SIMAS_SITE("an_acc_fold_arr", SiteKind::ArrayReduction, 0, false,
+                 false, /*async_capable=*/false);
+  eng.for_each1(site1, par::Range1{0, 4}, {par::out(a.id())}, [&](idx i) {
+    a(i, 0, 0) = 1.0;
+    w1(i, 0, 0) = 2.0;
+  });
+  std::array<real, 4> sums{};
+  eng.array_reduce(site2, par::Range3{0, 4, 0, 4, 0, 4}, {par::in(a.id())},
+                   std::span<real>(sums), [&](idx i, idx j, idx k) {
+                     w2(i, j, k) = 3.0;
+                     return a(i, j, k);
+                   });
+  const ValidationReport rep = eng.take_validation_report();
+  bool found_1d = false, found_arr = false;
+  for (const analysis::Diagnostic& d : rep.diagnostics) {
+    if (d.check != Check::UndeclaredAccess) continue;
+    found_1d |= d.array == "an_acc_fold_w1" && d.site == "an_acc_fold_1d";
+    found_arr |= d.array == "an_acc_fold_w2" && d.site == "an_acc_fold_arr";
+  }
+  EXPECT_TRUE(found_1d) << rep.to_string();
+  EXPECT_TRUE(found_arr) << rep.to_string();
+  scrub(eng, {&a, &w1, &w2});
+}
+
 TEST(AccessList, DeclaredWriteNeverTouchedInflatesCostModel) {
   par::Engine eng(validating_config());
   field::Field a(eng, "an_acc_c", 4, 4, 4);

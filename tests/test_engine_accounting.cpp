@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -153,21 +152,15 @@ TEST(EngineAccounting, ReductionsBreakFusionChains) {
   EXPECT_EQ(eng.counters().fused_launches, 0);
 }
 
-TEST(EngineAccounting, ForEach1AndReduceSum1) {
+TEST(EngineAccounting, ForEach1) {
   Engine eng(base_config());
   const auto id = eng.memory().register_array("a", 1 << 20);
   static const KernelSite& site1 =
       SIMAS_SITE("acct_1d_loop", SiteKind::ParallelLoop, 0);
-  static const KernelSite& site2 =
-      SIMAS_SITE("acct_1d_red", SiteKind::ScalarReduction, 0, false,
-                 false, /*async_capable=*/false);
   std::vector<real> v(100, 0.0);
   eng.for_each1(site1, Range1{0, 100}, {out(id)},
                 [&](idx i) { v[static_cast<std::size_t>(i)] = real(i); });
   EXPECT_DOUBLE_EQ(v[99], 99.0);
-  const real s = eng.reduce_sum1(site2, Range1{0, 100}, {in(id)},
-                                 [&](idx i) { return v[std::size_t(i)]; });
-  EXPECT_DOUBLE_EQ(s, 99.0 * 100.0 / 2.0);
 }
 
 TEST(EngineAccounting, ReduceMaxIdentityIsLowestRepresentable) {
@@ -185,39 +178,6 @@ TEST(EngineAccounting, ReduceMaxIdentityIsLowestRepresentable) {
   const real m = eng.reduce_max(site, Range3{0, 4, 0, 4, 0, 4}, {in(id)},
                                 [](idx, idx, idx) { return -1.7e308; });
   EXPECT_EQ(m, -1.7e308);
-}
-
-TEST(EngineAccounting, ReduceSum1IsThreadCountInvariant) {
-  // reduce_sum1 runs on the thread pool with fixed 4096-element blocks;
-  // the combine order is the block order, so the sum must be bitwise
-  // identical for any thread count (and to a serial blocked reference).
-  const i64 n = 20000;  // several blocks, last one partial
-  std::vector<real> vals(static_cast<std::size_t>(n));
-  for (i64 i = 0; i < n; ++i)
-    vals[static_cast<std::size_t>(i)] =
-        std::sin(1e-3 * static_cast<real>(i)) + 1.0 / static_cast<real>(i + 1);
-
-  real serial_blocked = 0.0;
-  for (i64 b0 = 0; b0 < n; b0 += 4096) {
-    real acc = 0.0;
-    for (i64 i = b0; i < std::min<i64>(n, b0 + 4096); ++i)
-      acc += vals[static_cast<std::size_t>(i)];
-    serial_blocked += acc;
-  }
-
-  for (const int threads : {1, 3, 8}) {
-    EngineConfig cfg = base_config();
-    cfg.host_threads = threads;
-    Engine eng(cfg);
-    const auto id = eng.memory().register_array("a", n * 8);
-    static const KernelSite& site =
-        SIMAS_SITE("acct_red1_invariant", SiteKind::ScalarReduction, 0, false,
-                 false, /*async_capable=*/false);
-    const real s =
-        eng.reduce_sum1(site, Range1{0, n}, {in(id)},
-                        [&](idx i) { return vals[std::size_t(i)]; });
-    EXPECT_EQ(s, serial_blocked) << "threads=" << threads;
-  }
 }
 
 TEST(EngineAccounting, DeviceSyncAdvancesClockOnGpuOnly) {

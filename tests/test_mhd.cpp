@@ -255,14 +255,31 @@ TEST(HostJoins, BenchGridStepJoinsOncePerComponentSweep) {
     solver.initialize();
     (void)solver.step();
     const telemetry::MetricsSnapshot before = engine.metrics_snapshot();
+    const telemetry::SiteProfileRow sites_before =
+        engine.site_profiler().totals();
     const StepStats st = solver.step();
     const telemetry::MetricsSnapshot after = engine.metrics_snapshot();
+    const telemetry::SiteProfileRow sites_after =
+        engine.site_profiler().totals();
     const auto delta = [&](const char* name) {
       return after.counter(name) - before.counter(name);
     };
     EXPECT_EQ(st.viscosity_iters, 6);
     EXPECT_EQ(st.conduction_iters, 6);
     EXPECT_EQ(delta("engine.loops"), 302);
+    EXPECT_EQ(delta("engine.launches"), 263);
+    EXPECT_EQ(delta("engine.fused_launches"), 39);
+    EXPECT_EQ(delta("engine.reduction_loops"), 54);
+    EXPECT_EQ(delta("engine.bytes_touched"), 60787712);
+    // The engine.* totals are the per-site profile's column sums.
+    EXPECT_EQ(sites_after.launches - sites_before.launches,
+              delta("engine.launches"));
+    EXPECT_EQ(sites_after.fused - sites_before.fused,
+              delta("engine.fused_launches"));
+    EXPECT_EQ(sites_after.reductions - sites_before.reductions,
+              delta("engine.reduction_loops"));
+    EXPECT_EQ(sites_after.bytes - sites_before.bytes,
+              delta("engine.bytes_touched"));
     EXPECT_EQ(delta("pool.jobs"), 196);
     EXPECT_EQ(delta("pool.inline_kernels"), 106);
     // The checked flavor under a validator runs each component op by op.

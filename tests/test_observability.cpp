@@ -18,6 +18,7 @@
 #include <array>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <set>
@@ -225,15 +226,6 @@ TEST(ObservabilityFlightRing, RecordsAreDecodableInSequenceOrder) {
   EXPECT_EQ(note.kind, FlightKind::JobNote);
   EXPECT_EQ(note.detail, static_cast<unsigned char>(FlightNote::ExplicitDump));
   EXPECT_EQ(note.payload, 9);
-}
-
-TEST(ObservabilityFlightRing, DisabledRecorderIsANoop) {
-  FlightRecorder& fr = FlightRecorder::process();
-  fr.set_enabled(false);
-  const u64 before = fr.recorded();
-  fr.record(FlightKind::Sync, 0, 0, 0.0, -1, -1, 0);
-  EXPECT_EQ(fr.recorded(), before);
-  fr.set_enabled(true);
 }
 
 TEST(ObservabilityFlightRing, ContendedWritersNeverTearASnapshot) {
@@ -627,6 +619,41 @@ TEST(ObservabilityFlightDump, EveryTriggerNamesItsNote) {
     ASSERT_NE(note, nullptr);
     EXPECT_EQ(note->find("note")->as_string(), "job_failed");
     EXPECT_EQ(note->find("payload")->as_number(), 7.0);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ObservabilityFlightDump, ConcurrentDumpsToOnePathLeaveOneDocument) {
+  // Jobs sharing one SIMAS_FLIGHT_DUMP path dump at the end of each run:
+  // the file must stay one whole document, with no temp file left behind.
+  const std::string dir = ::testing::TempDir();
+  const std::string name = "simas_flight_concurrent.json";
+  const std::string path = dir + name;
+  std::remove(path.c_str());
+  par::EnvConfig env;
+  env.flight_dump = path;
+  const par::SimContext ctx(env);
+  // A full ring makes each document large enough for torn writes to show.
+  FlightRecorder& fr = FlightRecorder::process();
+  for (std::size_t e = 0; e < FlightRecorder::kCapacity; ++e)
+    fr.record(FlightKind::Launch, 1, 0, 0.0, -1, -1, static_cast<i64>(e));
+
+  constexpr int kThreads = 4;
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&ctx, &ready, t] {
+      // Start together, so every dump overlaps another.
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      ctx.flight_incident(FlightNote::ExplicitDump, 900 + t);
+    });
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_NE(read_flight_dump(path).find("events"), nullptr);
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string file = entry.path().filename().string();
+    EXPECT_FALSE(file.starts_with(name + ".tmp")) << "left behind: " << file;
   }
   std::remove(path.c_str());
 }

@@ -242,7 +242,8 @@ Snapshot run_engine(const EngineConfig& cfg) {
     eng.reduce_max(s.red, kVol, {in(b)},
                    [](idx, idx, idx) { return 2.0; });
     eng.device_sync();
-    eng.reduce_sum1(s.red1, kPacked, {in(a)}, [](idx) { return 1.0; });
+    eng.reduce_sum(s.red1, Range3{0, 600, 0, 1, 0, 1}, {in(a)},
+                   [](idx, idx, idx) { return 1.0; });
     eng.for_each(s.no_async, kVol, {out(b)}, noop3);
   }
 

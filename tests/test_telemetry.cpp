@@ -364,9 +364,9 @@ TEST(Profiler, AggregatesPerSiteAndRanks) {
   const par::KernelSite& sb =
       SIMAS_SITE("test_prof_b", par::SiteKind::ScalarReduction, 0);
   telemetry::SiteProfiler prof;
-  prof.record(sa, 0.5, 100, 800, /*fused=*/false);
-  prof.record(sa, 0.25, 100, 800, /*fused=*/true);
-  prof.record(sb, 2.0, 50, 400, /*fused=*/false);
+  prof.record(sa, 0.5, 100, 800, /*fused=*/false, /*reduction=*/false);
+  prof.record(sa, 0.25, 100, 800, /*fused=*/true, /*reduction=*/false);
+  prof.record(sb, 2.0, 50, 400, /*fused=*/false, /*reduction=*/true);
 
   telemetry::SiteProfileSnapshot snap = prof.snapshot();
   ASSERT_EQ(snap.rows.size(), 2u);
@@ -386,6 +386,7 @@ TEST(Profiler, AggregatesPerSiteAndRanks) {
   EXPECT_EQ(by_launches[0].name, "test_prof_a");  // 2 launches + 2 fused
   EXPECT_EQ(by_launches[0].launches, 2);
   EXPECT_EQ(by_launches[0].fused, 2);
+  EXPECT_EQ(by_launches[1].reductions, 2);
 
   std::ostringstream os;
   snap.write_json(os);
