@@ -410,13 +410,17 @@ class Engine {
   }
 
   /// Run fn(b) for b in [0, claims) as ONE host job covering `kernels`
-  /// recorded ops of `cells` cells each: inline when one kernel is small,
-  /// else on the pool, with one join. Claims execute exactly once either
-  /// way; results are identical by construction. pool.jobs and
-  /// pool.inline_kernels count kernels; pool.joins counts pooled jobs.
+  /// recorded ops of `cells` cells each: inline when one kernel is small
+  /// or when the pool is saturated (its live engines already cover every
+  /// hardware thread, ThreadPool::saturated), else on the pool, with one
+  /// join. The size test comes first, so small launches read no atomic.
+  /// Claims execute exactly once either way and the partition is the
+  /// caller's, so results are identical by construction: the gate moves
+  /// placement, never partitioning. pool.jobs and pool.inline_kernels
+  /// count kernels by where they ran; pool.joins counts pooled jobs.
   template <class Fn>
   void dispatch_blocks(int kernels, i64 claims, i64 cells, Fn&& fn) {
-    if (cells <= kInlineCells) {
+    if (cells <= kInlineCells || pool_->saturated()) {
       metrics_.pool_inline.add(kernels);
       for (i64 b = 0; b < claims; ++b) fn(b);
     } else {

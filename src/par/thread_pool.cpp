@@ -88,6 +88,7 @@ void ThreadPool::run_one(Job& job, i64 block) {
 }
 
 bool ThreadPool::spin_allowed() const {
+  if (hardware_threads_ <= 0) return false;  // unknown hardware: park
   return std::max(attached(), 1) + (nthreads_ - 1) <= hardware_threads_;
 }
 

@@ -38,6 +38,18 @@
 // the pool). A pool shared by more engines than that (the JobServer's)
 // parks at once, so spinning never steals a core from a caller.
 //
+// Placement gate: saturated() is true once the live Leases alone cover
+// the hardware, attached >= max(2, hardware concurrency). Every hardware
+// thread then already has a caller of its own, so an engine runs its
+// launches inline (Engine::dispatch_blocks) instead of handing blocks to
+// workers that can only preempt another caller. A lone caller never
+// counts as saturated, however narrow the machine: with nobody else to
+// fill it, the pool is its only parallelism.
+//
+// Both gates are derived from the live Lease count and the hardware, and
+// both are off when hardware concurrency is unknown (reported as 0): no
+// spinning, no saturation, so placement stays on the pool.
+//
 // Lifetime: a Job lives on its caller's stack. The caller unlinks it from
 // the active list under the mutex (so no *new* worker can reach it) and
 // then waits for the job's claimer count to drain before returning — a
@@ -49,6 +61,7 @@
 // is still counted as done so the job cannot deadlock, and the exception
 // is rethrown on the calling thread after the job completes.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -96,6 +109,15 @@ class ThreadPool {
   /// Live Leases on this pool.
   int attached() const { return attached_.load(std::memory_order_relaxed); }
 
+  /// The placement gate: true while the live Leases cover every hardware
+  /// thread, attached() >= max(2, hardware concurrency); never true for a
+  /// lone caller, nor when hardware concurrency is unknown. One relaxed
+  /// load, off the mutex's cache line.
+  bool saturated() const {
+    return hardware_threads_ > 0 &&
+           attached() >= std::max(2, hardware_threads_);
+  }
+
  private:
   /// How long an idle worker (or a caller awaiting stragglers) spins
   /// before it sleeps on a CV.
@@ -124,7 +146,8 @@ class ThreadPool {
   };
 
   void worker_loop();
-  /// The spin gate: true while callers plus workers fit on the hardware.
+  /// The spin gate: true while callers plus workers fit on the hardware;
+  /// false when hardware concurrency is unknown.
   bool spin_allowed() const;
   /// First job in active_ with unclaimed blocks, pruning exhausted ones
   /// (under lock); nullptr if none.
@@ -136,14 +159,18 @@ class ThreadPool {
   /// Remove `job` from active_ if still linked (caller side; under lock).
   void unlink(Job* job);
 
-  int nthreads_;
-  int hardware_threads_;
+  // --- Gate inputs, read on every launch (saturated) and every idle
+  // spin (spin_allowed): a line of their own, so those reads never miss
+  // on the line that publishes and unlinks write. attached_ changes only
+  // when an engine is built or destroyed.
+  alignas(64) int nthreads_;
+  int hardware_threads_;  ///< hardware_concurrency(); 0 = unknown
   std::atomic<int> attached_{0};
   std::vector<std::thread> workers_;
 
   // --- Job-boundary signalling only. active_ holds jobs that may still
   // have unclaimed blocks; exhausted jobs are pruned by whoever notices.
-  std::mutex mutex_;
+  alignas(64) std::mutex mutex_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
   std::vector<Job*> active_;  ///< guarded by mutex_

@@ -292,8 +292,8 @@ class RankRun {
 };
 
 /// After every rank: fold the slowest rank into the headline minutes,
-/// merge the per-rank metrics, and fire this layer's flight-dump and
-/// SIMAS_PROFILE triggers.
+/// merge the per-rank metrics, and fire this layer's static-verifier
+/// flight-dump and SIMAS_PROFILE triggers.
 void finish(const RunPlan& plan, ExperimentResult& result) {
   const ExperimentConfig& cfg = plan.cfg;
   double worst_step = 0.0, worst_mpi = 0.0, worst_hidden = 0.0;
@@ -312,16 +312,11 @@ void finish(const RunPlan& plan, ExperimentResult& result) {
   // gauges Max/Sum as declared, histograms add bucket-wise).
   for (const auto& r : result.ranks) result.metrics.merge_from(r.metrics);
 
-  // Flight-recorder dump triggers owned by this layer: a static-verifier
-  // error, or else the explicit SIMAS_FLIGHT_DUMP end-of-run request.
-  i64 static_errors = 0;
-  for (const auto& rep : result.static_reports) static_errors += rep.errors();
-  if (static_errors > 0)
+  // A static-verifier error is a flight-dump trigger (the explicit
+  // end-of-run dump is the caller's: run_experiment or JobServer::drain).
+  if (const i64 errors = result.static_errors(); errors > 0)
     plan.ctx.flight_incident(telemetry::FlightNote::StaticVerifierError,
-                             cfg.trace.trace_id, static_errors);
-  else
-    plan.ctx.flight_incident(telemetry::FlightNote::ExplicitDump,
-                             cfg.trace.trace_id);
+                             cfg.trace.trace_id, errors);
 
   // SIMAS_PROFILE prints the merged profile; read from the one-time env
   // snapshot, never from getenv() mid-run.
@@ -331,11 +326,31 @@ void finish(const RunPlan& plan, ExperimentResult& result) {
   }
 }
 
+/// The context a run reports to: its own, else the process context.
+const par::SimContext& context_of(const ExperimentConfig& cfg) {
+  return cfg.ctx != nullptr ? *cfg.ctx : par::SimContext::process();
+}
+
 }  // namespace
 
+i64 ExperimentResult::static_errors() const {
+  i64 errors = 0;
+  for (const auto& rep : static_reports) errors += rep.errors();
+  return errors;
+}
+
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
-  const par::SimContext& ctx =
-      cfg.ctx != nullptr ? *cfg.ctx : par::SimContext::process();
+  ExperimentResult result = run_batch_job(cfg);
+  // The explicit SIMAS_FLIGHT_DUMP end-of-run request, unless a
+  // static-verifier dump already holds the ring.
+  if (result.static_errors() == 0)
+    context_of(cfg).flight_incident(telemetry::FlightNote::ExplicitDump,
+                                    cfg.trace.trace_id);
+  return result;
+}
+
+ExperimentResult run_batch_job(const ExperimentConfig& cfg) {
+  const par::SimContext& ctx = context_of(cfg);
   const i64 run_cells =
       static_cast<i64>(cfg.grid.nr) * cfg.grid.nt * cfg.grid.np;
   // Host threads: SIMAS_HOST_THREADS (from the context's env snapshot)

@@ -1,10 +1,11 @@
 #pragma once
 // The experiment runner: executes the MAS-analog solver under a given
 // code version / rank count / device, and reports paper-projected
-// wall-clock and MPI time. Every table/figure bench and every JobServer
-// job runs through run_experiment. Each rank runs the same named phases
-// in order (construct, initialize, boundary, warmup, measured steps,
-// collect); one finish step then folds the ranks (run_experiment.cpp).
+// wall-clock and MPI time. Every table/figure bench runs through
+// run_experiment, every JobServer job through run_batch_job. Each rank
+// runs the same named phases in order (construct, initialize, boundary,
+// warmup, measured steps, collect); one finish step then folds the ranks
+// (run_experiment.cpp).
 
 #include <string>
 #include <vector>
@@ -199,8 +200,21 @@ struct ExperimentResult {
   /// JobSpanRecord; the span-sum invariant (telemetry/span_tree.hpp)
   /// holds by ledger construction.
   std::vector<telemetry::RankSpan> rank_spans;
+
+  /// Errors across every rank's static-verifier report.
+  i64 static_errors() const;
 };
 
+/// Run one experiment. A direct call is a whole run: at its end it fires
+/// the explicit SIMAS_FLIGHT_DUMP end-of-run dump, unless a static-verifier
+/// error has already dumped.
 ExperimentResult run_experiment(const ExperimentConfig& cfg);
+
+/// run_experiment as one job of a batch: the same run and the same
+/// incident dumps (validator, static verifier), but no explicit
+/// end-of-run dump. The batch's owner fires one for the whole batch
+/// (JobServer::drain), so a served job does not serialise the flight ring
+/// only for the next job to overwrite it.
+ExperimentResult run_batch_job(const ExperimentConfig& cfg);
 
 }  // namespace simas::run

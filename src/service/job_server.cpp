@@ -102,6 +102,16 @@ std::vector<JobResult> JobServer::drain() {
   drained_ = true;
   std::sort(results_.begin(), results_.end(),
             [](const JobResult& a, const JobResult& b) { return a.id < b.id; });
+  // One explicit SIMAS_FLIGHT_DUMP for the whole batch, unless a served
+  // job's incident (a failure or a static-verifier error) already dumped:
+  // that dump stays the file's last word, as in a direct run.
+  const bool incident =
+      std::any_of(results_.begin(), results_.end(), [](const JobResult& r) {
+        return !r.ok || r.result.static_errors() > 0;
+      });
+  if (!incident)
+    ctx_.flight_incident(telemetry::FlightNote::ExplicitDump, 0,
+                         static_cast<i64>(results_.size()));
   return results_;
 }
 
@@ -171,7 +181,7 @@ JobResult JobServer::run_job(JobDescription desc, double submitted_at,
   }
 
   try {
-    r.result = run::run_experiment(ecfg);
+    r.result = run::run_batch_job(ecfg);
     r.ok = true;
     if (ecfg.boundary_out != nullptr)
       field_cache_.publish(FieldCache::key_for(ecfg), std::move(solved));

@@ -83,7 +83,10 @@ class JobServer {
   void start();
 
   /// Close intake, process the backlog, join the workers, and return
-  /// every completed result sorted by job id. Idempotent.
+  /// every completed result sorted by job id. Idempotent. The first call
+  /// fires the batch's one explicit SIMAS_FLIGHT_DUMP (served jobs fire
+  /// only incident dumps), unless a job failed or carried a
+  /// static-verifier error.
   std::vector<JobResult> drain();
 
   /// Run one job synchronously on the calling thread, populating the

@@ -623,9 +623,63 @@ TEST(ObservabilityFlightDump, EveryTriggerNamesItsNote) {
   std::remove(path.c_str());
 }
 
+TEST(ObservabilityFlightDump, DrainedServerDumpsOnceForItsBatch) {
+  // Served jobs fire no explicit dump of their own: the server's drain
+  // fires one for the whole batch (trace 0, payload = jobs drained).
+  const std::string path = ::testing::TempDir() + "simas_flight_drain.json";
+  std::remove(path.c_str());
+  par::EnvConfig env;
+  env.flight_dump = path;
+  par::SimContext ctx(env);
+
+  constexpr int kJobs = 3;
+  service::JobServerConfig scfg;
+  scfg.ctx = &ctx;
+  scfg.workers = 2;
+  scfg.host_threads_total = 2;
+  scfg.trace = true;
+  service::JobServer server(scfg);
+  for (int j = 0; j < kJobs; ++j) {
+    service::JobDescription d;
+    d.id = j;
+    d.config.version = variants::CodeVersion::A;
+    d.config.nranks = 2;
+    d.config.grid = bench_support::bench_grid();
+    d.config.warmup_steps = 0;
+    d.config.measure_steps = 1;
+    ASSERT_TRUE(server.submit(std::move(d)));
+  }
+  const auto results = server.drain();
+  ASSERT_EQ(results.size(), static_cast<std::size_t>(kJobs));
+  std::set<u64> served;
+  for (const auto& r : results) {
+    ASSERT_TRUE(r.ok) << r.error;
+    served.insert(r.spans.ctx.trace_id);
+  }
+
+  const json::Value doc = read_flight_dump(path);
+  ASSERT_NE(doc.find("reason"), nullptr);
+  EXPECT_EQ(doc.find("reason")->as_string(), "explicit_dump");
+  int batch_dumps = 0;
+  for (const json::Value& ev : doc.find("events")->as_array()) {
+    const json::Value* note = ev.find("note");
+    if (note == nullptr || note->as_string() != "explicit_dump") continue;
+    const u64 trace = static_cast<u64>(ev.find("trace_id")->as_number());
+    EXPECT_EQ(served.count(trace), 0u) << "a served job dumped on its own";
+    if (trace == 0 && ev.find("payload")->as_number() == kJobs) ++batch_dumps;
+  }
+  EXPECT_EQ(batch_dumps, 1);
+
+  // drain() is idempotent: a second call dumps nothing.
+  std::remove(path.c_str());
+  (void)server.drain();
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
 TEST(ObservabilityFlightDump, ConcurrentDumpsToOnePathLeaveOneDocument) {
-  // Jobs sharing one SIMAS_FLIGHT_DUMP path dump at the end of each run:
-  // the file must stay one whole document, with no temp file left behind.
+  // Runs sharing one SIMAS_FLIGHT_DUMP path (concurrent direct runs,
+  // incidents of concurrent jobs) may dump at once: the file must stay
+  // one whole document, with no temp file left behind.
   const std::string dir = ::testing::TempDir();
   const std::string name = "simas_flight_concurrent.json";
   const std::string path = dir + name;

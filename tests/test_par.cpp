@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <latch>
 #include <limits>
 #include <memory>
 #include <new>
@@ -12,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "par/engine.hpp"
@@ -687,6 +690,162 @@ TEST(EngineBatch, PoolJoinsCountOncePerPooledSweep) {
   sweep(Range3{0, 8, 0, 8, 0, 8});     // 512 cells per component: inline
   EXPECT_EQ(count("pool.inline_kernels"), 6);
   EXPECT_EQ(count("pool.joins"), 2 * joins_per_sweep);
+}
+
+// ---------------------------------------------------------------------
+// The placement gate (ThreadPool::saturated): once a pool's live engines
+// cover every hardware thread, launches run on their own callers. It
+// moves placement only, so every result stays bit-identical.
+
+/// Cells written and the sum of one 3-component sweep, compared bitwise.
+using SweepResult = std::pair<std::vector<std::vector<real>>, real>;
+
+/// A pooled-size (8192 cells per component) for_each_n + reduce_sum_n
+/// sweep on `eng`, over three freshly registered component arrays.
+SweepResult component_sweep(Engine& eng) {
+  static const KernelSite& loop =
+      SIMAS_SITE("test_gate_sweep", SiteKind::ParallelLoop, 0);
+  static const KernelSite& red =
+      SIMAS_SITE("test_gate_sweep_reduce", SiteKind::ScalarReduction, 0,
+                 false, false, /*async_capable=*/false);
+  const Range3 r{0, 32, 0, 16, 0, 16};
+  const std::size_t cells = static_cast<std::size_t>(r.count());
+  std::vector<gpusim::ArrayId> ids;
+  for (int c = 0; c < 3; ++c)
+    ids.push_back(eng.memory().register_array(kComponentNames[c],
+                                              r.count() * 8));
+  SweepResult got{std::vector<std::vector<real>>(3, std::vector<real>(cells)),
+                  0.0};
+  eng.for_each_n(
+      loop, r, 3, [&](int c) { return std::array{out(ids[c])}; },
+      [&](int c) {
+        return [&, c](idx i, idx j, idx k) {
+          got.first[c][flat(i, j, k, r.ni(), r.nj())] = cell_value(c, i, j, k);
+        };
+      });
+  got.second = eng.reduce_sum_n(
+      red, r, 3, [&](int c) { return std::array{in(ids[c])}; },
+      [](int c) {
+        return [c](idx i, idx j, idx k) { return cell_value(c, i, j, k); };
+      });
+  for (const auto id : ids) eng.memory().unregister_array(id);
+  return got;
+}
+
+/// Live Leases at which a pool counts as saturated on this host.
+int saturation_point() {
+  return std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+TEST(ThreadPool, LoneCallerIsNeverSaturated) {
+  for (const int width : {1, 2, 4}) {
+    ThreadPool pool(width);
+    EXPECT_FALSE(pool.saturated()) << "width " << width;
+    ThreadPool::Lease lone(pool);
+    EXPECT_FALSE(pool.saturated()) << "width " << width;
+  }
+  // An engine owning its pool is that pool's only caller.
+  EngineConfig own;
+  own.host_threads = 4;
+  Engine solo(own);
+  EXPECT_FALSE(solo.pool().saturated());
+}
+
+TEST(EngineBatch, SaturatedSharedPoolRunsSweepsInline) {
+  if (std::thread::hardware_concurrency() == 0)
+    GTEST_SKIP() << "hardware concurrency unknown: the gate stays off";
+  ThreadPool shared(4);
+  SimContext ctx;
+  ctx.set_shared_pool(&shared);
+  EngineConfig cfg = gpu_config(LoopModel::Acc, gpusim::MemoryMode::Manual);
+  cfg.ctx = &ctx;
+  Engine eng(cfg);
+  const auto count = [&](const char* name) {
+    return eng.metrics_snapshot().counter(name);
+  };
+  // The checked flavor under a validator runs each component op by op.
+  i64 joins_per_sweep = 1;
+#ifdef SIMAS_ELEMENT_SHADOW
+  if (eng.validator() != nullptr) joins_per_sweep = 3;
+#endif
+  ASSERT_FALSE(shared.saturated());
+  const SweepResult pooled = component_sweep(eng);
+  EXPECT_EQ(count("pool.jobs"), 6);
+  EXPECT_EQ(count("pool.joins"), 2 * joins_per_sweep);
+  EXPECT_EQ(count("pool.inline_kernels"), 0);
+  {
+    // Stand-ins for the pool's other engines.
+    std::vector<std::unique_ptr<ThreadPool::Lease>> others;
+    while (shared.attached() < saturation_point())
+      others.push_back(std::make_unique<ThreadPool::Lease>(shared));
+    ASSERT_TRUE(shared.saturated());
+    EXPECT_EQ(component_sweep(eng), pooled);
+    EXPECT_EQ(count("pool.inline_kernels"), 6);
+    EXPECT_EQ(count("pool.jobs"), 6);
+    EXPECT_EQ(count("pool.joins"), 2 * joins_per_sweep);
+  }
+  // The other engines are gone: the sweep goes back to the pool.
+  ASSERT_FALSE(shared.saturated());
+  EXPECT_EQ(component_sweep(eng), pooled);
+  EXPECT_EQ(count("pool.jobs"), 12);
+  EXPECT_EQ(count("pool.joins"), 4 * joins_per_sweep);
+  EXPECT_EQ(count("pool.inline_kernels"), 6);
+}
+
+TEST(SharedPool, PlacementGateFlipsUnderEngineChurn) {
+  // saturation_point() + 2 threads build, sweep and destroy engines on
+  // one shared pool, so the gate flips both ways mid-run. The first
+  // round runs with every engine alive (saturated: inline); the last
+  // thread's final round runs alone (pooled). Every result must equal a
+  // serial engine's, bit for bit.
+  testutil::Watchdog watchdog(120);
+  SweepResult ref;
+  {
+    EngineConfig serial =
+        gpu_config(LoopModel::Acc, gpusim::MemoryMode::Manual);
+    serial.host_threads = 1;
+    Engine eng(serial);
+    ref = component_sweep(eng);
+  }
+  const int nthreads = saturation_point() + 2;
+  constexpr int kRounds = 4;
+  ThreadPool shared(4);
+  SimContext ctx;
+  ctx.set_shared_pool(&shared);
+  std::latch all_built(nthreads), others_done(nthreads - 1);
+  std::atomic<i64> inline_kernels{0}, pooled_kernels{0};
+  std::atomic<int> mismatches{0};
+  // One engine's life: build it, sweep, tally where its kernels ran.
+  const auto engine_round = [&](bool first) {
+    EngineConfig cfg = gpu_config(LoopModel::Acc, gpusim::MemoryMode::Manual);
+    cfg.ctx = &ctx;
+    Engine eng(cfg);
+    if (first) all_built.arrive_and_wait();
+    if (component_sweep(eng) != ref) mismatches.fetch_add(1);
+    const auto snap = eng.metrics_snapshot();
+    inline_kernels.fetch_add(snap.counter("pool.inline_kernels"));
+    pooled_kernels.fetch_add(snap.counter("pool.jobs"));
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(nthreads));
+  for (int t = 0; t < nthreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) engine_round(round == 0);
+      if (t + 1 < nthreads) {
+        others_done.count_down();
+        return;
+      }
+      others_done.wait();  // every other engine is gone: this one is alone
+      engine_round(false);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(shared.attached(), 0);
+  EXPECT_GT(pooled_kernels.load(), 0);
+  if (std::thread::hardware_concurrency() > 0) {
+    EXPECT_GT(inline_kernels.load(), 0);
+  }
 }
 
 TEST(Engine, SteadyStateLaunchPathIsAllocationFree) {
