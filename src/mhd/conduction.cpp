@@ -9,6 +9,72 @@ namespace simas::mhd {
 
 using par::SiteKind;
 
+// Diffusion operator L(x) = ∇·(κ ∇x), shared by the PCG and STS paths.
+// Under overlap the exchange of x rides the copy stream behind the φ wrap;
+// when the split pays, the interior stencil also runs while the halos are
+// in flight and one boundary-shell launch covers the rest.
+void conduction_diffusion(MhdContext& c, field::Field& x, field::Field& y) {
+  State& st = c.st;
+  const grid::LocalGrid& lg = c.lg;
+  const grid::SphericalGrid& g = lg.global();
+  const grid::Metric& mt = lg.metric();
+  const idx nt = st.nt;
+  // Physical-wall planes; -1 never matches an owned plane.
+  const idx i_wall_lo = lg.at_inner_boundary() ? 0 : -1;
+  const idx i_wall_hi = lg.at_outer_boundary() ? st.nloc - 1 : -1;
+
+  static const par::KernelSite& site_mv =
+      SIMAS_SITE("cond_matvec", SiteKind::ParallelLoop, 0);
+
+  // Cell body, shared by the interior and boundary-shell launches. It is
+  // straight-line code: every face term is computed, and a select drops
+  // the zero-flux wall faces. A wall term reads a ghost plane that may
+  // hold anything (NaN, Inf), so it is discarded by the select and never
+  // by a multiply with zero. flux starts at +0.0 and a round-to-nearest
+  // sum never turns it into -0.0, so adding a selected 0.0 leaves the
+  // bits the skipped branch left.
+  auto cell = [&, nt, i_wall_lo, i_wall_hi](idx i, idx j, idx k) {
+    const real xc = x(i, j, k);
+    const real kc = st.wrk2(i, j, k);
+    const real kr0 = 0.5 * (kc + st.wrk2(i - 1, j, k));
+    const real fr0 =
+        mt.area_r(i, j) * kr0 * (xc - x(i - 1, j, k)) / lg.drf(i);
+    const real kr1 = 0.5 * (kc + st.wrk2(i + 1, j, k));
+    const real fr1 = mt.area_r(i + 1, j) * kr1 * (x(i + 1, j, k) - xc) /
+                     lg.drf(i + 1);
+    const real kt0 = 0.5 * (kc + st.wrk2(i, j - 1, k));
+    const real ft0 = mt.area_t(i, j) * kt0 * (xc - x(i, j - 1, k)) /
+                     (lg.rc(i) * g.dth_face(j));
+    const real kt1 = 0.5 * (kc + st.wrk2(i, j + 1, k));
+    const real ft1 = mt.area_t(i, j + 1) * kt1 * (x(i, j + 1, k) - xc) /
+                     (lg.rc(i) * g.dth_face(j + 1));
+    const real kp0 = 0.5 * (kc + st.wrk2(i, j, k - 1));
+    const real kp1 = 0.5 * (kc + st.wrk2(i, j, k + 1));
+    real flux = 0.0;
+    flux -= i == i_wall_lo ? 0.0 : fr0;
+    flux += i == i_wall_hi ? 0.0 : fr1;
+    flux -= j == 0 ? 0.0 : ft0;
+    flux += j == nt - 1 ? 0.0 : ft1;
+    flux += mt.coef_p(i, j) *
+            (kp1 * (x(i, j, k + 1) - xc) - kp0 * (xc - x(i, j, k - 1)));
+    y(i, j, k) = flux / mt.vol(i, j);
+  };
+
+  RadialSplit split(c, post_radial_exchange(c, {&x}), 1);
+  split.interior(site_mv,
+                 {par::in(x.id(), split.span()),
+                  par::in(st.wrk2.id(), split.span()), par::out(y.id())},
+                 cell);
+  if (split.has_shell()) {
+    static const par::KernelSite& site_mv_shell =
+        SIMAS_SITE("cond_matvec_shell", SiteKind::ParallelLoop, 0, false,
+                   false, true, /*surface_scaled=*/true);
+    split.shell(site_mv_shell,
+                {par::in(x.id()), par::in(st.wrk2.id()), par::out(y.id())},
+                cell);
+  }
+}
+
 // Implicit Spitzer thermal conduction. The energy equation contribution is
 //   ρ/(γ-1) ∂T/∂t = ∇·(κ(T) ∇T),   κ(T) = κ0 T^{5/2},
 // discretized in flux form with κ frozen at the step start (Picard
@@ -26,12 +92,9 @@ int conduction_update(MhdContext& c, real dt) {
   const real kappa0 = ph.kappa0;
   const idx nloc = st.nloc, nt = st.nt, np = st.np;
   const par::Range3 interior{0, nloc, 0, nt, 0, np};
-  const grid::Metric& mt = lg.metric();
 
   static const par::KernelSite& site_kap =
       SIMAS_SITE("cond_face_kappa_setup", SiteKind::ParallelLoop, 0);
-  static const par::KernelSite& site_mv =
-      SIMAS_SITE("cond_matvec", SiteKind::ParallelLoop, 0);
   static const par::KernelSite& site_pc =
       SIMAS_SITE("cond_jacobi_precond", SiteKind::ParallelLoop, 0);
   static const par::KernelSite& site_rhs =
@@ -47,66 +110,10 @@ int conduction_update(MhdContext& c, real dt) {
   // Under overlap the κ halo hides behind the φ wrap of the same window.
   finish_radial_exchange(c, post_radial_exchange(c, {&st.wrk2}));
 
-  // Diffusion cell body, shared by the interior and boundary-shell
-  // launches of the overlapped path.
-  auto diff_cell = [&, nloc, nt](field::Field& x, field::Field& y, idx i,
-                                 idx j, idx k) {
-          const real xc = x(i, j, k);
-          const real kc = st.wrk2(i, j, k);
-          real flux = 0.0;
-          if (!(lg.at_inner_boundary() && i == 0)) {
-            const real kf = 0.5 * (kc + st.wrk2(i - 1, j, k));
-            flux -= mt.area_r(i, j) * kf * (xc - x(i - 1, j, k)) / lg.drf(i);
-          }
-          if (!(lg.at_outer_boundary() && i == nloc - 1)) {
-            const real kf = 0.5 * (kc + st.wrk2(i + 1, j, k));
-            flux += mt.area_r(i + 1, j) * kf * (x(i + 1, j, k) - xc) /
-                    lg.drf(i + 1);
-          }
-          if (j > 0) {
-            const real kf = 0.5 * (kc + st.wrk2(i, j - 1, k));
-            flux -= mt.area_t(i, j) * kf * (xc - x(i, j - 1, k)) /
-                    (lg.rc(i) * lg.dtf(j));
-          }
-          if (j < nt - 1) {
-            const real kf = 0.5 * (kc + st.wrk2(i, j + 1, k));
-            flux += mt.area_t(i, j + 1) * kf * (x(i, j + 1, k) - xc) /
-                    (lg.rc(i) * lg.dtf(j + 1));
-          }
-          {
-            const real kf0 = 0.5 * (kc + st.wrk2(i, j, k - 1));
-            const real kf1 = 0.5 * (kc + st.wrk2(i, j, k + 1));
-            flux += mt.coef_p(i, j) * (kf1 * (x(i, j, k + 1) - xc) -
-                                       kf0 * (xc - x(i, j, k - 1)));
-          }
-          y(i, j, k) = flux / mt.vol(i, j);
-  };
-
-  // Diffusion operator L(x) = ∇·(κ ∇x) in flux form (zero-flux physical
-  // boundaries; face κ by arithmetic mean). Shared by PCG and STS paths.
-  // Under overlap the exchange of x rides the copy stream behind the φ
-  // wrap; when the split pays, the interior stencil also runs while the
-  // halos are in flight and one boundary-shell launch covers the rest.
-  auto diffusion = [&](field::Field& x, field::Field& y) {
-    RadialSplit split(c, post_radial_exchange(c, {&x}), 1);
-    split.interior(site_mv,
-                   {par::in(x.id(), split.span()),
-                    par::in(st.wrk2.id(), split.span()), par::out(y.id())},
-                   [&](idx i, idx j, idx k) { diff_cell(x, y, i, j, k); });
-    if (split.has_shell()) {
-      static const par::KernelSite& site_mv_shell =
-          SIMAS_SITE("cond_matvec_shell", SiteKind::ParallelLoop, 0, false,
-                     false, true, /*surface_scaled=*/true);
-      split.shell(site_mv_shell,
-                  {par::in(x.id()), par::in(st.wrk2.id()), par::out(y.id())},
-                  [&](idx i, idx j, idx k) { diff_cell(x, y, i, j, k); });
-    }
-  };
-
   if (ph.sts_conduction) {
     // Explicit super-time-stepping: dT/dt = (γ-1)/ρ L(T).
     auto rhs = [&](field::Field& x, field::Field& y) {
-      diffusion(x, y);
+      conduction_diffusion(c, x, y);
       static const par::KernelSite& site_scale =
           SIMAS_SITE("cond_sts_scale", SiteKind::ParallelLoop, 0);
       c.eng.for_each(site_scale, interior,
@@ -127,7 +134,7 @@ int conduction_update(MhdContext& c, real dt) {
                    const solvers::Pcg::Fields& ys) {
     field::Field& x = *xs[0];
     field::Field& y = *ys[0];
-    diffusion(x, y);
+    conduction_diffusion(c, x, y);
     static const par::KernelSite& site_shift =
         SIMAS_SITE("cond_matvec_shift", SiteKind::ParallelLoop, 0);
     c.eng.for_each(site_shift, interior,

@@ -180,6 +180,11 @@ int viscous_update(MhdContext& c, real dt);
 /// PCG; or RKL2 super-time-stepping when phys.sts_conduction is set.
 /// Returns iterations (PCG) or stages (STS).
 int conduction_update(MhdContext& c, real dt);
+/// The conduction diffusion operator y = ∇·(κ ∇x) in flux form over the
+/// owned cells, κ frozen at cell centres in st.wrk2 (ghosts exchanged):
+/// face κ by arithmetic mean, zero-flux physical r and θ walls. Exchanges
+/// x's radial halos (overlapped when the split pays) and wraps φ.
+void conduction_diffusion(MhdContext& c, field::Field& x, field::Field& y);
 
 // --- source_terms.cpp -------------------------------------------------
 /// Semi-implicit pointwise radiative-loss + coronal-heating update.

@@ -19,56 +19,51 @@ SurfaceBrFn dipole_surface_br(real b0) {
 //  * outer r face: homogeneous Dirichlet (source surface Φ = 0), realised
 //    as a half-cell gradient to the face;
 //  * θ walls: zero-flux; φ: periodic (halo wrap).
-namespace {
+void pfss_laplacian(MhdContext& c, field::Field& x, field::Field& y) {
+  const grid::LocalGrid& lg = c.lg;
+  const grid::SphericalGrid& g = lg.global();
+  State& st = c.st;
+  const idx nloc = st.nloc, nt = st.nt, np = st.np;
+  const grid::Metric& mt = lg.metric();
+  // Physical-wall planes; -1 never matches an owned plane.
+  const idx i_wall_lo = lg.at_inner_boundary() ? 0 : -1;
+  const idx i_wall_hi = lg.at_outer_boundary() ? nloc - 1 : -1;
 
-struct PfssOperator {
-  MhdContext& c;
+  c.halo.exchange_r({&x});
+  c.halo.wrap_phi({&x});
 
-  void operator()(const solvers::Pcg::Fields& xs,
-                  const solvers::Pcg::Fields& ys) const {
-    field::Field& x = *xs[0];
-    field::Field& y = *ys[0];
-    const grid::LocalGrid& lg = c.lg;
-    State& st = c.st;
-    const idx nloc = st.nloc, nt = st.nt, np = st.np;
-    const grid::Metric& mt = lg.metric();
-
-    c.halo.exchange_r({&x});
-    c.halo.wrap_phi({&x});
-
-    static const par::KernelSite& site =
-        SIMAS_SITE("pfss_laplacian", SiteKind::ParallelLoop, 0);
-    c.eng.for_each(
-        site, par::Range3{0, nloc, 0, nt, 0, np},
-        {par::in(x.id()), par::out(y.id())},
-        [&, nloc, nt](idx i, idx j, idx k) {
-          const real xc = x(i, j, k);
-          real flux = 0.0;
-          if (!(lg.at_inner_boundary() && i == 0)) {
-            flux -= mt.area_r(i, j) * (xc - x(i - 1, j, k)) / lg.drf(i);
-          }
-          if (lg.at_outer_boundary() && i == nloc - 1) {
-            // Dirichlet Φ = 0 at the source surface: half-cell gradient.
-            flux += mt.area_r(i + 1, j) * (0.0 - xc) / (0.5 * lg.drc(i));
-          } else {
-            flux += mt.area_r(i + 1, j) * (x(i + 1, j, k) - xc) /
-                    lg.drf(i + 1);
-          }
-          if (j > 0)
-            flux -= mt.area_t(i, j) * (xc - x(i, j - 1, k)) /
-                    (lg.rc(i) * lg.dtf(j));
-          if (j < nt - 1)
-            flux += mt.area_t(i, j + 1) * (x(i, j + 1, k) - xc) /
-                    (lg.rc(i) * lg.dtf(j + 1));
-          flux += mt.coef_p(i, j) *
-                  (x(i, j, k + 1) - 2.0 * xc + x(i, j, k - 1));
-          // PCG solves A x = b with A = -∇·∇ (positive definite).
-          y(i, j, k) = -flux / mt.vol(i, j);
-        });
-  }
-};
-
-}  // namespace
+  static const par::KernelSite& site =
+      SIMAS_SITE("pfss_laplacian", SiteKind::ParallelLoop, 0);
+  // Straight-line cell body: every face term is computed and a select
+  // keeps the one the boundary condition asks for, as in
+  // conduction_diffusion (wall ghosts may hold anything; flux is never
+  // -0.0, so a selected 0.0 leaves its bits alone).
+  c.eng.for_each(
+      site, par::Range3{0, nloc, 0, nt, 0, np},
+      {par::in(x.id()), par::out(y.id())},
+      [&, nt, i_wall_lo, i_wall_hi](idx i, idx j, idx k) {
+        const real xc = x(i, j, k);
+        const real fr0 = mt.area_r(i, j) * (xc - x(i - 1, j, k)) / lg.drf(i);
+        // Dirichlet Φ = 0 at the source surface: half-cell gradient.
+        const real fr1_wall =
+            mt.area_r(i + 1, j) * (0.0 - xc) / (0.5 * lg.drc(i));
+        const real fr1 =
+            mt.area_r(i + 1, j) * (x(i + 1, j, k) - xc) / lg.drf(i + 1);
+        const real ft0 = mt.area_t(i, j) * (xc - x(i, j - 1, k)) /
+                         (lg.rc(i) * g.dth_face(j));
+        const real ft1 = mt.area_t(i, j + 1) * (x(i, j + 1, k) - xc) /
+                         (lg.rc(i) * g.dth_face(j + 1));
+        real flux = 0.0;
+        flux -= i == i_wall_lo ? 0.0 : fr0;
+        flux += i == i_wall_hi ? fr1_wall : fr1;
+        flux -= j == 0 ? 0.0 : ft0;
+        flux += j == nt - 1 ? 0.0 : ft1;
+        flux += mt.coef_p(i, j) *
+                (x(i, j, k + 1) - 2.0 * xc + x(i, j, k - 1));
+        // PCG solves A x = b with A = -∇·∇ (positive definite).
+        y(i, j, k) = -flux / mt.vol(i, j);
+      });
+}
 
 PfssResult pfss_initialize(MhdContext& c, const SurfaceBrFn& surface_br,
                            real tol, int maxit) {
@@ -133,8 +128,12 @@ PfssResult pfss_initialize(MhdContext& c, const SurfaceBrFn& surface_br,
   sys.p = st.pcg_p_vec(1);
   sys.ap = st.pcg_ap_vec(1);
   sys.z = st.pcg_z_vec(1);
-  const auto solve = pcg.solve(PfssOperator{c}, precond, sys,
-                               solvers::PcgOptions{tol, maxit});
+  const auto apply = [&c](const solvers::Pcg::Fields& xs,
+                          const solvers::Pcg::Fields& ys) {
+    pfss_laplacian(c, *xs[0], *ys[0]);
+  };
+  const auto solve =
+      pcg.solve(apply, precond, sys, solvers::PcgOptions{tol, maxit});
 
   // Refresh ghosts of Φ, then take B = -∇Φ on the faces.
   c.halo.exchange_r({&phi});

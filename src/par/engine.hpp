@@ -62,6 +62,16 @@
 #include "trace/trace.hpp"
 #include "util/types.hpp"
 
+/// Marks the per-block function of each loop nest: every call inside it is
+/// inlined, cell bodies included, so a body shared by two launches (the
+/// RadialSplit interior and shell) is never called out of line per cell.
+/// See DESIGN.md §11 "Cell bodies inline".
+#if defined(__GNUC__)
+#define SIMAS_FLATTEN __attribute__((flatten))
+#else
+#define SIMAS_FLATTEN
+#endif
+
 namespace simas::analysis {
 class StreamCapture;
 class Validator;
@@ -453,7 +463,7 @@ class Engine {
     if (planes <= 0 || ni <= 0) return;
     const i64 ppb = plane_grain(planes, ni);
     const i64 nblocks = ceil_div(planes, ppb);
-    dispatch_blocks(n, n * nblocks, planes * ni, [&](i64 bb) {
+    dispatch_blocks(n, n * nblocks, planes * ni, [&](i64 bb) SIMAS_FLATTEN {
       auto&& body = body_of(c0 + static_cast<int>(bb / nblocks));
       const i64 p0 = (bb % nblocks) * ppb;
       const i64 p1 = std::min<i64>(planes, p0 + ppb);
@@ -479,7 +489,7 @@ class Engine {
     if (n <= 0) return;
     const i64 chunk = chunk_grain(n);
     const i64 nblocks = ceil_div(n, chunk);
-    dispatch_blocks(1, nblocks, n, [&](i64 b) {
+    dispatch_blocks(1, nblocks, n, [&](i64 b) SIMAS_FLATTEN {
       const idx lo = r.begin + static_cast<idx>(b * chunk);
       const idx hi = std::min<idx>(r.end, lo + static_cast<idx>(chunk));
       for (idx i = lo; i < hi; ++i) {
@@ -538,7 +548,7 @@ class Engine {
     const i64 group = reduce_group(ni);
     const i64 nclaims = ceil_div(nblocks, group);
     real* partial = reduce_partials(n * nblocks);
-    dispatch_blocks(n, n * nclaims, planes * ni, [&](i64 cc) {
+    dispatch_blocks(n, n * nclaims, planes * ni, [&](i64 cc) SIMAS_FLATTEN {
       const i64 c = cc / nclaims;
       auto&& term = term_of(c0 + static_cast<int>(c));
       real* part = partial + c * nblocks;
@@ -579,7 +589,8 @@ class Engine {
     // One block per output element: pinned (inner accumulation order is
     // part of the results), like the scalar reductions.
     const i64 nblocks = ni;
-    dispatch_blocks(1, nblocks, static_cast<i64>(r.count()), [&](i64 b) {
+    dispatch_blocks(1, nblocks, static_cast<i64>(r.count()),
+                    [&](i64 b) SIMAS_FLATTEN {
       tag_iteration(shadow, b);
       const idx i = r.i0 + static_cast<idx>(b);
       real acc = 0.0;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <ostream>
+#include <string_view>
 #include <thread>
 
 #include "par/site_table.hpp"
@@ -91,50 +92,111 @@ std::vector<FlightEvent> FlightRecorder::snapshot() const {
   return out;
 }
 
+namespace {
+
+/// Appends a JSON document laid out as json::write(os, doc, 1) lays it
+/// out, member by member, so a dump streams the writer's bytes without
+/// building the document.
+class JsonOut {
+ public:
+  explicit JsonOut(std::ostream& os) : os_(os) { buf_.reserve(kFlush + 512); }
+  ~JsonOut() { flush(); }
+
+  /// Opens member `key` of an object at nesting depth `depth`.
+  void member(int depth, const char* key, bool first = false) {
+    if (!first) buf_ += ',';
+    buf_ += '\n';
+    buf_.append(static_cast<std::size_t>(depth), ' ');
+    buf_ += '"';
+    buf_ += key;
+    buf_ += "\": ";
+  }
+  /// A number, converted as json::Value's constructors convert it.
+  void number(int depth, const char* key, double v, bool first = false) {
+    member(depth, key, first);
+    char num[json::kNumberChars];
+    buf_.append(num, json::format_number(num, v));
+  }
+  /// A string value that needs no escaping, or is already escaped.
+  void raw_string(int depth, const char* key, std::string_view escaped) {
+    member(depth, key);
+    buf_ += '"';
+    buf_ += escaped;
+    buf_ += '"';
+  }
+  void text(std::string_view s) {
+    buf_ += s;
+    if (buf_.size() >= kFlush) flush();
+  }
+
+ private:
+  static constexpr std::size_t kFlush = 1 << 16;
+  void flush() {
+    os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
+  }
+  std::ostream& os_;
+  std::string buf_;
+};
+
+}  // namespace
+
 void FlightRecorder::dump_json(std::ostream& os,
                                const std::string& reason) const {
   const std::vector<FlightEvent> events = snapshot();
   const u64 head = head_.load(std::memory_order_acquire);
   const par::SiteTable& sites = par::SiteTable::process();
   const std::size_t nsites = sites.size();
-
-  json::Value doc;
-  doc.set("flight_recorder", json::Value("simas"));
-  doc.set("reason", json::Value(reason));
-  doc.set("capacity", json::Value(static_cast<long long>(kCapacity)));
-  doc.set("recorded_total", json::Value(static_cast<long long>(head)));
-  doc.set("dropped",
-          json::Value(static_cast<long long>(
-              head > kCapacity ? head - kCapacity : 0)));
-
-  json::Value arr{json::Value::Array{}};
-  for (const FlightEvent& e : events) {
-    json::Value ev;
-    ev.set("seq", json::Value(static_cast<long long>(e.seq)));
-    ev.set("kind", json::Value(flight_kind_name(e.kind)));
-    ev.set("trace_id", json::Value(static_cast<long long>(e.trace_id)));
-    ev.set("rank", json::Value(static_cast<int>(e.rank)));
-    ev.set("t", json::Value(e.t));
-    if (e.site >= 0 && static_cast<std::size_t>(e.site) < nsites) {
-      const par::KernelSite& site = sites.at(static_cast<std::size_t>(e.site));
-      ev.set("site", json::Value(site.name));
-      ev.set("where", json::Value(site.location()));
-    } else if (e.site >= 0) {
-      ev.set("site_id", json::Value(static_cast<int>(e.site)));
-    }
-    if (e.array >= 0) ev.set("array", json::Value(static_cast<int>(e.array)));
-    ev.set("payload", json::Value(static_cast<long long>(e.payload)));
-    if (e.kind == FlightKind::JobNote) {
-      ev.set("note",
-             json::Value(flight_note_name(static_cast<FlightNote>(e.detail))));
-    } else if (e.detail != 0) {
-      ev.set("detail", json::Value(static_cast<int>(e.detail)));
-    }
-    arr.push_back(std::move(ev));
+  // Each site's name and "file:line", escaped once per dump.
+  std::vector<std::string> site_name(nsites), site_where(nsites);
+  for (std::size_t s = 0; s < nsites; ++s) {
+    site_name[s] = json::escape(sites.at(s).name);
+    site_where[s] = json::escape(sites.at(s).location());
   }
-  doc.set("events", std::move(arr));
-  json::write(os, doc, 1);
-  os << "\n";
+
+  JsonOut out(os);
+  out.text("{");
+  out.member(1, "flight_recorder", true);
+  out.text("\"simas\"");
+  out.raw_string(1, "reason", json::escape(reason));
+  out.number(1, "capacity", static_cast<double>(kCapacity));
+  out.number(1, "recorded_total",
+             static_cast<double>(static_cast<long long>(head)));
+  out.number(1, "dropped",
+             static_cast<double>(static_cast<long long>(
+                 head > kCapacity ? head - kCapacity : 0)));
+  out.member(1, "events");
+  out.text(events.empty() ? "[]" : "[");
+  for (std::size_t n = 0; n < events.size(); ++n) {
+    const FlightEvent& e = events[n];
+    out.text(n > 0 ? ",\n  {" : "\n  {");
+    out.number(3, "seq", static_cast<double>(static_cast<long long>(e.seq)),
+               true);
+    // Kind and note names are plain identifiers: nothing to escape.
+    out.raw_string(3, "kind", flight_kind_name(e.kind));
+    out.number(3, "trace_id",
+               static_cast<double>(static_cast<long long>(e.trace_id)));
+    out.number(3, "rank", e.rank);
+    out.number(3, "t", e.t);
+    if (e.site >= 0 && static_cast<std::size_t>(e.site) < nsites) {
+      out.raw_string(3, "site", site_name[static_cast<std::size_t>(e.site)]);
+      out.raw_string(3, "where",
+                     site_where[static_cast<std::size_t>(e.site)]);
+    } else if (e.site >= 0) {
+      out.number(3, "site_id", e.site);
+    }
+    if (e.array >= 0) out.number(3, "array", e.array);
+    out.number(3, "payload", static_cast<double>(e.payload));
+    if (e.kind == FlightKind::JobNote) {
+      out.raw_string(3, "note",
+                     flight_note_name(static_cast<FlightNote>(e.detail)));
+    } else if (e.detail != 0) {
+      out.number(3, "detail", e.detail);
+    }
+    out.text("\n  }");
+  }
+  if (!events.empty()) out.text("\n ]");
+  out.text("\n}\n");
 }
 
 bool FlightRecorder::dump_to_file(const std::string& path,

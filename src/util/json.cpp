@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -316,19 +317,20 @@ std::string escape(std::string_view s) {
   return out;
 }
 
-namespace {
-
-void write_number(std::ostream& os, double v) {
+std::size_t format_number(char* buf, double v) {
   // Integers (the common case for counters) print exactly and compactly.
   if (v == static_cast<double>(static_cast<long long>(v)) &&
       std::abs(v) < 9.0e15) {
-    os << static_cast<long long>(v);
-    return;
+    return static_cast<std::size_t>(
+        std::to_chars(buf, buf + kNumberChars, static_cast<long long>(v))
+            .ptr -
+        buf);
   }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.15g", v);
-  os << buf;
+  const int n = std::snprintf(buf, kNumberChars, "%.15g", v);
+  return static_cast<std::size_t>(n);
 }
+
+namespace {
 
 void write_impl(std::ostream& os, const Value& v, int indent, int depth) {
   const auto newline = [&](int d) {
@@ -339,7 +341,12 @@ void write_impl(std::ostream& os, const Value& v, int indent, int depth) {
   switch (v.kind()) {
     case Kind::Null: os << "null"; break;
     case Kind::Bool: os << (v.as_bool() ? "true" : "false"); break;
-    case Kind::Number: write_number(os, v.as_number()); break;
+    case Kind::Number: {
+      char buf[kNumberChars];
+      os.write(buf, static_cast<std::streamsize>(
+                        format_number(buf, v.as_number())));
+      break;
+    }
     case Kind::String: os << '"' << escape(v.as_string()) << '"'; break;
     case Kind::Array: {
       const auto& a = v.as_array();

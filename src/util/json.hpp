@@ -8,6 +8,7 @@
 // control characters in strings, and non-finite numbers are all rejected —
 // so it doubles as a conformance check for everything we emit.
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -91,5 +92,11 @@ std::string to_string(const Value& v, int indent = 0);
 
 /// Escape a string for embedding in JSON output (no surrounding quotes).
 std::string escape(std::string_view s);
+
+/// Format one number exactly as write() writes it into `buf` (room for
+/// kNumberChars) and return its length: for streaming writers that must
+/// match a document's bytes.
+inline constexpr std::size_t kNumberChars = 32;
+std::size_t format_number(char* buf, double v);
 
 }  // namespace simas::json

@@ -15,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdio>
@@ -710,6 +711,108 @@ TEST(ObservabilityFlightDump, ConcurrentDumpsToOnePathLeaveOneDocument) {
     EXPECT_FALSE(file.starts_with(name + ".tmp")) << "left behind: " << file;
   }
   std::remove(path.c_str());
+}
+
+/// The dump as the document-model writer produced it: dump_json's former
+/// body, kept as the reference for the streamed writer.
+std::string dom_flight_dump(const FlightRecorder& fr,
+                            const std::string& reason) {
+  const std::vector<telemetry::FlightEvent> events = fr.snapshot();
+  const u64 head = fr.recorded();
+  const par::SiteTable& sites = par::SiteTable::process();
+  const std::size_t nsites = sites.size();
+  const std::size_t cap = FlightRecorder::kCapacity;
+  json::Value doc;
+  doc.set("flight_recorder", json::Value("simas"));
+  doc.set("reason", json::Value(reason));
+  doc.set("capacity", json::Value(static_cast<long long>(cap)));
+  doc.set("recorded_total", json::Value(static_cast<long long>(head)));
+  doc.set("dropped",
+          json::Value(static_cast<long long>(head > cap ? head - cap : 0)));
+  json::Value arr{json::Value::Array{}};
+  for (const telemetry::FlightEvent& e : events) {
+    json::Value ev;
+    ev.set("seq", json::Value(static_cast<long long>(e.seq)));
+    ev.set("kind", json::Value(telemetry::flight_kind_name(e.kind)));
+    ev.set("trace_id", json::Value(static_cast<long long>(e.trace_id)));
+    ev.set("rank", json::Value(static_cast<int>(e.rank)));
+    ev.set("t", json::Value(e.t));
+    if (e.site >= 0 && static_cast<std::size_t>(e.site) < nsites) {
+      const par::KernelSite& site = sites.at(static_cast<std::size_t>(e.site));
+      ev.set("site", json::Value(site.name));
+      ev.set("where", json::Value(site.location()));
+    } else if (e.site >= 0) {
+      ev.set("site_id", json::Value(static_cast<int>(e.site)));
+    }
+    if (e.array >= 0) ev.set("array", json::Value(static_cast<int>(e.array)));
+    ev.set("payload", json::Value(static_cast<long long>(e.payload)));
+    if (e.kind == FlightKind::JobNote) {
+      ev.set("note", json::Value(telemetry::flight_note_name(
+                         static_cast<FlightNote>(e.detail))));
+    } else if (e.detail != 0) {
+      ev.set("detail", json::Value(static_cast<int>(e.detail)));
+    }
+    arr.push_back(std::move(ev));
+  }
+  doc.set("events", std::move(arr));
+  std::ostringstream os;
+  json::write(os, doc, 1);
+  os << "\n";
+  return os.str();
+}
+
+/// Empty when `got` equals `want`, else the first differing offset and a
+/// little context (gtest's own string diff is quadratic on a 1.5 MB dump).
+std::string first_difference(const std::string& got,
+                             const std::string& want) {
+  if (got == want) return {};
+  const auto [g, w] = std::mismatch(got.begin(), got.end(), want.begin(),
+                                    want.end());
+  const std::size_t at = static_cast<std::size_t>(g - got.begin());
+  const std::size_t from = at > 40 ? at - 40 : 0;
+  return "sizes " + std::to_string(got.size()) + " vs " +
+         std::to_string(want.size()) + ", first difference at byte " +
+         std::to_string(at) + ":\n got: " + got.substr(from, 80) +
+         "\nwant: " + want.substr(from, 80);
+}
+
+TEST(ObservabilityFlightDump, StreamedDumpMatchesTheDomWriterByteForByte) {
+  const par::KernelSite& located = SIMAS_SITE(
+      "flight_dump \"quoted\"\\name", par::SiteKind::ParallelLoop, 0);
+  const par::KernelSite& unlocated = par::SiteTable::process().intern(
+      par::make_site("flight_dump_unlocated", par::SiteKind::ParallelLoop));
+  const std::string reason = "explicit \"dump\"\n\ttab";
+  FlightRecorder fr;
+  const auto dump = [&] {
+    std::ostringstream os;
+    fr.dump_json(os, reason);
+    return os.str();
+  };
+  // Empty ring: "events": [].
+  EXPECT_EQ(first_difference(dump(), dom_flight_dump(fr, reason)), "");
+
+  // A lapped ring of every kind and field shape: in-table, unlocated and
+  // out-of-table sites, no site, arrays, notes, details, fractional and
+  // huge values (%.15g path), negative payloads.
+  const i32 sites[4] = {located.id, unlocated.id, -1, 1 << 20};
+  const std::size_t total = FlightRecorder::kCapacity + 77;
+  for (std::size_t n = 0; n < total; ++n) {
+    const auto kind = static_cast<FlightKind>(n % 10);
+    const u64 trace = n % 7 == 0 ? (u64{1} << 60) + n : n % 5;
+    const double t = n % 3 == 0 ? static_cast<double>(n)
+                                : 1.0e-3 * static_cast<double>(n) / 7.0;
+    const i64 payload =
+        n % 11 == 0 ? -static_cast<i64>(n) : static_cast<i64>(n) << 20;
+    const auto detail = static_cast<unsigned char>(
+        kind == FlightKind::JobNote ? n % 5 : n % 4);
+    fr.record(kind, trace, static_cast<i32>(n % 3), t, sites[n % 4],
+              n % 2 == 0 ? -1 : static_cast<i32>(n % 9), payload, detail);
+  }
+  const std::string streamed = dump();
+  EXPECT_EQ(first_difference(streamed, dom_flight_dump(fr, reason)), "");
+  json::Value parsed;
+  std::string err;
+  EXPECT_TRUE(json::parse(streamed, &parsed, &err)) << err;
 }
 
 // ---------------------------------------------------------------------
