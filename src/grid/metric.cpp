@@ -1,5 +1,6 @@
 #include "grid/metric.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "grid/local_grid.hpp"
@@ -17,6 +18,7 @@ Metric::Metric(const LocalGrid& lg) : nloc_(lg.nloc()) {
   coef_p_.resize(plane);
   cot_.resize(static_cast<std::size_t>(nt));
   lap_.resize(plane);
+  min_width_.resize(plane);
 
   std::vector<real> ctf(static_cast<std::size_t>(nt + 1));
   for (idx j = 0; j <= nt; ++j)
@@ -49,6 +51,8 @@ Metric::Metric(const LocalGrid& lg) : nloc_(lg.nloc()) {
       vol_[c] = vol;
       area_p_[c] = alin * lg.dtc(j);
       coef_p_[c] = area_p_[c] / (lg.rc(i) * lg.stc(j) * dph);
+      min_width_[c] = std::min(
+          lg.drc(i), std::min(lg.rc(i) * lg.dtc(j), lg.rc(i) * lg.stc(j) * dph));
 
       LapCoeffs& cf = lap_[c];
       if (!(inner_wall && i == 0))

@@ -58,6 +58,10 @@ class Metric {
   /// Viscosity Laplacian coefficients (walls zeroed), i in [0, nloc),
   /// j in [0, nt).
   const LapCoeffs& lap(idx i, idx j) const { return lap_[at(i, j, nloc_)]; }
+  /// Smallest cell width min(dr, min(r dθ, r sinθ dφ)): the CFL length
+  /// and the Jacobi preconditioners' stencil scale. i in [0, nloc),
+  /// j in [0, nt).
+  real min_width(idx i, idx j) const { return min_width_[at(i, j, nloc_)]; }
 
  private:
   static std::size_t at(idx i, idx j, idx ni) {
@@ -65,7 +69,8 @@ class Metric {
   }
 
   idx nloc_ = 0;
-  std::vector<real> vol_, area_r_, area_t_, area_p_, coef_p_, cot_;
+  std::vector<real> vol_, area_r_, area_t_, area_p_, coef_p_, cot_,
+      min_width_;
   std::vector<LapCoeffs> lap_;
 };
 

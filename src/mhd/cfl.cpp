@@ -13,7 +13,7 @@ using par::SiteKind;
 // allreduce, the loop class of paper Sec. IV-B Listing 3 context).
 real cfl_timestep(MhdContext& c) {
   State& st = c.st;
-  const grid::LocalGrid& lg = c.lg;
+  const grid::Metric& mt = c.lg.metric();
   const PhysicsConfig& ph = c.phys;
   const real gamma = ph.gamma;
   const real eta = ph.eta;
@@ -40,10 +40,7 @@ real cfl_timestep(MhdContext& c) {
                         sq(st.bcp(i, j, k));
         const real vf =
             fast_speed(gamma, st.temp(i, j, k), b2, st.rho(i, j, k));
-        const real hr = lg.drc(i);
-        const real ht = lg.rc(i) * lg.dtc(j);
-        const real hp = lg.rc(i) * lg.stc(j) * lg.dph();
-        const real hmin = std::min(hr, std::min(ht, hp));
+        const real hmin = mt.min_width(i, j);
         const real adv = (std::abs(st.vr(i, j, k)) +
                           std::abs(st.vt(i, j, k)) +
                           std::abs(st.vp(i, j, k)) + vf) /

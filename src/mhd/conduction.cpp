@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "mhd/ops.hpp"
@@ -86,6 +87,7 @@ void conduction_diffusion(MhdContext& c, field::Field& x, field::Field& y) {
 int conduction_update(MhdContext& c, real dt) {
   State& st = c.st;
   const grid::LocalGrid& lg = c.lg;
+  const grid::Metric& mt = lg.metric();
   const PhysicsConfig& ph = c.phys;
   if (ph.kappa0 <= 0.0) return 0;
   const real gm1 = ph.gamma - 1.0;
@@ -146,25 +148,22 @@ int conduction_update(MhdContext& c, real dt) {
                    });
   };
 
-  auto precond = [&](const solvers::Pcg::Fields& rs,
-                     const solvers::Pcg::Fields& zs) {
-    const field::Field& r = *rs[0];
-    field::Field& z = *zs[0];
-    c.eng.for_each(site_pc, interior,
-                   {par::in(r.id()), par::in(st.rho.id()),
-                    par::in(st.wrk2.id()), par::out(z.id())},
-                   [&, dt, gm1](idx i, idx j, idx k) {
-                     // Cheap diagonal estimate: mass term plus the κ-scaled
-                     // stencil magnitude.
-                     const real h = std::min(
-                         lg.drc(i),
-                         std::min(lg.rc(i) * lg.dtc(j),
-                                  lg.rc(i) * lg.stc(j) * lg.dph()));
-                     const real diag = st.rho(i, j, k) / gm1 +
-                                       dt * 6.0 * st.wrk2(i, j, k) / sq(h);
-                     z(i, j, k) = r(i, j, k) / diag;
-                   });
-  };
+  const solvers::Jacobi precond{
+      site_pc,
+      [&](const field::Field& r, const field::Field& z) {
+        return std::array{par::in(r.id()), par::in(st.rho.id()),
+                          par::in(st.wrk2.id()), par::out(z.id())};
+      },
+      [&mt, &st, dt, gm1](const field::Field& r, field::Field& z) {
+        return [&mt, &st, &r, &z, dt, gm1](idx i, idx j, idx k) {
+          // Cheap diagonal estimate: mass term plus the κ-scaled stencil
+          // magnitude.
+          const real diag =
+              st.rho(i, j, k) / gm1 +
+              dt * 6.0 * st.wrk2(i, j, k) / sq(mt.min_width(i, j));
+          z(i, j, k) = r(i, j, k) / diag;
+        };
+      }};
 
   // RHS into wrk1 (the temperature itself is the initial guess).
   c.eng.for_each(site_rhs, interior,

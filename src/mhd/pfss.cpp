@@ -1,6 +1,7 @@
 #include "mhd/pfss.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "solvers/pcg.hpp"
@@ -105,20 +106,16 @@ PfssResult pfss_initialize(MhdContext& c, const SurfaceBrFn& surface_br,
         rhs(i, j, k) = b;
       });
 
-  auto precond = [&](const solvers::Pcg::Fields& rs,
-                     const solvers::Pcg::Fields& zs) {
-    const field::Field& r = *rs[0];
-    field::Field& z = *zs[0];
-    c.eng.for_each(site_pc, par::Range3{0, nloc, 0, nt, 0, np},
-                   {par::in(r.id()), par::out(z.id())},
-                   [&](idx i, idx j, idx k) {
-                     const real h = std::min(
-                         lg.drc(i),
-                         std::min(lg.rc(i) * lg.dtc(j),
-                                  lg.rc(i) * lg.stc(j) * lg.dph()));
-                     z(i, j, k) = r(i, j, k) * sq(h) / 6.0;
-                   });
-  };
+  const solvers::Jacobi precond{
+      site_pc,
+      [](const field::Field& r, const field::Field& z) {
+        return std::array{par::in(r.id()), par::out(z.id())};
+      },
+      [&mt](const field::Field& r, field::Field& z) {
+        return [&mt, &r, &z](idx i, idx j, idx k) {
+          z(i, j, k) = r(i, j, k) * sq(mt.min_width(i, j)) / 6.0;
+        };
+      }};
 
   solvers::Pcg pcg(c.eng, c.comm, lg, "pfss");
   solvers::PcgSystem sys;

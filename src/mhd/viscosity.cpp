@@ -89,24 +89,20 @@ int viscous_update(MhdContext& c, real dt) {
     }
   };
 
-  auto precond = [&](const solvers::Pcg::Fields& r,
-                     const solvers::Pcg::Fields& z) {
-    c.eng.for_each_n(
-        site_pc, interior, static_cast<int>(r.size()),
-        [&](int comp) {
-          return std::array{par::in(r[comp]->id()), par::out(z[comp]->id())};
-        },
-        [&](int comp) {
-          return [&mt, &rf = *r[comp], &zf = *z[comp], dt,
-                  nu](idx i, idx j, idx k) {
-            const grid::LapCoeffs& cf = mt.lap(i, j);
-            const real diag =
-                1.0 + dt * nu * (cf.cr0 + cf.cr1 + cf.ct0 + cf.ct1 +
-                                 2.0 * cf.cp);
-            zf(i, j, k) = rf(i, j, k) / diag;
-          };
-        });
-  };
+  const solvers::Jacobi precond{
+      site_pc,
+      [](const field::Field& r, const field::Field& z) {
+        return std::array{par::in(r.id()), par::out(z.id())};
+      },
+      [&mt, dt, nu](const field::Field& r, field::Field& z) {
+        return [&mt, &r, &z, dt, nu](idx i, idx j, idx k) {
+          const grid::LapCoeffs& cf = mt.lap(i, j);
+          const real diag =
+              1.0 + dt * nu * (cf.cr0 + cf.cr1 + cf.ct0 + cf.ct1 +
+                               2.0 * cf.cp);
+          z(i, j, k) = r(i, j, k) / diag;
+        };
+      }};
 
   // RHS = v* (current velocities); they also serve as the initial guess.
   std::vector<field::Field*> rhs{&st.wrk1, &st.wrk2, &st.wrk3};

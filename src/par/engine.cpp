@@ -149,6 +149,13 @@ template void Engine::record<ReduceOp>(const KernelSite&, i64,
 template void Engine::record<ArrayReduceOp>(const KernelSite&, i64,
                                             std::span<const Access>);
 
+void Engine::throw_dependent(const KernelSite& site, int c, int d) {
+  throw std::logic_error("Engine: component sweep '" + site.name +
+                         "': component " + std::to_string(c) +
+                         " writes an array component " + std::to_string(d) +
+                         " declares");
+}
+
 void Engine::break_fusion() { emit(StreamOp{FusionBreakOp{}}); }
 
 void Engine::device_sync() { emit(StreamOp{SyncOp{}}); }

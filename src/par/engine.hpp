@@ -37,8 +37,10 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "analysis/diagnostics.hpp"
@@ -78,6 +80,18 @@ class Validator;
 }
 
 namespace simas::par {
+
+/// One part of a cell-local chain (Engine::chain_sum_n): a component
+/// sweep's site, access_of(c) and body_of(c), as for_each_n and
+/// reduce_sum_n take them.
+template <class AccessOf, class BodyOf>
+struct Sweep {
+  const KernelSite& site;
+  AccessOf access_of;
+  BodyOf body_of;
+};
+template <class AccessOf, class BodyOf>
+Sweep(const KernelSite&, AccessOf, BodyOf) -> Sweep<AccessOf, BodyOf>;
 
 class Engine {
  public:
@@ -192,18 +206,20 @@ class Engine {
   template <class AccessOf, class BodyOf>
   void for_each_n(const KernelSite& site, Range3 r, int n,
                   AccessOf&& access_of, BodyOf&& body_of) {
-    launch<LaunchOp>(site, r.count(), n, access_of,
-                     [&](auto shadow, int c0, int cn) {
-                       loop3(shadow, r, c0, cn, body_of);
-                     });
+    launch(r.count(), n,
+           [&](auto shadow, int, int c0, int cn) {
+             loop3(shadow, r, c0, cn, body_of);
+           },
+           ops<LaunchOp>(site, access_of));
   }
 
   /// 1-D variant for packed buffers and solver vectors.
   template <class F>
   void for_each1(const KernelSite& site, Range1 r,
                  std::initializer_list<Access> acc, F&& body) {
-    launch<LaunchOp>(site, r.count(), 1, [acc](int) { return acc; },
-                     [&](auto shadow, int, int) { loop1(shadow, r, body); });
+    launch(r.count(), 1,
+           [&](auto shadow, int, int, int) { loop1(shadow, r, body); },
+           ops<LaunchOp>(site, [acc](int) { return acc; }));
   }
 
   // ------------------------------------------------------------------
@@ -233,6 +249,30 @@ class Engine {
     return reduce_n(site, r, n, access_of, term_of, /*take_max=*/false);
   }
 
+  /// Cell-local chain: k component sweeps over one range, then a
+  /// component sum. parts are k + 1 Sweeps: the k stages, then the sum,
+  /// whose body_of(c) returns the term. Recorded exactly as k for_each_n
+  /// calls and one reduce_sum_n record them (all n ops of stage 1, then
+  /// stage 2, ..., then the n ReduceOps) and run as ONE host job over the
+  /// sum's pinned partition (launch()). Each cell of component c runs
+  /// stage 1 ... k of c, then the term; each stage writes a cell once and
+  /// the partials combine in block order, then component order, so the
+  /// stages' outputs and the sum are bit for bit those of the separate
+  /// launches.
+  ///
+  /// Legality, which the caller guarantees: a stage may read an array
+  /// written earlier in the chain only at its own cell (i, j, k); only
+  /// arrays the chain does not write may be read through a stencil.
+  /// The engine checks the component rule of for_each_n over all stages:
+  /// no component of any stage may write an array that another component
+  /// of any stage declares (std::logic_error before anything is recorded).
+  template <class... Parts>
+  real chain_sum_n(Range3 r, int n, const Parts&... parts) {
+    static_assert(sizeof...(Parts) >= 2, "a chain is stages, then a sum");
+    return chain_sum(r, n, std::forward_as_tuple(parts...),
+                     std::make_index_sequence<sizeof...(Parts) - 1>{});
+  }
+
   // ------------------------------------------------------------------
   // Array reduction: out[i - r.i0] accumulates term(i, j, k) over (j, k).
   //
@@ -244,10 +284,11 @@ class Engine {
   void array_reduce(const KernelSite& site, Range3 r,
                     std::initializer_list<Access> acc, std::span<real> out,
                     F&& term) {
-    launch<ArrayReduceOp>(site, r.count(), 1, [acc](int) { return acc; },
-                          [&](auto shadow, int, int) {
-                            array_reduce_loop(shadow, r, out, term);
-                          });
+    launch(r.count(), 1,
+           [&](auto shadow, int, int, int) {
+             array_reduce_loop(shadow, r, out, term);
+           },
+           ops<ArrayReduceOp>(site, [acc](int) { return acc; }));
   }
 
   // ------------------------------------------------------------------
@@ -293,57 +334,121 @@ class Engine {
   template <class Op>
   void record(const KernelSite& site, i64 cells, std::span<const Access> acc);
 
+  /// n ops of type Op at one site: op c declares access_of(c).
+  template <class Op, class AccessOf>
+  struct OpGroup {
+    using OpType = Op;
+    const KernelSite& site;
+    const AccessOf& access_of;
+  };
+  template <class Op, class AccessOf>
+  static OpGroup<Op, AccessOf> ops(const KernelSite& site,
+                                   const AccessOf& access_of) {
+    return {site, access_of};
+  }
+
   /// The one launch path behind every kernel entry point: check that the
-  /// n components are independent, record n ops of `cells` cells (op c
-  /// declares access_of(c)) and run them. run(shadow, c0, cn) runs
-  /// components [c0, c0 + cn). Element checks need one armed window per
-  /// op, so the checked flavor with a validator records and runs op by op,
-  /// each in its own body window, with shadow = std::true_type (plain
-  /// loops then publish iteration ids for the element tags). Otherwise
-  /// all n ops are recorded in component order and run as ONE host job
-  /// with std::false_type. The split is made once per launch, never per
-  /// cell.
-  template <class Op, class AccessOf, class Run>
-  void launch(const KernelSite& site, i64 cells, int n, AccessOf&& access_of,
-              Run&& run) {
-    check_independent(site, n, access_of);
+  /// n components are independent, record each group's n ops of `cells`
+  /// cells, group by group in component order, and run them. Element
+  /// checks need one armed window per op, so the checked flavor with a
+  /// validator records and runs op by op, each in its own body window:
+  /// run(std::true_type, g, c, 1) runs component c of group g (plain loops
+  /// then publish iteration ids for the element tags). Otherwise all ops
+  /// are recorded first and run(std::false_type, 0, 0, n) runs every group
+  /// and component as ONE host job. The split is made once per launch,
+  /// never per cell.
+  template <class Run, class... Groups>
+  void launch(i64 cells, int n, Run&& run, const Groups&... groups) {
+    check_independent(n, groups...);
 #ifdef SIMAS_ELEMENT_SHADOW
     if (validator_ != nullptr) {
-      for (int c = 0; c < n; ++c) {
-        record<Op>(site, cells, access_of(c));
-        body_begin();
-        run(std::true_type{}, c, 1);
-        body_end();
-      }
+      int g = 0;
+      const auto op_by_op = [&](const auto& grp) {
+        for (int c = 0; c < n; ++c) {
+          record<typename std::remove_cvref_t<decltype(grp)>::OpType>(
+              grp.site, cells, grp.access_of(c));
+          body_begin();
+          run(std::true_type{}, g, c, 1);
+          body_end();
+        }
+        ++g;
+      };
+      (op_by_op(groups), ...);
       return;
     }
 #endif
-    for (int c = 0; c < n; ++c) record<Op>(site, cells, access_of(c));
-    run(std::false_type{}, 0, n);
+    const auto record_all = [&](const auto& grp) {
+      for (int c = 0; c < n; ++c)
+        record<typename std::remove_cvref_t<decltype(grp)>::OpType>(
+            grp.site, cells, grp.access_of(c));
+    };
+    (record_all(groups), ...);
+    run(std::false_type{}, 0, 0, n);
   }
 
-  /// The components of one sweep must be independent: throws
-  /// std::logic_error if component c writes an array that component d
-  /// (d != c) declares at all. Allocation-free unless it throws.
-  template <class AccessOf>
-  static void check_independent(const KernelSite& site, int n,
-                                AccessOf& access_of) {
-    for (int c = 0; c < n; ++c) {
-      const auto mine = access_of(c);
-      for (int d = 0; d < n; ++d) {
-        if (d == c) continue;
-        const auto theirs = access_of(d);
-        for (const Access& w : std::span<const Access>(mine)) {
-          if (!w.write) continue;
-          for (const Access& a : std::span<const Access>(theirs))
-            if (a.id == w.id)
-              throw std::logic_error(
-                  "Engine: component sweep '" + site.name + "': component " +
-                  std::to_string(c) + " writes an array component " +
-                  std::to_string(d) + " declares");
+  /// The components of one launch must be independent: throws
+  /// std::logic_error if component c of any group writes an array that
+  /// component d (d != c) of any group declares at all. Allocation-free
+  /// unless it throws.
+  template <class... Groups>
+  static void check_independent(int n, const Groups&... groups) {
+    if (n < 2) return;
+    // each(c, f): f(site, access list) for component c of every group.
+    const auto each = [&](int c, const auto& f) {
+      (f(groups.site, std::span<const Access>(groups.access_of(c))), ...);
+    };
+    for (int c = 0; c < n; ++c)
+      each(c, [&](const KernelSite& site, std::span<const Access> mine) {
+        for (int d = 0; d < n; ++d) {
+          if (d == c) continue;
+          each(d, [&](const KernelSite&, std::span<const Access> theirs) {
+            for (const Access& w : mine) {
+              if (!w.write) continue;
+              for (const Access& a : theirs)
+                if (a.id == w.id) throw_dependent(site, c, d);
+            }
+          });
         }
-      }
-    }
+      });
+  }
+  /// The error check_independent throws; out of line, so each launch
+  /// instantiation carries only the comparison loops.
+  [[noreturn]] static void throw_dependent(const KernelSite& site, int c,
+                                           int d);
+
+  /// chain_sum_n over parts = (stage 0, ..., stage k - 1, sum). Fused, the
+  /// sum's reduce3 runs a chained term per component: every stage's body
+  /// at the cell, then the sum's term. Op by op, group g < k is stage g's
+  /// loop3 and group k the sum's reduce3, as the separate launches run.
+  template <class Parts, std::size_t... s>
+  real chain_sum(Range3 r, int n, const Parts& parts,
+                 std::index_sequence<s...>) {
+    constexpr int k = static_cast<int>(sizeof...(s));
+    const auto& sum = std::get<k>(parts);
+    const auto chained_of = [&](int c) {
+      return [stages = std::tuple{std::get<s>(parts).body_of(c)...},
+              term = sum.body_of(c)](idx i, idx j, idx kk) {
+        (std::get<s>(stages)(i, j, kk), ...);
+        return term(i, j, kk);
+      };
+    };
+    real total = 0.0;
+    launch(r.count(), n,
+           [&](auto shadow, [[maybe_unused]] int g, int c0, int cn) {
+             if constexpr (decltype(shadow)::value) {
+               ((g == static_cast<int>(s)
+                     ? loop3(shadow, r, c0, cn, std::get<s>(parts).body_of)
+                     : void()),
+                ...);
+               if (g == k) total += reduce3(r, c0, cn, sum.body_of, false);
+             } else {
+               total = reduce3(r, c0, cn, chained_of, false, k + 1);
+             }
+           },
+           ops<LaunchOp>(std::get<s>(parts).site,
+                         std::get<s>(parts).access_of)...,
+           ops<ReduceOp>(sum.site, sum.access_of));
+    return total;
   }
   /// The one place the engine's observers learn about an event: every op,
   /// data event and halo window is encoded into the flight ring, appended
@@ -524,9 +629,12 @@ class Engine {
   real reduce_n(const KernelSite& site, Range3 r, int n, AccessOf&& access_of,
                 TermOf&& term_of, bool take_max) {
     real total = identity(take_max);
-    launch<ReduceOp>(site, r.count(), n, access_of, [&](auto, int c0, int cn) {
-      total = combine(total, reduce3(r, c0, cn, term_of, take_max), take_max);
-    });
+    launch(r.count(), n,
+           [&](auto, int, int c0, int cn) {
+             total = combine(total, reduce3(r, c0, cn, term_of, take_max),
+                             take_max);
+           },
+           ops<ReduceOp>(site, access_of));
     return total;
   }
 
@@ -536,9 +644,12 @@ class Engine {
   /// block). A pool claim takes reduce_group consecutive blocks of one
   /// component, so claim cc covers component c0 + cc / nclaims. Partials
   /// combine in block order per component, then the component totals in
-  /// component order.
+  /// component order. A cell-local chain's term runs the
+  /// kernels_per_component recorded kernels of its component (1 for a
+  /// plain reduction); the pool counters count them all.
   template <class TermOf>
-  real reduce3(Range3 r, int c0, int n, TermOf& term_of, bool take_max) {
+  real reduce3(Range3 r, int c0, int n, TermOf& term_of, bool take_max,
+               int kernels_per_component = 1) {
     const idx nj = r.nj(), nk = r.nk();
     const i64 ni = r.ni();
     const i64 planes = static_cast<i64>(nj) * nk;
@@ -548,7 +659,8 @@ class Engine {
     const i64 group = reduce_group(ni);
     const i64 nclaims = ceil_div(nblocks, group);
     real* partial = reduce_partials(n * nblocks);
-    dispatch_blocks(n, n * nclaims, planes * ni, [&](i64 cc) SIMAS_FLATTEN {
+    dispatch_blocks(n * kernels_per_component, n * nclaims, planes * ni,
+                    [&](i64 cc) SIMAS_FLATTEN {
       const i64 c = cc / nclaims;
       auto&& term = term_of(c0 + static_cast<int>(c));
       real* part = partial + c * nblocks;

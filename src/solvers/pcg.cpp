@@ -1,5 +1,6 @@
 #include "solvers/pcg.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <stdexcept>
@@ -31,86 +32,57 @@ par::Range3 component_range(const Pcg::Fields& v, const field::Field& ref,
 
 }  // namespace
 
-real Pcg::dot(const Fields& a, const Fields& b) {
-  static const par::KernelSite& site =
+const Pcg::Sites& Pcg::sites() {
+  static const Sites s{
+      SIMAS_SITE("pcg_residual", SiteKind::ParallelLoop, 0),
+      SIMAS_SITE("pcg_update_x_r", SiteKind::ParallelLoop, 51),
+      SIMAS_SITE("pcg_update_p", SiteKind::ParallelLoop, 0),
+      SIMAS_SITE("pcg_init_p", SiteKind::IntrinsicKernels, 0),
       SIMAS_SITE("pcg_dot", SiteKind::ScalarReduction, 0,
                  /*calls_routine=*/false, /*uses_derived_type=*/false,
-                 /*async_capable=*/false);
+                 /*async_capable=*/false)};
+  return s;
+}
+
+par::Range3 Pcg::interior(const PcgSystem& sys) {
+  const std::size_t nc = sys.x.size();
+  if (nc == 0 || sys.b.size() != nc || sys.r.size() != nc ||
+      sys.p.size() != nc || sys.ap.size() != nc || sys.z.size() != nc)
+    throw std::invalid_argument("Pcg::solve: inconsistent system");
+  par::Range3 range;
+  for (const Fields* v : {&sys.x, &sys.b, &sys.r, &sys.p, &sys.ap, &sys.z})
+    range = component_range(*v, *sys.x[0], "Pcg::solve");
+  return range;
+}
+
+real Pcg::dot(const Fields& a, const Fields& b) {
   if (a.size() != b.size())
     throw std::invalid_argument("Pcg::dot: component mismatch");
   if (a.empty()) return comm_.allreduce_sum(0.0);
   const par::Range3 range = component_range(a, *a[0], "Pcg::dot");
   component_range(b, *a[0], "Pcg::dot");
-  const grid::Metric& mt = lg_.metric();
   // One ReduceOp per component, one host job for all of them.
-  const real local = eng_.reduce_sum_n(
-      site, range, static_cast<int>(a.size()),
-      [&](int c) {
-        return std::array{par::in(a[c]->id()), par::in(b[c]->id())};
-      },
-      [&](int c) {
-        return [&fa = *a[c], &fb = *b[c], &mt](idx i, idx j, idx k) -> real {
-          return fa(i, j, k) * fb(i, j, k) * mt.vol(i, j);
-        };
-      });
-  return comm_.allreduce_sum(local);
+  const auto s = dot_sweep(a, b, lg_.metric());
+  return comm_.allreduce_sum(eng_.reduce_sum_n(
+      s.site, range, static_cast<int>(a.size()), s.access_of, s.body_of));
 }
 
-PcgResult Pcg::solve(const ApplyFn& apply, const PrecondFn& precond,
-                     PcgSystem& sys, const PcgOptions& opts) {
-  static const par::KernelSite& site_resid =
-      SIMAS_SITE("pcg_residual", SiteKind::ParallelLoop, 0);
-  static const par::KernelSite& site_xupd =
-      SIMAS_SITE("pcg_update_x_r", SiteKind::ParallelLoop, 51);
-  static const par::KernelSite& site_pupd =
-      SIMAS_SITE("pcg_update_p", SiteKind::ParallelLoop, 0);
-  static const par::KernelSite& site_pinit =
-      SIMAS_SITE("pcg_init_p", SiteKind::IntrinsicKernels, 0);
-
-  const std::size_t nc = sys.x.size();
-  if (nc == 0 || sys.b.size() != nc || sys.r.size() != nc ||
-      sys.p.size() != nc || sys.ap.size() != nc || sys.z.size() != nc)
-    throw std::invalid_argument("Pcg::solve: inconsistent system");
-  par::Range3 interior;
-  for (const Fields* v : {&sys.x, &sys.b, &sys.r, &sys.p, &sys.ap, &sys.z})
-    interior = component_range(*v, *sys.x[0], "Pcg::solve");
-  const int n = static_cast<int>(nc);
-  // Each vector operation below is one component sweep: one op per
-  // component in the stream, one host job for the system.
-
+PcgResult Pcg::iterate(const ApplyFn& apply, PcgSystem& sys,
+                       const PcgOptions& opts, par::Range3 range,
+                       par::FunctionRef<real()> open,
+                       par::FunctionRef<real(real)> tail) {
+  const int n = static_cast<int>(sys.x.size());
   PcgResult res;
   SIMAS_RANGE(eng_, name_ + ".pcg");
 
-  // r = b - A x
-  apply(sys.x, sys.ap);
-  eng_.for_each_n(
-      site_resid, interior, n,
-      [&](int c) {
-        return std::array{par::in(sys.b[c]->id()), par::in(sys.ap[c]->id()),
-                          par::out(sys.r[c]->id())};
-      },
-      [&](int c) {
-        return [&b = *sys.b[c], &ap = *sys.ap[c],
-                &r = *sys.r[c]](idx i, idx j, idx k) {
-          r(i, j, k) = b(i, j, k) - ap(i, j, k);
-        };
-      });
-
   // Convergence is monitored on the preconditioned residual norm
   // sqrt(<r, z>) relative to its initial value — one global dot per
-  // iteration, as production Krylov solvers do.
-  precond(sys.r, sys.z);
-  eng_.for_each_n(
-      site_pinit, interior, n,
-      [&](int c) {
-        return std::array{par::in(sys.z[c]->id()), par::out(sys.p[c]->id())};
-      },
-      [&](int c) {
-        return [&z = *sys.z[c], &p = *sys.p[c]](idx i, idx j, idx k) {
-          p(i, j, k) = z(i, j, k);
-        };
-      });
-  real rz = dot(sys.r, sys.z);
+  // iteration, as production Krylov solvers do. A NaN or Inf that reaches
+  // a dot ends the solve at once, as not converged: it would otherwise
+  // pass every test below and spin to maxit.
+  apply(sys.x, sys.ap);
+  real rz = open();
+  if (!std::isfinite(rz)) return res;
   const real rz0 = std::max(rz, 1.0e-300);
   if (rz == 0.0) {
     res.converged = true;
@@ -130,31 +102,12 @@ PcgResult Pcg::solve(const ApplyFn& apply, const PrecondFn& precond,
       par::Engine::GraphScope graph(eng_, name_ + "/iter");
       apply(sys.p, sys.ap);
       const real pap = dot(sys.p, sys.ap);
-      if (pap <= 0.0) break;  // loss of positive-definiteness
-      const real alpha = rz / pap;
-
-      eng_.for_each_n(
-          site_xupd, interior, n,
-          [&](int c) {
-            return std::array{par::in(sys.p[c]->id()),
-                              par::in(sys.ap[c]->id()),
-                              par::in(sys.x[c]->id()),
-                              par::out(sys.x[c]->id()),
-                              par::in(sys.r[c]->id()),
-                              par::out(sys.r[c]->id())};
-          },
-          [&](int c) {
-            return [&x = *sys.x[c], &r = *sys.r[c], &p = *sys.p[c],
-                    &ap = *sys.ap[c], alpha](idx i, idx j, idx k) {
-              x(i, j, k) += alpha * p(i, j, k);
-              r(i, j, k) -= alpha * ap(i, j, k);
-            };
-          });
-
-      precond(sys.r, sys.z);
-      rz_new = dot(sys.r, sys.z);
+      // Loss of positive-definiteness; a NaN fails the test too.
+      if (!(pap > 0.0) || !std::isfinite(pap)) break;
+      rz_new = tail(rz / pap);
     }
     res.iterations = it;
+    if (!std::isfinite(rz_new)) break;
     res.relative_residual = std::sqrt(std::max(rz_new, 0.0) / rz0);
     if (res.relative_residual <= opts.tol) {
       res.converged = true;
@@ -164,7 +117,7 @@ PcgResult Pcg::solve(const ApplyFn& apply, const PrecondFn& precond,
     rz = rz_new;
     par::Engine::GraphScope graph(eng_, name_ + "/pupd");
     eng_.for_each_n(
-        site_pupd, interior, n,
+        sites().update_p, range, n,
         [&](int c) {
           return std::array{par::in(sys.z[c]->id()), par::in(sys.p[c]->id()),
                             par::out(sys.p[c]->id())};

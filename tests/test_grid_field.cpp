@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <numeric>
@@ -185,6 +186,11 @@ TEST_P(MetricBitwise, EntriesEqualInlineExpressions) {
         ASSERT_EQ(bits(mt.area_p(i, j)), bits(alin * lg.dtc(j)));
         ASSERT_EQ(bits(mt.coef_p(i, j)),
                   bits(alin * lg.dtc(j) / (lg.rc(i) * lg.stc(j) * dph)));
+        ASSERT_EQ(bits(mt.min_width(i, j)),
+                  bits(std::min(lg.drc(i),
+                                std::min(lg.rc(i) * lg.dtc(j),
+                                         lg.rc(i) * lg.stc(j) * lg.dph()))))
+            << "min_width " << i << "," << j;
         const grid::LapCoeffs want = inline_lap_coeffs(lg, i, j);
         const grid::LapCoeffs& got = mt.lap(i, j);
         ASSERT_EQ(bits(got.cr0), bits(want.cr0)) << "cr0 " << i << "," << j;

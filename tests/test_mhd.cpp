@@ -242,8 +242,12 @@ TEST(Radiation, HeatingRaisesColdAtmosphereAndLossesCoolHot) {
 TEST(HostJoins, BenchGridStepJoinsOncePerComponentSweep) {
   // One bench-grid step (version A, 1 rank, 4 threads) issues 302 kernels:
   // 196 pooled and 106 inline. The viscous PCG runs each 3-component
-  // sweep and dot as one host job, so the pooled kernels take 114 joins,
-  // not one each. Placement is shape-derived, so the counts are exact.
+  // sweep and dot as one host job, and both PCG solves run their opening
+  // (residual, preconditioner, p = z, <r, z>) and every iteration's tail
+  // (x/r update, preconditioner, <r, z>) as one cell-local chain, so the
+  // pooled kernels take 84 joins, not one each: 114 with the sweeps
+  // alone, less 3 per solve and 2 per iteration (6 + 6 iterations).
+  // Placement is shape-derived, so the counts are exact.
   mpisim::World world(1);
   world.run([&](int rank) {
     par::Engine engine(variants::engine_config(variants::CodeVersion::A,
@@ -282,12 +286,12 @@ TEST(HostJoins, BenchGridStepJoinsOncePerComponentSweep) {
               delta("engine.bytes_touched"));
     EXPECT_EQ(delta("pool.jobs"), 196);
     EXPECT_EQ(delta("pool.inline_kernels"), 106);
-    // The checked flavor under a validator runs each component op by op.
+    // The checked flavor under a validator runs each op on its own.
     bool op_by_op = false;
 #ifdef SIMAS_ELEMENT_SHADOW
     op_by_op = engine.validator() != nullptr;
 #endif
-    EXPECT_EQ(delta("pool.joins"), op_by_op ? 196 : 114);
+    EXPECT_EQ(delta("pool.joins"), op_by_op ? 196 : 84);
   });
 }
 

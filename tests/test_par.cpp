@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <latch>
 #include <limits>
 #include <memory>
@@ -15,8 +17,10 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
+#include "analysis/stream_capture.hpp"
 #include "par/engine.hpp"
 #include "par/sim_context.hpp"
 #include "par/site_table.hpp"
@@ -693,6 +697,197 @@ TEST(EngineBatch, PoolJoinsCountOncePerPooledSweep) {
 }
 
 // ---------------------------------------------------------------------
+// Cell-local chains (chain_sum_n): k stages and a sum as one host job,
+// against the same sweeps launched one by one. Every comparison is
+// bitwise, and the op streams must match op for op.
+
+/// One engine's arrays for a chain of up to three stages over r: src is
+/// read through a stencil (the chain never writes it); stage s > 0
+/// writes y[s] from src and y[s - 1] at its own cell.
+struct ChainData {
+  Range3 r;
+  int n;
+  std::vector<std::vector<real>> src;  // (ni+2)(nj+2)(nk+2) per component
+  std::vector<std::vector<std::vector<real>>> y;   // [stage][component]
+  std::vector<gpusim::ArrayId> id_src;
+  std::vector<std::vector<gpusim::ArrayId>> id_y;  // [stage][component]
+
+  ChainData(Engine& eng, Range3 range, int ncomp) : r(range), n(ncomp) {
+    static const char* const kStageNames[3][3] = {
+        {"u0", "u1", "u2"}, {"v0", "v1", "v2"}, {"w0", "w1", "w2"}};
+    const std::size_t cells = static_cast<std::size_t>(r.count());
+    const std::size_t padded =
+        static_cast<std::size_t>((r.ni() + 2) * (r.nj() + 2) * (r.nk() + 2));
+    y.assign(3, std::vector<std::vector<real>>(
+                    n, std::vector<real>(cells, 0.0)));
+    id_y.assign(3, {});
+    for (int c = 0; c < n; ++c) {
+      src.emplace_back(padded);
+      for (idx k = r.k0 - 1; k <= r.k1; ++k)
+        for (idx j = r.j0 - 1; j <= r.j1; ++j)
+          for (idx i = r.i0 - 1; i <= r.i1; ++i)
+            src[c][pad(i, j, k)] = cell_value(c, i, j, k);
+      id_src.push_back(eng.memory().register_array(
+          kComponentNames[c], static_cast<i64>(padded * 8)));
+      for (int s = 0; s < 3; ++s)
+        id_y[s].push_back(eng.memory().register_array(
+            kStageNames[s][c], static_cast<i64>(cells * 8)));
+    }
+  }
+  std::size_t at(idx i, idx j, idx k) const {
+    return flat(i - r.i0, j - r.j0, k - r.k0, r.ni(), r.nj());
+  }
+  std::size_t pad(idx i, idx j, idx k) const {
+    return flat(i - r.i0 + 1, j - r.j0 + 1, k - r.k0 + 1, r.ni() + 2,
+                r.nj() + 2);
+  }
+
+  /// Stage 0: a stencil over src. Stages 1 and 2: pointwise in the
+  /// previous output. Rounding-sensitive throughout.
+  auto stage(int s) {
+    static const KernelSite* const kSites[3] = {
+        &SIMAS_SITE("test_chain_stencil", SiteKind::ParallelLoop, 0),
+        &SIMAS_SITE("test_chain_scale", SiteKind::ParallelLoop, 0),
+        &SIMAS_SITE("test_chain_mix", SiteKind::ParallelLoop, 0)};
+    return Sweep{
+        *kSites[s],
+        [this, s](int c) {
+          const gpusim::ArrayId prev =
+              s == 0 ? id_src[c] : id_y[s - 1][c];
+          return std::array{in(id_src[c]), in(prev), out(id_y[s][c])};
+        },
+        [this, s](int c) {
+          return [this, s, c](idx i, idx j, idx k) {
+            const std::vector<real>& x = src[c];
+            real& v = y[s][c][at(i, j, k)];
+            if (s == 0)
+              v = x[pad(i, j, k)] +
+                  0.25 * (x[pad(i + 1, j, k)] - x[pad(i - 1, j, k)]) +
+                  0.125 * (x[pad(i, j + 1, k)] + x[pad(i, j, k - 1)]);
+            else if (s == 1)
+              v = y[0][c][at(i, j, k)] / (1.5 + x[pad(i, j, k)]);
+            else
+              v = y[1][c][at(i, j, k)] + 0.3 * x[pad(i, j, k)];
+          };
+        }};
+  }
+  /// The sum after k stages: the last two outputs' product.
+  auto sum(int k) {
+    static const KernelSite& site =
+        SIMAS_SITE("test_chain_dot", SiteKind::ScalarReduction, 0, false,
+                   false, /*async_capable=*/false);
+    return Sweep{
+        site,
+        [this, k](int c) {
+          return std::array{in(id_y[k - 2][c]), in(id_y[k - 1][c])};
+        },
+        [this, k](int c) {
+          return [this, k, c](idx i, idx j, idx kk) -> real {
+            return y[k - 2][c][at(i, j, kk)] * y[k - 1][c][at(i, j, kk)] /
+                   3.0;
+          };
+        }};
+  }
+};
+
+/// Kind, site, cells and access list (array names) of every captured op.
+std::vector<std::string> captured_ops(Engine& eng) {
+  const analysis::StreamCapture& cap = *eng.stream_capture();
+  std::vector<std::string> ops;
+  for (const StreamEvent& ev : cap.events()) {
+    const StreamOp* op = std::get_if<StreamOp>(&ev);
+    if (op == nullptr) continue;
+    std::string s = std::string(op_kind_name(op_kind(*op))) + ' ' +
+                    op_site(*op)->name + ' ' + std::to_string(op_cells(*op));
+    for (const Access& a : kernel_payload(*op)->accesses)
+      s += ' ' + cap.array_name(a.id) + (a.write ? ":w" : ":r");
+    ops.push_back(std::move(s));
+  }
+  return ops;
+}
+
+TEST(Engine, CellLocalChainMatchesSeparateLaunches) {
+  // Plane counts 135, 403 and 35: none a multiple of the 8-plane
+  // reduction block. The first two pool, the last runs inline.
+  const Range3 shapes[] = {Range3{1, 34, 0, 9, 2, 17},
+                           Range3{0, 24, 0, 13, 0, 31},
+                           Range3{0, 8, 0, 7, 0, 5}};
+  for (const Range3& r : shapes) {
+    for (const int k : {2, 3}) {
+      for (const int n : {1, 3}) {
+        for (const int nthreads : {1, 4}) {
+          SCOPED_TRACE("planes " + std::to_string(r.nj() * r.nk()) + ", " +
+                       std::to_string(k) + " stages, n=" + std::to_string(n) +
+                       ", " + std::to_string(nthreads) + " thread(s)");
+          EngineConfig cfg =
+              gpu_config(LoopModel::Acc, gpusim::MemoryMode::Manual);
+          cfg.host_threads = nthreads;
+          cfg.capture_stream = true;
+          Engine fused(cfg), separate(cfg);
+          ChainData a(fused, r, n), b(separate, r, n);
+          const real got =
+              k == 2 ? fused.chain_sum_n(r, n, a.stage(0), a.stage(1),
+                                         a.sum(2))
+                     : fused.chain_sum_n(r, n, a.stage(0), a.stage(1),
+                                         a.stage(2), a.sum(3));
+          for (int s = 0; s < k; ++s) {
+            const auto st = b.stage(s);
+            separate.for_each_n(st.site, r, n, st.access_of, st.body_of);
+          }
+          const auto sm = b.sum(k);
+          const real want =
+              separate.reduce_sum_n(sm.site, r, n, sm.access_of, sm.body_of);
+
+          EXPECT_EQ(std::bit_cast<u64>(got), std::bit_cast<u64>(want));
+          for (int s = 0; s < k; ++s)
+            for (int c = 0; c < n; ++c)
+              ASSERT_EQ(0, std::memcmp(a.y[s][c].data(),
+                                       b.y[s][c].data(),
+                                       a.y[s][c].size() * sizeof(real)))
+                  << "stage " << s << " component " << c;
+          EXPECT_EQ(captured_ops(fused), captured_ops(separate));
+          EXPECT_EQ(fused.ledger().now(), separate.ledger().now());
+          // Every recorded kernel is counted where it ran; only the joins
+          // fall, to one per pooled chain.
+          const auto count = [](Engine& e, const char* name) {
+            return e.metrics_snapshot().counter(name);
+          };
+          EXPECT_EQ(count(fused, "pool.jobs"), count(separate, "pool.jobs"));
+          EXPECT_EQ(count(fused, "pool.inline_kernels"),
+                    count(separate, "pool.inline_kernels"));
+          bool op_by_op = false;
+#ifdef SIMAS_ELEMENT_SHADOW
+          op_by_op = fused.validator() != nullptr;
+#endif
+          const bool pooled = r.count() > 4096;
+          EXPECT_EQ(count(fused, "pool.joins"),
+                    !pooled ? 0 : op_by_op ? (k + 1) * n : 1);
+        }
+      }
+    }
+  }
+}
+
+TEST(Engine, CellLocalChainRejectsCrossComponentWrites) {
+  // Stage 1 of component 1 reads what stage 0 of component 0 writes: the
+  // components of a chain are as independent as those of one sweep.
+  Engine eng(gpu_config(LoopModel::Acc, gpusim::MemoryMode::Manual));
+  const Range3 r{0, 8, 0, 8, 0, 8};
+  ChainData d(eng, r, 2);
+  const auto s0 = d.stage(0);
+  const auto s1 = d.stage(1);
+  const auto crossed = Sweep{
+      s1.site,
+      [&](int c) {
+        return std::array{in(d.id_y[0][1 - c]), out(d.id_y[1][c])};
+      },
+      s1.body_of};
+  EXPECT_THROW((void)eng.chain_sum_n(r, 2, s0, crossed, d.sum(2)),
+               std::logic_error);
+  EXPECT_EQ(eng.counters().loops_executed, 0);
+}
+
+// ---------------------------------------------------------------------
 // The placement gate (ThreadPool::saturated): once a pool's live engines
 // cover every hardware thread, launches run on their own callers. It
 // moves placement only, so every result stays bit-identical.
@@ -886,6 +1081,16 @@ TEST(Engine, SteadyStateLaunchPathIsAllocationFree) {
             return 1e-3 * static_cast<real>(i + c);
           };
         });
+    sink += eng.chain_sum_n(
+        r, 3,
+        Sweep{loop_site, [&](int c) { return std::array{out(ids[c])}; },
+              [](int) { return [](idx, idx, idx) {}; }},
+        Sweep{red_site, [&](int c) { return std::array{in(ids[c])}; },
+              [](int c) {
+                return [c](idx i, idx, idx) {
+                  return 1e-3 * static_cast<real>(i + c);
+                };
+              }});
   };
   // Warm-up lets one-time scratch (reduction partials) reach capacity.
   for (int warm = 0; warm < 3; ++warm) step();

@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "grid/local_grid.hpp"
@@ -121,6 +124,73 @@ TEST(Pcg, ConductionRelaxesHotSpot) {
   });
 }
 
+/// Engine loops one update issues on a fresh solver after prepare(state),
+/// and the update's result.
+template <class Prepare, class Update>
+std::pair<i64, int> loops_of(const SolverConfig& cfg, Prepare&& prepare,
+                             Update&& update) {
+  std::pair<i64, int> got{0, 0};
+  with_solver(cfg, [&](MasSolver& solver, par::Engine& eng, mpisim::Comm&) {
+    prepare(solver.state());
+    const i64 before = eng.counters().loops_executed;
+    got.second = update(solver.context());
+    got.first = eng.counters().loops_executed - before;
+  });
+  return got;
+}
+
+TEST(Pcg, NonFiniteSystemStopsWithinOneIteration) {
+  // A NaN that reaches <r, z> or <p, Ap> used to pass the convergence test
+  // (std::max keeps the NaN) and spin the solve to maxit. Seeded into the
+  // viscous or the conduction system, it must end the solve as not
+  // converged (-1) within the loops of a healthy solve capped at one
+  // iteration.
+  const real nan = std::numeric_limits<real>::quiet_NaN();
+  {
+    const auto perturb = [](mhd::State& st) {
+      for (idx i = 0; i < st.nloc; ++i)
+        for (idx j = 0; j < st.nt; ++j)
+          for (idx k = 0; k < st.np; ++k)
+            st.vr(i, j, k) = std::sin(0.5 * i) * std::cos(0.3 * j + 0.2 * k);
+    };
+    const auto update = [](mhd::MhdContext& c) {
+      return mhd::viscous_update(c, 0.01);
+    };
+    SolverConfig one = small_cfg();
+    one.phys.visc_maxit = 1;
+    const auto capped = loops_of(one, perturb, update);
+    const auto seeded = loops_of(
+        small_cfg(),
+        [&](mhd::State& st) {
+          perturb(st);
+          st.vr(3, 4, 5) = nan;
+        },
+        update);
+    EXPECT_EQ(seeded.second, -1);
+    EXPECT_LE(seeded.first, capped.first) << "viscous";
+  }
+  {
+    SolverConfig cfg = small_cfg();
+    cfg.phys.kappa0 = 0.05;
+    const auto hot = [](mhd::State& st) { st.temp(5, 4, 6) = 3.0; };
+    const auto update = [](mhd::MhdContext& c) {
+      return mhd::conduction_update(c, 0.05);
+    };
+    SolverConfig one = cfg;
+    one.phys.cond_maxit = 1;
+    const auto capped = loops_of(one, hot, update);
+    const auto seeded = loops_of(
+        cfg,
+        [&](mhd::State& st) {
+          hot(st);
+          st.temp(3, 4, 5) = nan;
+        },
+        update);
+    EXPECT_EQ(seeded.second, -1);
+    EXPECT_LE(seeded.first, capped.first) << "conduction";
+  }
+}
+
 TEST(Pcg, RejectsMismatchedComponentShapes) {
   // One Range3 covers every component of a sweep, so each system vector's
   // components must share component 0's extents; a mismatch in any of
@@ -136,6 +206,16 @@ TEST(Pcg, RejectsMismatchedComponentShapes) {
     solvers::Pcg pcg(eng, comm, solver.local_grid(), "shape_check");
     const auto noop = [](const solvers::Pcg::Fields&,
                          const solvers::Pcg::Fields&) {};
+    static const par::KernelSite& site_pc =
+        SIMAS_SITE("test_shape_check_precond", par::SiteKind::ParallelLoop, 0);
+    const solvers::Jacobi identity{
+        site_pc,
+        [](const field::Field& r, const field::Field& z) {
+          return std::array{par::in(r.id()), par::out(z.id())};
+        },
+        [](const field::Field& r, field::Field& z) {
+          return [&r, &z](idx i, idx j, idx k) { z(i, j, k) = r(i, j, k); };
+        }};
     for (int odd = 0; odd < 6; ++odd) {
       solvers::PcgSystem sys;
       std::vector<field::Field*>* vecs[] = {&sys.x, &sys.b,  &sys.r,
@@ -143,7 +223,7 @@ TEST(Pcg, RejectsMismatchedComponentShapes) {
       for (int v = 0; v < 6; ++v)
         *vecs[v] = {make(5), make(v == odd ? 3 : 5)};
       const i64 loops = eng.counters().loops_executed;
-      EXPECT_THROW(pcg.solve(noop, noop, sys, solvers::PcgOptions{}),
+      EXPECT_THROW(pcg.solve(noop, identity, sys, solvers::PcgOptions{}),
                    std::invalid_argument)
           << "mismatch in vector " << odd;
       EXPECT_EQ(eng.counters().loops_executed, loops);

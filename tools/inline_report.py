@@ -5,9 +5,12 @@
 
 1. Lists every out-of-line cell body in BUILD_DIR/src/libsimas.a: a
    function symbol of a 3-D kernel lambda in simas::mhd or
-   simas::solvers, `...::{lambda(..., long, long, long)#N}::operator()`.
-   Cell bodies compile inline into the engine's per-block loops
-   (SIMAS_FLATTEN, DESIGN.md §11); exits 1 if any is left out of line.
+   simas::solvers, or the chained cell of Engine::chain_sum,
+   `...::{lambda(..., long, long, long)#N}::operator()(..., long, long,
+   long)`. Names the demangler gives up on (very long lambda-in-template
+   names) are matched in mangled form. Cell bodies compile inline into
+   the engine's per-block loops (SIMAS_FLATTEN, DESIGN.md §11); exits 1
+   if any is left out of line.
 2. Prints, per translation unit of src/mhd and src/solvers, how many
    loops and basic blocks GCC reports vectorized under
    -fopt-info-vec-optimized. Printed only, never gated: the counts depend
@@ -24,9 +27,20 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+# The symbol is the lambda's own call operator (the name ends there, but
+# for GCC's clone suffixes), and the lambda is declared inside
+# simas::mhd, simas::solvers or chain_sum.
 CELL_BODY = re.compile(
-    r"^simas::(mhd|solvers)::.*\{lambda\(([^()]*, )?long, long, long\)#\d+\}"
-    r"::operator\(\)")
+    r"\{lambda\(([^()]*, )?long, long, long\)#\d+\}"
+    r"::operator\(\)\(([^()]*, )?long, long, long\)( const)?"
+    r"( \[clone [^]]*\])*$")
+CELL_OWNER = re.compile(
+    r"simas::(mhd|solvers)::|simas::par::Engine::chain_sum<")
+# The same in mangled form: a closure type (Ul...E_) under one of the
+# owners, whose call operator (cl) takes three trailing longs.
+MANGLED_CELL_BODY = re.compile(
+    r"^_Z.*(5simas3mhd|5simas7solvers|9chain_sum).*Ul.*clE.*lll"
+    r"(\.[a-z_]+\.\d+)*$")
 REPORT_DIRS = ("src/mhd/", "src/solvers/")
 
 
@@ -36,9 +50,12 @@ def out_of_line_bodies(lib):
     found = set()
     for line in nm.stdout.splitlines():
         parts = line.split(" ", 2)
-        if len(parts) == 3 and parts[1] in "tTwW" and \
-                CELL_BODY.match(parts[2]):
-            found.add(parts[2])
+        if len(parts) != 3 or parts[1] not in "tTwW":
+            continue
+        name = parts[2]
+        if (CELL_BODY.search(name) and CELL_OWNER.search(name)) or \
+                MANGLED_CELL_BODY.match(name):
+            found.add(name)
     return sorted(found)
 
 
