@@ -30,7 +30,7 @@ real Array3::max_abs_interior() const {
   for (idx k = 0; k < n3_; ++k)
     for (idx j = 0; j < n2_; ++j)
       for (idx i = 0; i < n1_; ++i)
-        acc = std::max(acc, std::abs((*this)(i, j, k)));
+        acc = nan_max(acc, std::abs((*this)(i, j, k)));
   return acc;
 }
 

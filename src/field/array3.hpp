@@ -76,6 +76,7 @@ class Array3 {
 #endif
 
   /// Interior-only L2 norm and max-abs (serial; used by tests/diagnostics).
+  /// A NaN cell makes max_abs_interior NaN.
   real norm2_interior() const;
   real max_abs_interior() const;
 

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <array>
 
 #include "mhd/ops.hpp"
 
@@ -220,12 +221,14 @@ void advect_and_forces(MhdContext& c, real dt, int pending_center) {
                    true, /*surface_scaled=*/true);
     split.shell(
         site_shell,
-        {par::in(st.rho.id()), par::in(st.temp.id()), par::in(st.vr.id()),
-         par::in(st.vt.id()), par::in(st.vp.id()), par::in(st.jcr.id()),
-         par::in(st.jct.id()), par::in(st.jcp.id()), par::in(st.bcr.id()),
-         par::in(st.bct.id()), par::in(st.bcp.id()), par::out(st.wrk1.id()),
-         par::out(st.wrk2.id()), par::out(st.wrk3.id()),
-         par::out(st.wrk4.id()), par::out(st.wrk5.id())},
+        std::array{par::in(st.rho.id()), par::in(st.temp.id()),
+                   par::in(st.vr.id()), par::in(st.vt.id()),
+                   par::in(st.vp.id()), par::in(st.jcr.id()),
+                   par::in(st.jct.id()), par::in(st.jcp.id()),
+                   par::in(st.bcr.id()), par::in(st.bct.id()),
+                   par::in(st.bcp.id()), par::out(st.wrk1.id()),
+                   par::out(st.wrk2.id()), par::out(st.wrk3.id()),
+                   par::out(st.wrk4.id()), par::out(st.wrk5.id())},
         [&](idx i, idx j, idx k) {
           vr_body(i, j, k);
           vt_body(i, j, k);

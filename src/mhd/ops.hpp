@@ -5,7 +5,7 @@
 // them per its execution model.
 
 #include <initializer_list>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "grid/local_grid.hpp"
@@ -13,6 +13,7 @@
 #include "mhd/state.hpp"
 #include "mpisim/comm.hpp"
 #include "mpisim/halo.hpp"
+#include "par/site_table.hpp"
 #include "par/stream.hpp"
 
 namespace simas::mhd {
@@ -87,19 +88,7 @@ class RadialSplit {
   template <class Cell>
   void interior(const par::KernelSite& site,
                 std::initializer_list<par::Access> acc, Cell&& cell) const {
-    interior_n(site, 1, [acc](int) { return acc; },
-               [&cell](int) -> Cell& { return cell; });
-  }
-
-  /// interior() for the n components of a vector system: one
-  /// Engine::for_each_n sweep (access_of(c), cell_of(c) per component).
-  template <class AccessOf, class CellOf>
-  void interior_n(const par::KernelSite& site, int n, AccessOf&& access_of,
-                  CellOf&& cell_of) const {
-    if (ihi_ > ilo_)
-      c_.eng.for_each_n(site, interior_range(), n,
-                        std::forward<AccessOf>(access_of),
-                        std::forward<CellOf>(cell_of));
+    if (ihi_ > ilo_) c_.eng.for_each(site, interior_range(), acc, cell);
   }
 
   /// True under a split: the planes next to an in-flight ghost still need
@@ -109,16 +98,53 @@ class RadialSplit {
   /// Finish the exchange, then launch `cell(i, j, k)` once over the shell
   /// planes the interior skipped, now that their ghost neighbours arrived.
   template <class Cell>
-  void shell(const par::KernelSite& site,
-             std::initializer_list<par::Access> acc, Cell&& cell) {
+  void shell(const par::KernelSite& site, std::span<const par::Access> acc,
+             const Cell& cell) {
     if (nshell_ == 0) return;
     finish_radial_exchange(c_, pending_);
     pending_ = -1;
     const idx first = shell_first_, last = shell_last_;
-    c_.eng.for_each(site, par::Range3{0, nshell_, 0, c_.st.nt, 0, c_.st.np},
-                    acc, [&cell, first, last](idx s, idx j, idx k) {
-                      cell(s == 0 ? first : last, j, k);
-                    });
+    c_.eng.for_each_n(
+        site, par::Range3{0, nshell_, 0, c_.st.nt, 0, c_.st.np}, 1,
+        [acc](int) { return acc; },
+        [&cell, first, last](int) {
+          return [&cell, first, last](idx s, idx j, idx k) {
+            cell(s == 0 ? first : last, j, k);
+          };
+        });
+  }
+
+  /// One apply y = A x of an operator's stencil (solvers::Operator): every
+  /// component over the interior, then, under a split, one shell launch
+  /// running every component's body, declaring every component's reads,
+  /// then every component's writes, at the stencil's site, surface-scaled,
+  /// with "_shell" appended.
+  template <class Stencil>
+  void apply(const Stencil& s, const std::vector<field::Field*>& x,
+             const std::vector<field::Field*>& y) {
+    const int n = static_cast<int>(x.size());
+    if (ihi_ > ilo_)
+      c_.eng.for_each_n(
+          s.site, interior_range(), n,
+          [&](int comp) { return s.access_of(*x[comp], *y[comp], span_); },
+          [&](int comp) { return s.body_of(*x[comp], *y[comp]); });
+    if (!has_shell()) return;
+    static const par::KernelSite& shell_site = [&]() -> const auto& {
+      par::KernelSite proto = s.site;
+      proto.name += "_shell";
+      proto.surface_scaled = true;
+      return par::SiteTable::process().intern(proto);
+    }();
+    std::vector<par::Access> acc;
+    for (const bool write : {false, true})
+      for (int comp = 0; comp < n; ++comp)
+        for (const par::Access& a :
+             s.access_of(*x[comp], *y[comp], par::Span::Full))
+          if (a.write == write) acc.push_back(a);
+    shell(shell_site, acc, [&](idx i, idx j, idx k) {
+      for (int comp = 0; comp < n; ++comp)
+        s.body_of(*x[comp], *y[comp])(i, j, k);
+    });
   }
 
  private:
@@ -131,6 +157,22 @@ class RadialSplit {
   idx ilo_ = 0, ihi_ = 0;
   par::Span span_ = par::Span::Full;
   idx nshell_ = 0, shell_first_ = 0, shell_last_ = 0;
+};
+
+/// The halo step of an implicit solve's operator (solvers::Operator):
+/// post x's radial exchange, wrap φ and return the split. Viscosity and
+/// conduction overlap through the split; PFSS (`overlap` false) runs
+/// exchange_r then wrap_phi, so its op stream does not move under
+/// overlap_halo.
+struct OperatorHalo {
+  MhdContext& c;
+  bool overlap = true;
+  RadialSplit operator()(const std::vector<field::Field*>& x) const {
+    if (overlap) return {c, post_radial_exchange(c, x), int(x.size())};
+    c.halo.exchange_r(x);
+    c.halo.wrap_phi(x);
+    return {c, -1, int(x.size())};
+  }
 };
 
 /// Overlapped exchange_center_ghosts: post the radial exchange of the
@@ -180,10 +222,8 @@ int viscous_update(MhdContext& c, real dt);
 /// PCG; or RKL2 super-time-stepping when phys.sts_conduction is set.
 /// Returns iterations (PCG) or stages (STS).
 int conduction_update(MhdContext& c, real dt);
-/// The conduction diffusion operator y = ∇·(κ ∇x) in flux form over the
-/// owned cells, κ frozen at cell centres in st.wrk2 (ghosts exchanged):
-/// face κ by arithmetic mean, zero-flux physical r and θ walls. Exchanges
-/// x's radial halos (overlapped when the split pays) and wraps φ.
+/// y = ∇·(κ ∇x) over the owned cells (conduction_stencil, operators.hpp),
+/// after x's halo step (overlapped when the split pays).
 void conduction_diffusion(MhdContext& c, field::Field& x, field::Field& y);
 
 // --- source_terms.cpp -------------------------------------------------

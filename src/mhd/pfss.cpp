@@ -1,10 +1,9 @@
 #include "mhd/pfss.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
-#include "solvers/pcg.hpp"
+#include "mhd/operators.hpp"
 
 namespace simas::mhd {
 
@@ -14,56 +13,9 @@ SurfaceBrFn dipole_surface_br(real b0) {
   return [b0](real theta, real /*phi*/) { return 2.0 * b0 * std::cos(theta); };
 }
 
-// Laplacian with the PFSS boundary conditions:
-//  * inner r face: Neumann (flux prescribed; handled through the RHS, so
-//    the operator itself sees a zero-flux wall there);
-//  * outer r face: homogeneous Dirichlet (source surface Φ = 0), realised
-//    as a half-cell gradient to the face;
-//  * θ walls: zero-flux; φ: periodic (halo wrap).
 void pfss_laplacian(MhdContext& c, field::Field& x, field::Field& y) {
-  const grid::LocalGrid& lg = c.lg;
-  const grid::SphericalGrid& g = lg.global();
-  State& st = c.st;
-  const idx nloc = st.nloc, nt = st.nt, np = st.np;
-  const grid::Metric& mt = lg.metric();
-  // Physical-wall planes; -1 never matches an owned plane.
-  const idx i_wall_lo = lg.at_inner_boundary() ? 0 : -1;
-  const idx i_wall_hi = lg.at_outer_boundary() ? nloc - 1 : -1;
-
-  c.halo.exchange_r({&x});
-  c.halo.wrap_phi({&x});
-
-  static const par::KernelSite& site =
-      SIMAS_SITE("pfss_laplacian", SiteKind::ParallelLoop, 0);
-  // Straight-line cell body: every face term is computed and a select
-  // keeps the one the boundary condition asks for, as in
-  // conduction_diffusion (wall ghosts may hold anything; flux is never
-  // -0.0, so a selected 0.0 leaves its bits alone).
-  c.eng.for_each(
-      site, par::Range3{0, nloc, 0, nt, 0, np},
-      {par::in(x.id()), par::out(y.id())},
-      [&, nt, i_wall_lo, i_wall_hi](idx i, idx j, idx k) {
-        const real xc = x(i, j, k);
-        const real fr0 = mt.area_r(i, j) * (xc - x(i - 1, j, k)) / lg.drf(i);
-        // Dirichlet Φ = 0 at the source surface: half-cell gradient.
-        const real fr1_wall =
-            mt.area_r(i + 1, j) * (0.0 - xc) / (0.5 * lg.drc(i));
-        const real fr1 =
-            mt.area_r(i + 1, j) * (x(i + 1, j, k) - xc) / lg.drf(i + 1);
-        const real ft0 = mt.area_t(i, j) * (xc - x(i, j - 1, k)) /
-                         (lg.rc(i) * g.dth_face(j));
-        const real ft1 = mt.area_t(i, j + 1) * (x(i, j + 1, k) - xc) /
-                         (lg.rc(i) * g.dth_face(j + 1));
-        real flux = 0.0;
-        flux -= i == i_wall_lo ? 0.0 : fr0;
-        flux += i == i_wall_hi ? fr1_wall : fr1;
-        flux -= j == 0 ? 0.0 : ft0;
-        flux += j == nt - 1 ? 0.0 : ft1;
-        flux += mt.coef_p(i, j) *
-                (x(i, j, k + 1) - 2.0 * xc + x(i, j, k - 1));
-        // PCG solves A x = b with A = -∇·∇ (positive definite).
-        y(i, j, k) = -flux / mt.vol(i, j);
-      });
+  const auto op = pfss_operator(c);
+  op.halo({&x}).apply(op.stencil, {&x}, {&y});
 }
 
 PfssResult pfss_initialize(MhdContext& c, const SurfaceBrFn& surface_br,
@@ -75,8 +27,6 @@ PfssResult pfss_initialize(MhdContext& c, const SurfaceBrFn& surface_br,
 
   static const par::KernelSite& site_rhs =
       SIMAS_SITE("pfss_build_rhs", SiteKind::ParallelLoop, 0);
-  static const par::KernelSite& site_pc =
-      SIMAS_SITE("pfss_jacobi_precond", SiteKind::ParallelLoop, 0);
   static const par::KernelSite& site_grad_r =
       SIMAS_SITE("pfss_gradient_r", SiteKind::ParallelLoop, 73);
   static const par::KernelSite& site_grad_t =
@@ -106,31 +56,11 @@ PfssResult pfss_initialize(MhdContext& c, const SurfaceBrFn& surface_br,
         rhs(i, j, k) = b;
       });
 
-  const solvers::Jacobi precond{
-      site_pc,
-      [](const field::Field& r, const field::Field& z) {
-        return std::array{par::in(r.id()), par::out(z.id())};
-      },
-      [&mt](const field::Field& r, field::Field& z) {
-        return [&mt, &r, &z](idx i, idx j, idx k) {
-          z(i, j, k) = r(i, j, k) * sq(mt.min_width(i, j)) / 6.0;
-        };
-      }};
-
   solvers::Pcg pcg(c.eng, c.comm, lg, "pfss");
-  solvers::PcgSystem sys;
-  sys.x = {&phi};
-  sys.b = {&rhs};
-  sys.r = st.pcg_r_vec(1);
-  sys.p = st.pcg_p_vec(1);
-  sys.ap = st.pcg_ap_vec(1);
-  sys.z = st.pcg_z_vec(1);
-  const auto apply = [&c](const solvers::Pcg::Fields& xs,
-                          const solvers::Pcg::Fields& ys) {
-    pfss_laplacian(c, *xs[0], *ys[0]);
-  };
-  const auto solve =
-      pcg.solve(apply, precond, sys, solvers::PcgOptions{tol, maxit});
+  solvers::PcgSystem sys{{&phi},           {&rhs},
+                         st.pcg_r_vec(1),  st.pcg_p_vec(1),
+                         st.pcg_ap_vec(1), st.pcg_z_vec(1)};
+  const auto solve = pcg.solve(pfss_operator(c), sys, {tol, maxit});
 
   // Refresh ghosts of Φ, then take B = -∇Φ on the faces.
   c.halo.exchange_r({&phi});
@@ -178,7 +108,7 @@ PfssResult pfss_initialize(MhdContext& c, const SurfaceBrFn& surface_br,
     for (idx j = 0; j < nt; ++j)
       for (idx k = 0; k < np; ++k)
         local_max =
-            std::max(local_max, std::abs(div_b_cell(lg, st, i, j, k)));
+            nan_max(local_max, std::abs(div_b_cell(lg, st, i, j, k)));
   res.max_div_b = c.comm.allreduce_max(local_max);
   return res;
 }

@@ -36,10 +36,8 @@ struct PfssResult {
 PfssResult pfss_initialize(MhdContext& c, const SurfaceBrFn& surface_br,
                            real tol = 1.0e-9, int maxit = 500);
 
-/// The PFSS operator y = -∇²x over the owned cells: zero-flux inner r
-/// wall (its Neumann flux lives in the RHS), Dirichlet Φ = 0 at the outer
-/// r wall, zero-flux θ walls, periodic φ. Exchanges x's radial halos and
-/// wraps φ first.
+/// The PFSS operator y = -∇²x over the owned cells (pfss_operator,
+/// operators.hpp), after exchanging x's radial halos and wrapping φ.
 void pfss_laplacian(MhdContext& c, field::Field& x, field::Field& y);
 
 /// Convenience: the dipole surface field Br = 2 b0 cosθ.

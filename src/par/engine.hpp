@@ -251,14 +251,14 @@ class Engine {
 
   /// Cell-local chain: k component sweeps over one range, then a
   /// component sum. parts are k + 1 Sweeps: the k stages, then the sum,
-  /// whose body_of(c) returns the term. Recorded exactly as k for_each_n
-  /// calls and one reduce_sum_n record them (all n ops of stage 1, then
-  /// stage 2, ..., then the n ReduceOps) and run as ONE host job over the
-  /// sum's pinned partition (launch()). Each cell of component c runs
-  /// stage 1 ... k of c, then the term; each stage writes a cell once and
-  /// the partials combine in block order, then component order, so the
-  /// stages' outputs and the sum are bit for bit those of the separate
-  /// launches.
+  /// whose body_of(c) returns the term (k = 0 is a plain component sum).
+  /// Recorded exactly as k for_each_n calls and one reduce_sum_n record
+  /// them (all n ops of stage 1, then stage 2, ..., then the n ReduceOps)
+  /// and run as ONE host job over the sum's pinned partition (launch()). Each (j, k) row of component c
+  /// runs stage 1 ... k of c over the row, then the term; each stage
+  /// writes a cell once and the partials combine in block order, then
+  /// component order, so the stages' outputs and the sum are bit for bit
+  /// those of the separate launches.
   ///
   /// Legality, which the caller guarantees: a stage may read an array
   /// written earlier in the chain only at its own cell (i, j, k); only
@@ -268,7 +268,7 @@ class Engine {
   /// of any stage declares (std::logic_error before anything is recorded).
   template <class... Parts>
   real chain_sum_n(Range3 r, int n, const Parts&... parts) {
-    static_assert(sizeof...(Parts) >= 2, "a chain is stages, then a sum");
+    static_assert(sizeof...(Parts) >= 1, "a chain ends in a sum");
     return chain_sum(r, n, std::forward_as_tuple(parts...),
                      std::make_index_sequence<sizeof...(Parts) - 1>{});
   }
@@ -417,19 +417,24 @@ class Engine {
                                            int d);
 
   /// chain_sum_n over parts = (stage 0, ..., stage k - 1, sum). Fused, the
-  /// sum's reduce3 runs a chained term per component: every stage's body
-  /// at the cell, then the sum's term. Op by op, group g < k is stage g's
-  /// loop3 and group k the sum's reduce3, as the separate launches run.
+  /// sum's reduce3 runs every stage's body over each plane's row of cells,
+  /// stage by stage, before the sum's term walks that row: each stage
+  /// loop stays a plain i loop the compiler can vectorize, and a stage
+  /// still reads an earlier stage's output only after its cell is
+  /// written. Op by op, group g < k is stage g's loop3 and group k the
+  /// sum's reduce3, as the separate launches run.
   template <class Parts, std::size_t... s>
   real chain_sum(Range3 r, int n, const Parts& parts,
                  std::index_sequence<s...>) {
     constexpr int k = static_cast<int>(sizeof...(s));
     const auto& sum = std::get<k>(parts);
-    const auto chained_of = [&](int c) {
-      return [stages = std::tuple{std::get<s>(parts).body_of(c)...},
-              term = sum.body_of(c)](idx i, idx j, idx kk) {
-        (std::get<s>(stages)(i, j, kk), ...);
-        return term(i, j, kk);
+    const auto rows_of = [&]([[maybe_unused]] int c) {
+      return [stages = std::tuple{std::get<s>(parts).body_of(c)...}](
+                 idx i0, idx i1, idx j, idx kk) {
+        [[maybe_unused]] const auto row = [&](auto& stage) {
+          for (idx i = i0; i < i1; ++i) stage(i, j, kk);
+        };
+        (row(std::get<s>(stages)), ...);
       };
     };
     real total = 0.0;
@@ -442,7 +447,7 @@ class Engine {
                 ...);
                if (g == k) total += reduce3(r, c0, cn, sum.body_of, false);
              } else {
-               total = reduce3(r, c0, cn, chained_of, false, k + 1);
+               total = reduce3(r, c0, cn, sum.body_of, false, k + 1, rows_of);
              }
            },
            ops<LaunchOp>(std::get<s>(parts).site,
@@ -644,12 +649,17 @@ class Engine {
   /// block). A pool claim takes reduce_group consecutive blocks of one
   /// component, so claim cc covers component c0 + cc / nclaims. Partials
   /// combine in block order per component, then the component totals in
-  /// component order. A cell-local chain's term runs the
-  /// kernels_per_component recorded kernels of its component (1 for a
-  /// plain reduction); the pool counters count them all.
-  template <class TermOf>
+  /// component order. A cell-local chain runs rows_of(c)(i0, i1, j, k),
+  /// its stages over a plane's row, before the term walks the row, and
+  /// counts its kernels_per_component recorded kernels per component (1
+  /// for a plain reduction, whose rows_of does nothing); the pool
+  /// counters count them all.
+  struct NoRows {
+    auto operator()(int) const { return [](idx, idx, idx, idx) {}; }
+  };
+  template <class TermOf, class RowsOf = NoRows>
   real reduce3(Range3 r, int c0, int n, TermOf& term_of, bool take_max,
-               int kernels_per_component = 1) {
+               int kernels_per_component = 1, const RowsOf& rows_of = {}) {
     const idx nj = r.nj(), nk = r.nk();
     const i64 ni = r.ni();
     const i64 planes = static_cast<i64>(nj) * nk;
@@ -663,6 +673,7 @@ class Engine {
                     [&](i64 cc) SIMAS_FLATTEN {
       const i64 c = cc / nclaims;
       auto&& term = term_of(c0 + static_cast<int>(c));
+      auto&& rows = rows_of(c0 + static_cast<int>(c));
       real* part = partial + c * nblocks;
       const i64 b0 = (cc % nclaims) * group;
       const i64 b1 = std::min(nblocks, b0 + group);
@@ -673,6 +684,7 @@ class Engine {
         const i64 p1 = std::min<i64>(planes, (b + 1) * ppb);
         real acc = identity(take_max);
         for (i64 p = b * ppb; p < p1; ++p) {
+          rows(r.i0, r.i1, j, k);
           for (idx i = r.i0; i < r.i1; ++i)
             acc = combine(acc, term(i, j, k), take_max);
           if (++j == r.j1) {

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 
 #include "telemetry/ranges.hpp"
 
@@ -15,22 +14,6 @@ using par::SiteKind;
 Pcg::Pcg(par::Engine& engine, mpisim::Comm& comm, const grid::LocalGrid& lg,
          std::string name)
     : eng_(engine), comm_(comm), lg_(lg), name_(std::move(name)) {}
-
-namespace {
-
-/// The interior range every component of a system vector shares: one
-/// Range3 covers all components of a sweep, so their extents must agree.
-par::Range3 component_range(const Pcg::Fields& v, const field::Field& ref,
-                            const char* who) {
-  for (const field::Field* f : v)
-    if (f->a().n1() != ref.a().n1() || f->a().n2() != ref.a().n2() ||
-        f->a().n3() != ref.a().n3())
-      throw std::invalid_argument(std::string(who) +
-                                  ": component shape mismatch");
-  return par::Range3{0, ref.a().n1(), 0, ref.a().n2(), 0, ref.a().n3()};
-}
-
-}  // namespace
 
 const Pcg::Sites& Pcg::sites() {
   static const Sites s{
@@ -49,27 +32,20 @@ par::Range3 Pcg::interior(const PcgSystem& sys) {
   if (nc == 0 || sys.b.size() != nc || sys.r.size() != nc ||
       sys.p.size() != nc || sys.ap.size() != nc || sys.z.size() != nc)
     throw std::invalid_argument("Pcg::solve: inconsistent system");
-  par::Range3 range;
+  // One Range3 covers every component of a sweep, so every component's
+  // extents must agree with component 0 of x.
+  const field::Array3& ref = sys.x[0]->a();
   for (const Fields* v : {&sys.x, &sys.b, &sys.r, &sys.p, &sys.ap, &sys.z})
-    range = component_range(*v, *sys.x[0], "Pcg::solve");
-  return range;
+    for (const field::Field* f : *v)
+      if (f->a().n1() != ref.n1() || f->a().n2() != ref.n2() ||
+          f->a().n3() != ref.n3())
+        throw std::invalid_argument("Pcg::solve: component shape mismatch");
+  return par::Range3{0, ref.n1(), 0, ref.n2(), 0, ref.n3()};
 }
 
-real Pcg::dot(const Fields& a, const Fields& b) {
-  if (a.size() != b.size())
-    throw std::invalid_argument("Pcg::dot: component mismatch");
-  if (a.empty()) return comm_.allreduce_sum(0.0);
-  const par::Range3 range = component_range(a, *a[0], "Pcg::dot");
-  component_range(b, *a[0], "Pcg::dot");
-  // One ReduceOp per component, one host job for all of them.
-  const auto s = dot_sweep(a, b, lg_.metric());
-  return comm_.allreduce_sum(eng_.reduce_sum_n(
-      s.site, range, static_cast<int>(a.size()), s.access_of, s.body_of));
-}
-
-PcgResult Pcg::iterate(const ApplyFn& apply, PcgSystem& sys,
-                       const PcgOptions& opts, par::Range3 range,
-                       par::FunctionRef<real()> open,
+PcgResult Pcg::iterate(PcgSystem& sys, const PcgOptions& opts,
+                       par::Range3 range, par::FunctionRef<real()> open,
+                       par::FunctionRef<real()> pap,
                        par::FunctionRef<real(real)> tail) {
   const int n = static_cast<int>(sys.x.size());
   PcgResult res;
@@ -80,7 +56,6 @@ PcgResult Pcg::iterate(const ApplyFn& apply, PcgSystem& sys,
   // iteration, as production Krylov solvers do. A NaN or Inf that reaches
   // a dot ends the solve at once, as not converged: it would otherwise
   // pass every test below and spin to maxit.
-  apply(sys.x, sys.ap);
   real rz = open();
   if (!std::isfinite(rz)) return res;
   const real rz0 = std::max(rz, 1.0e-300);
@@ -100,11 +75,10 @@ PcgResult Pcg::iterate(const ApplyFn& apply, PcgSystem& sys,
     real rz_new = 0.0;
     {
       par::Engine::GraphScope graph(eng_, name_ + "/iter");
-      apply(sys.p, sys.ap);
-      const real pap = dot(sys.p, sys.ap);
+      const real p_ap = pap();
       // Loss of positive-definiteness; a NaN fails the test too.
-      if (!(pap > 0.0) || !std::isfinite(pap)) break;
-      rz_new = tail(rz / pap);
+      if (!(p_ap > 0.0) || !std::isfinite(p_ap)) break;
+      rz_new = tail(rz / p_ap);
     }
     res.iterations = it;
     if (!std::isfinite(rz_new)) break;

@@ -8,22 +8,21 @@
 // what the paper's Fig. 4 profiles ("viscosity solver iterations").
 //
 // On the host each vector operation is one component sweep
-// (Engine::for_each_n / reduce_sum_n): the op stream still carries one op
-// per component, but the components run as one host job with one join,
-// and a dot adds the component partial sums in component order. The
-// stages that meet only at a cell run as one cell-local chain
-// (Engine::chain_sum_n), one host job each: the opening residual,
-// preconditioner, p = z and <r, z>, and every iteration's x/r update,
-// preconditioner and <r, z>.
+// (Engine::for_each_n / reduce_sum_n): one op per component, one host job
+// and one join for all of them. Stages that meet only at a cell run as
+// one cell-local chain (Engine::chain_sum_n): the opening A x, residual,
+// preconditioner, p = z and <r, z>; every iteration's A p and <p, Ap>;
+// and its x/r update, preconditioner and <r, z>. The operator leads its
+// chain only when its launch split leaves no boundary shell.
 //
-// The operator callback must fill any ghost values it needs (rank halos,
-// periodic wraps). Inner products are volume-weighted and summed over
-// components: the flux-form diffusion operators used by the solver are SPD
-// in that inner product on the non-uniform spherical mesh.
+// Inner products are volume-weighted and summed over components: the
+// flux-form diffusion operators used by the solver are SPD in that inner
+// product on the non-uniform spherical mesh.
 
 #include <array>
-#include <functional>
+#include <cstddef>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "field/field.hpp"
@@ -57,27 +56,46 @@ struct PcgSystem {
   std::vector<field::Field*> z;   ///< workspace: preconditioned residual
 };
 
-/// The pointwise Jacobi preconditioner z = M^{-1} r of a solve, as a cell
-/// body: its site, access_of(r, z), one component's access list, and
-/// body_of(r, z), that component's cell body (i, j, k). Pcg::solve runs
-/// it inside its cell-local chains (Engine::chain_sum_n), so the body may
-/// read r (written earlier in the chain) only at its own cell, and writes
-/// z there; arrays outside the system (ρ, κ) it may read freely.
-template <class AccessOf, class BodyOf>
+/// The Jacobi preconditioner of a solve: z = precond(r, i, j, k) at each
+/// cell, r the residual's value there; `reads` are the arrays outside the
+/// system it reads (ρ and κ for conduction). Pcg declares {in(r),
+/// in(reads)..., out(z)} at `site`.
+template <std::size_t N, class Precond>
 struct Jacobi {
   const par::KernelSite& site;
-  AccessOf access_of;
-  BodyOf body_of;
+  Precond precond;
+  std::array<gpusim::ArrayId, N> reads = {};
+
+  std::array<par::Access, N + 2> access_of(const field::Field& r,
+                                           const field::Field& z) const {
+    std::array<par::Access, N + 2> acc;
+    acc[0] = par::in(r.id());
+    for (std::size_t a = 0; a < N; ++a) acc[a + 1] = par::in(reads[a]);
+    acc[N + 1] = par::out(z.id());
+    return acc;
+  }
 };
-template <class AccessOf, class BodyOf>
-Jacobi(const par::KernelSite&, AccessOf, BodyOf) -> Jacobi<AccessOf, BodyOf>;
+template <class Precond, class... Reads>
+Jacobi(const par::KernelSite&, Precond, Reads...)
+    -> Jacobi<sizeof...(Reads), Precond>;
+
+/// The operator y = A x of an implicit solve as cell bodies, the routines
+/// a parallel loop calls (`!$acc routine`, paper Table II; DESIGN.md §7).
+/// halo(x) fills the ghosts of x the stencil reads and returns the launch
+/// split (mhd::RadialSplit). `stencil` is a par::Sweep over (x, y, span),
+/// span the declared extent of its reads of x, and `post` a tuple of
+/// par::Sweeps over (x, y) run after it at each cell.
+template <class Halo, class Stencil, class J, class Post = std::tuple<>>
+struct Operator {
+  Halo halo;
+  Stencil stencil;
+  J jacobi;
+  Post post = {};
+};
 
 class Pcg {
  public:
   using Fields = std::vector<field::Field*>;
-  /// y[c] = A(x)[c] for every component; may read ghosts of x after
-  /// filling them (one fused exchange for all components).
-  using ApplyFn = std::function<void(const Fields& x, const Fields& y)>;
 
   /// `name` labels this solver's captured graphs (one solver instance per
   /// name when EngineConfig::graph_replay is on, so that e.g. viscosity
@@ -85,16 +103,11 @@ class Pcg {
   Pcg(par::Engine& engine, mpisim::Comm& comm, const grid::LocalGrid& lg,
       std::string name = "pcg");
 
-  /// Solve with a Jacobi preconditioner. Stops as not converged at the
-  /// first non-finite <r, z> or <p, Ap>, and at a <p, Ap> that is not
-  /// positive.
-  template <class AccessOf, class BodyOf>
-  PcgResult solve(const ApplyFn& apply, const Jacobi<AccessOf, BodyOf>& pc,
-                  PcgSystem& sys, const PcgOptions& opts);
-
-  /// Volume-weighted global dot product summed over components
-  /// (one allreduce).
-  real dot(const Fields& a, const Fields& b);
+  /// Solve A x = b with the Jacobi-preconditioned operator `op`. Stops as
+  /// not converged at the first non-finite <r, z> or <p, Ap>, and at a
+  /// <p, Ap> that is not positive.
+  template <class Op>
+  PcgResult solve(const Op& op, PcgSystem& sys, const PcgOptions& opts);
 
  private:
   struct Sites {
@@ -125,12 +138,44 @@ class Pcg {
         }};
   }
 
-  /// The iteration, given the solve's two chains: open() runs r = b - Ap
-  /// (Ap = A x), z = M^{-1} r and p = z, and tail(alpha) runs x += alpha
-  /// p, r -= alpha Ap and z = M^{-1} r; each returns the global <r, z>.
-  PcgResult iterate(const ApplyFn& apply, PcgSystem& sys,
-                    const PcgOptions& opts, par::Range3 range,
+  /// y = A x, then the chain `then` (stages, then a sum); returns the
+  /// global sum. With no boundary shell the stencil and post stages lead
+  /// the chain, which is legal because no stage writes x, the array the
+  /// stencil reads through neighbours; otherwise they launch on their own.
+  /// The split is static per run, so every iteration emits the same ops
+  /// (graph capture).
+  template <class Op, class... Then>
+  real apply_then(const Op& op, const Fields& x, const Fields& y,
+                  par::Range3 range, const Then&... then) {
+    const int n = static_cast<int>(x.size());
+    auto split = op.halo(x);
+    const auto on_xy = [&](const auto& st, auto... span) {
+      return par::Sweep{
+          st.site,
+          [&, span...](int c) { return st.access_of(*x[c], *y[c], span...); },
+          [&](int c) { return st.body_of(*x[c], *y[c]); }};
+    };
+    return comm_.allreduce_sum(std::apply(
+        [&](const auto&... post) {
+          if (!split.has_shell())
+            return eng_.chain_sum_n(range, n, on_xy(op.stencil, split.span()),
+                                    on_xy(post)..., then...);
+          split.apply(op.stencil, x, y);
+          (eng_.for_each_n(post.site, range, n, on_xy(post).access_of,
+                           on_xy(post).body_of),
+           ...);
+          return eng_.chain_sum_n(range, n, then...);
+        },
+        op.post));
+  }
+
+  /// The iteration, given the solve's three chains: open() runs Ap = A x,
+  /// r = b - Ap, z = M^{-1} r and p = z and returns the global <r, z>;
+  /// pap() runs Ap = A p and returns the global <p, Ap>; tail(alpha) runs
+  /// x += alpha p, r -= alpha Ap and z = M^{-1} r and returns <r, z>.
+  PcgResult iterate(PcgSystem& sys, const PcgOptions& opts, par::Range3 range,
                     par::FunctionRef<real()> open,
+                    par::FunctionRef<real()> pap,
                     par::FunctionRef<real(real)> tail);
 
   par::Engine& eng_;
@@ -139,16 +184,18 @@ class Pcg {
   std::string name_;
 };
 
-template <class AccessOf, class BodyOf>
-PcgResult Pcg::solve(const ApplyFn& apply,
-                     const Jacobi<AccessOf, BodyOf>& pc, PcgSystem& sys,
-                     const PcgOptions& opts) {
+template <class Op>
+PcgResult Pcg::solve(const Op& op, PcgSystem& sys, const PcgOptions& opts) {
   const par::Range3 range = interior(sys);
-  const int n = static_cast<int>(sys.x.size());
   const Sites& site = sites();
+  const auto& pc = op.jacobi;
   const auto precondition = par::Sweep{
       pc.site, [&](int c) { return pc.access_of(*sys.r[c], *sys.z[c]); },
-      [&](int c) { return pc.body_of(*sys.r[c], *sys.z[c]); }};
+      [&](int c) {
+        return [&r = *sys.r[c], &z = *sys.z[c], &pc](idx i, idx j, idx k) {
+          z(i, j, k) = pc.precond(r(i, j, k), i, j, k);
+        };
+      }};
   const auto rz = dot_sweep(sys.r, sys.z, lg_.metric());
   const auto open = [&] {
     const auto residual = par::Sweep{
@@ -173,8 +220,12 @@ PcgResult Pcg::solve(const ApplyFn& apply,
             p(i, j, k) = z(i, j, k);
           };
         }};
-    return comm_.allreduce_sum(
-        eng_.chain_sum_n(range, n, residual, precondition, init_p, rz));
+    return apply_then(op, sys.x, sys.ap, range, residual, precondition,
+                      init_p, rz);
+  };
+  const auto pap = [&] {
+    return apply_then(op, sys.p, sys.ap, range,
+                      dot_sweep(sys.p, sys.ap, lg_.metric()));
   };
   const auto tail = [&](real alpha) {
     const auto update_x_r = par::Sweep{
@@ -191,10 +242,10 @@ PcgResult Pcg::solve(const ApplyFn& apply,
             r(i, j, k) -= alpha * ap(i, j, k);
           };
         }};
-    return comm_.allreduce_sum(
-        eng_.chain_sum_n(range, n, update_x_r, precondition, rz));
+    return comm_.allreduce_sum(eng_.chain_sum_n(
+        range, static_cast<int>(sys.x.size()), update_x_r, precondition, rz));
   };
-  return iterate(apply, sys, opts, range, open, tail);
+  return iterate(sys, opts, range, open, pap, tail);
 }
 
 }  // namespace simas::solvers

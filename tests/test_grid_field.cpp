@@ -269,6 +269,15 @@ TEST(Array3, InteriorNorms) {
   EXPECT_DOUBLE_EQ(a.max_abs_interior(), 4.0);
 }
 
+TEST(Array3, MaxAbsKeepsANaNCell) {
+  // std::max(acc, NaN) returns acc: a max fold built on it reads an
+  // all-NaN field as zero.
+  field::Array3 a(3, 2, 2, 1, 0.0);
+  a(1, 0, 0) = std::nan("");
+  a(2, 1, 1) = 5.0;
+  EXPECT_TRUE(std::isnan(a.max_abs_interior()));
+}
+
 TEST(Array3, FillSetsEverything) {
   field::Array3 a(2, 2, 2, 1);
   a.fill(2.5);

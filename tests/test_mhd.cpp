@@ -243,11 +243,15 @@ TEST(HostJoins, BenchGridStepJoinsOncePerComponentSweep) {
   // One bench-grid step (version A, 1 rank, 4 threads) issues 302 kernels:
   // 196 pooled and 106 inline. The viscous PCG runs each 3-component
   // sweep and dot as one host job, and both PCG solves run their opening
-  // (residual, preconditioner, p = z, <r, z>) and every iteration's tail
-  // (x/r update, preconditioner, <r, z>) as one cell-local chain, so the
-  // pooled kernels take 84 joins, not one each: 114 with the sweeps
-  // alone, less 3 per solve and 2 per iteration (6 + 6 iterations).
-  // Placement is shape-derived, so the counts are exact.
+  // (A x, residual, preconditioner, p = z, <r, z>), every iteration's
+  // A p and <p, Ap>, and its tail (x/r update, preconditioner, <r, z>)
+  // as cell-local chains, so the pooled kernels take 63 joins, not one
+  // each: 114 with the sweeps alone, less 3 per solve and 2 per iteration
+  // for the vector chains (6 + 6 iterations) gives 84; the operator then
+  // joins its chain once per apply, 7 applies per solve (6 iterations and
+  // the opening), for viscosity's matvec (-7) and for conduction's
+  // diffusion and shift (-14): 84 - 7 - 14 = 63. Placement is
+  // shape-derived, so the counts are exact.
   mpisim::World world(1);
   world.run([&](int rank) {
     par::Engine engine(variants::engine_config(variants::CodeVersion::A,
@@ -291,7 +295,7 @@ TEST(HostJoins, BenchGridStepJoinsOncePerComponentSweep) {
 #ifdef SIMAS_ELEMENT_SHADOW
     op_by_op = engine.validator() != nullptr;
 #endif
-    EXPECT_EQ(delta("pool.joins"), op_by_op ? 196 : 84);
+    EXPECT_EQ(delta("pool.joins"), op_by_op ? 196 : 63);
   });
 }
 

@@ -70,6 +70,18 @@ TEST(Pfss, ZeroSurfaceFieldGivesZeroField) {
   });
 }
 
+TEST(Pfss, NanSurfaceFieldGivesNanDivergence) {
+  // The div B fold must keep a NaN: std::max(acc, NaN) returns acc, so a
+  // NaN boundary field used to report max_div_b = 0.
+  with_solver(pfss_cfg(), 1, [&](MasSolver& solver) {
+    auto& c = solver.context();
+    const auto res = pfss_initialize(
+        c, [](real, real) { return std::nan(""); }, 1e-10, 100);
+    EXPECT_FALSE(res.converged);
+    EXPECT_TRUE(std::isnan(res.max_div_b));
+  });
+}
+
 TEST(Pfss, AxisymmetricSourceGivesAxisymmetricField) {
   with_solver(pfss_cfg(), 1, [&](MasSolver& solver) {
     auto& c = solver.context();

@@ -3,17 +3,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <mutex>
+#include <tuple>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench_support/paper_scale.hpp"
 #include "grid/local_grid.hpp"
 #include "mhd/config.hpp"
+#include "mhd/operators.hpp"
 #include "mhd/ops.hpp"
 #include "mhd/solver.hpp"
 #include "mpisim/comm.hpp"
@@ -204,18 +209,8 @@ TEST(Pcg, RejectsMismatchedComponentShapes) {
       return own.back().get();
     };
     solvers::Pcg pcg(eng, comm, solver.local_grid(), "shape_check");
-    const auto noop = [](const solvers::Pcg::Fields&,
-                         const solvers::Pcg::Fields&) {};
-    static const par::KernelSite& site_pc =
-        SIMAS_SITE("test_shape_check_precond", par::SiteKind::ParallelLoop, 0);
-    const solvers::Jacobi identity{
-        site_pc,
-        [](const field::Field& r, const field::Field& z) {
-          return std::array{par::in(r.id()), par::out(z.id())};
-        },
-        [](const field::Field& r, field::Field& z) {
-          return [&r, &z](idx i, idx j, idx k) { z(i, j, k) = r(i, j, k); };
-        }};
+    // Any operator will do: the system is rejected before it runs.
+    const auto op = mhd::pfss_operator(solver.context());
     for (int odd = 0; odd < 6; ++odd) {
       solvers::PcgSystem sys;
       std::vector<field::Field*>* vecs[] = {&sys.x, &sys.b,  &sys.r,
@@ -223,12 +218,141 @@ TEST(Pcg, RejectsMismatchedComponentShapes) {
       for (int v = 0; v < 6; ++v)
         *vecs[v] = {make(5), make(v == odd ? 3 : 5)};
       const i64 loops = eng.counters().loops_executed;
-      EXPECT_THROW(pcg.solve(noop, identity, sys, solvers::PcgOptions{}),
+      EXPECT_THROW(pcg.solve(op, sys, solvers::PcgOptions{}),
                    std::invalid_argument)
           << "mismatch in vector " << odd;
       EXPECT_EQ(eng.counters().loops_executed, loops);
     }
   });
+}
+
+/// The diagonal of each implicit-solve operator against its Jacobi form,
+/// at sampled cells of every rank: the interior, both radial wall planes,
+/// both θ walls and the rank edges. The operator's unit response
+/// (A e)_c, e the unit vector at cell c with zero ghosts, is its diagonal
+/// entry; the Jacobi form gives 1 / estimate as precond(1.0, c).
+struct DiagonalRatios {
+  real visc_ulps = 0.0;   ///< max |precond(1) (A e)_c - 1| / epsilon
+  real cond_lo = 1.0e300, cond_hi = 0.0;        ///< estimate / diag(A)
+  real cond_st_lo = 1.0e300, cond_st_hi = 0.0;  ///< stencil parts alone
+  real pfss_lo = 1.0e300, pfss_hi = 0.0;
+};
+
+DiagonalRatios diagonal_ratios(const grid::GridConfig& grid, int nranks) {
+  SolverConfig cfg;
+  cfg.grid = grid;
+  DiagonalRatios out;
+  std::mutex m;
+  mpisim::World world(nranks);
+  world.run([&](int rank) {
+    par::Engine engine(variants::engine_config(variants::CodeVersion::A,
+                                               gpusim::a100_40gb(), 1));
+    mpisim::Comm comm(world, rank, engine);
+    MasSolver solver(engine, comm, cfg);
+    solver.initialize();
+    mhd::MhdContext& c = solver.context();
+    mhd::State& st = solver.state();
+    const real dt = mhd::cfl_timestep(c);
+    // κ(T) at every cell and ghost, as conduction_update freezes it.
+    const idx g = st.wrk2.a().nghost();
+    for (idx i = -g; i < st.nloc + g; ++i)
+      for (idx j = -g; j < st.nt + g; ++j)
+        for (idx k = -g; k < st.np + g; ++k) {
+          const real t = std::max<real>(st.temp(i, j, k), 1.0e-12);
+          st.wrk2(i, j, k) = c.phys.kappa0 * t * t * std::sqrt(t);
+        }
+    const real gm1 = c.phys.gamma - 1.0;
+    const auto visc = mhd::viscosity_operator(c, dt);
+    const auto cond = mhd::conduction_operator(c, dt);
+    const auto pfss = mhd::pfss_operator(c);
+    field::Field& x = st.pcg_p;
+    field::Field& y = st.pcg_ap;
+    x.a().fill(0.0);
+    DiagonalRatios mine;
+    for (const idx i : {idx{0}, st.nloc / 2, st.nloc - 1})
+      for (const idx j : {idx{0}, st.nt / 2, st.nt - 1})
+        for (const idx k : {idx{0}, st.np / 2}) {
+          x(i, j, k) = 1.0;
+          const auto response = [&](const auto& body) {
+            y(i, j, k) = 0.0;
+            body(x, y)(i, j, k);
+            return y(i, j, k);
+          };
+          const real a_visc = response(visc.stencil.body_of);
+          mine.visc_ulps = std::max(
+              mine.visc_ulps,
+              std::abs(visc.jacobi.precond(1.0, i, j, k) * a_visc - 1.0) /
+                  std::numeric_limits<real>::epsilon());
+          const real lap = response(cond.stencil.body_of);
+          const real mass = st.rho(i, j, k) / gm1;
+          const real a_cond = mass - dt * lap;
+          const real est = 1.0 / cond.jacobi.precond(1.0, i, j, k);
+          const real r_full = est / a_cond;
+          const real r_st = (est - mass) / (a_cond - mass);
+          mine.cond_lo = std::min(mine.cond_lo, r_full);
+          mine.cond_hi = std::max(mine.cond_hi, r_full);
+          mine.cond_st_lo = std::min(mine.cond_st_lo, r_st);
+          mine.cond_st_hi = std::max(mine.cond_st_hi, r_st);
+          const real r_pfss = 1.0 / (pfss.jacobi.precond(1.0, i, j, k) *
+                                     response(pfss.stencil.body_of));
+          mine.pfss_lo = std::min(mine.pfss_lo, r_pfss);
+          mine.pfss_hi = std::max(mine.pfss_hi, r_pfss);
+          x(i, j, k) = 0.0;
+        }
+    // The shift is the cell-local stage after conduction's stencil: the
+    // operator's own post stage must give mass - dt * lap at a cell.
+    {
+      const idx i = st.nloc / 2, j = st.nt / 2, k = 0;
+      x(i, j, k) = 1.0;
+      y(i, j, k) = 0.0;
+      cond.stencil.body_of(x, y)(i, j, k);
+      const real lap = y(i, j, k);
+      std::get<0>(cond.post).body_of(x, y)(i, j, k);
+      EXPECT_EQ(y(i, j, k), st.rho(i, j, k) / gm1 * 1.0 - dt * lap);
+      x(i, j, k) = 0.0;
+    }
+    std::lock_guard<std::mutex> lock(m);
+    out.visc_ulps = std::max(out.visc_ulps, mine.visc_ulps);
+    out.cond_lo = std::min(out.cond_lo, mine.cond_lo);
+    out.cond_hi = std::max(out.cond_hi, mine.cond_hi);
+    out.cond_st_lo = std::min(out.cond_st_lo, mine.cond_st_lo);
+    out.cond_st_hi = std::max(out.cond_st_hi, mine.cond_st_hi);
+    out.pfss_lo = std::min(out.pfss_lo, mine.pfss_lo);
+    out.pfss_hi = std::max(out.pfss_hi, mine.pfss_hi);
+  });
+  return out;
+}
+
+TEST(Operator, DiagonalMatchesUnitResponse) {
+  // Viscosity's Jacobi form is 1 / diag(A), computed from the same
+  // LapCoeffs in its own operand order: a few ulps at most. Conduction's
+  // and PFSS's are min-width estimates, not the diagonal; measured
+  // estimate / diag(A) over these cases (dt from the CFL step): conduction
+  // 1.026-1.155, its stencil part alone 2.14-5.55, PFSS 1.49-5.55. The
+  // bands below take 10% off each low end and add 10% to each high end.
+  grid::GridConfig slab;
+  slab.nr = 12;
+  slab.nt = 10;
+  slab.np = 8;
+  slab.r_stretch = 4.0;
+  slab.t_stretch = 1.6;
+  const std::pair<grid::GridConfig, int> cases[] = {
+      {slab, 2},
+      {bench_support::bench_grid(), 1},
+      {bench_support::bench_grid(), 2}};
+  for (const auto& [grid, nranks] : cases) {
+    const DiagonalRatios d = diagonal_ratios(grid, nranks);
+    SCOPED_TRACE(std::to_string(grid.nr) + "x" + std::to_string(grid.nt) +
+                 "x" + std::to_string(grid.np) + " on " +
+                 std::to_string(nranks) + " ranks");
+    EXPECT_LE(d.visc_ulps, 4.0);
+    EXPECT_GE(d.cond_lo, 0.92);
+    EXPECT_LE(d.cond_hi, 1.27);
+    EXPECT_GE(d.cond_st_lo, 1.92);
+    EXPECT_LE(d.cond_st_hi, 6.11);
+    EXPECT_GE(d.pfss_lo, 1.34);
+    EXPECT_LE(d.pfss_hi, 6.11);
+  }
 }
 
 TEST(Sts, StageCountFormula) {

@@ -5,7 +5,7 @@
 
 1. Lists every out-of-line cell body in BUILD_DIR/src/libsimas.a: a
    function symbol of a 3-D kernel lambda in simas::mhd or
-   simas::solvers, or the chained cell of Engine::chain_sum,
+   simas::solvers, or the chained rows of Engine::chain_sum,
    `...::{lambda(..., long, long, long)#N}::operator()(..., long, long,
    long)`. Names the demangler gives up on (very long lambda-in-template
    names) are matched in mangled form. Cell bodies compile inline into
