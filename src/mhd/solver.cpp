@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "telemetry/ranges.hpp"
 
@@ -152,6 +154,11 @@ StepStats MasSolver::step() {
     SIMAS_RANGE(engine_, "cfl");
     stats.dt = cfl_timestep(c);
   }
+  if (!std::isfinite(stats.dt))
+    throw std::runtime_error(
+        "MasSolver::step: non-finite CFL time step at step " +
+        std::to_string(steps_) +
+        " (a cell has rho or T not positive, or a NaN field)");
 
   {
     // Explicit advection + forces, then the CT induction update.

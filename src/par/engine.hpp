@@ -530,7 +530,9 @@ class Engine {
   }
 
   /// Run fn(b) for b in [0, claims) as ONE host job covering `kernels`
-  /// recorded ops of `cells` cells each: inline when one kernel is small
+  /// recorded ops of `cells` cells each, whose claims are `components`
+  /// equal runs (one per component; the pool gives each thread the same
+  /// share of every run): inline when one kernel is small
   /// or when the pool is saturated (its live engines already cover every
   /// hardware thread, ThreadPool::saturated), else on the pool, with one
   /// join. The size test comes first, so small launches read no atomic.
@@ -539,14 +541,15 @@ class Engine {
   /// placement, never partitioning. pool.jobs and pool.inline_kernels
   /// count kernels by where they ran; pool.joins counts pooled jobs.
   template <class Fn>
-  void dispatch_blocks(int kernels, i64 claims, i64 cells, Fn&& fn) {
+  void dispatch_blocks(int kernels, int components, i64 claims, i64 cells,
+                       Fn&& fn) {
     if (cells <= kInlineCells || pool_->saturated()) {
       metrics_.pool_inline.add(kernels);
       for (i64 b = 0; b < claims; ++b) fn(b);
     } else {
       metrics_.pool_jobs.add(kernels);
       metrics_.pool_joins.add();
-      pool_->run_blocks(claims, fn);
+      pool_->run_blocks(claims, fn, components);
     }
   }
 
@@ -573,7 +576,8 @@ class Engine {
     if (planes <= 0 || ni <= 0) return;
     const i64 ppb = plane_grain(planes, ni);
     const i64 nblocks = ceil_div(planes, ppb);
-    dispatch_blocks(n, n * nblocks, planes * ni, [&](i64 bb) SIMAS_FLATTEN {
+    dispatch_blocks(n, n, n * nblocks, planes * ni,
+                    [&](i64 bb) SIMAS_FLATTEN {
       auto&& body = body_of(c0 + static_cast<int>(bb / nblocks));
       const i64 p0 = (bb % nblocks) * ppb;
       const i64 p1 = std::min<i64>(planes, p0 + ppb);
@@ -599,7 +603,7 @@ class Engine {
     if (n <= 0) return;
     const i64 chunk = chunk_grain(n);
     const i64 nblocks = ceil_div(n, chunk);
-    dispatch_blocks(1, nblocks, n, [&](i64 b) SIMAS_FLATTEN {
+    dispatch_blocks(1, 1, nblocks, n, [&](i64 b) SIMAS_FLATTEN {
       const idx lo = r.begin + static_cast<idx>(b * chunk);
       const idx hi = std::min<idx>(r.end, lo + static_cast<idx>(chunk));
       for (idx i = lo; i < hi; ++i) {
@@ -669,7 +673,7 @@ class Engine {
     const i64 group = reduce_group(ni);
     const i64 nclaims = ceil_div(nblocks, group);
     real* partial = reduce_partials(n * nblocks);
-    dispatch_blocks(n * kernels_per_component, n * nclaims, planes * ni,
+    dispatch_blocks(n * kernels_per_component, n, n * nclaims, planes * ni,
                     [&](i64 cc) SIMAS_FLATTEN {
       const i64 c = cc / nclaims;
       auto&& term = term_of(c0 + static_cast<int>(c));
@@ -713,7 +717,7 @@ class Engine {
     // One block per output element: pinned (inner accumulation order is
     // part of the results), like the scalar reductions.
     const i64 nblocks = ni;
-    dispatch_blocks(1, nblocks, static_cast<i64>(r.count()),
+    dispatch_blocks(1, 1, nblocks, static_cast<i64>(r.count()),
                     [&](i64 b) SIMAS_FLATTEN {
       tag_iteration(shadow, b);
       const idx i = r.i0 + static_cast<idx>(b);

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "bench_support/paper_scale.hpp"
 #include "mhd/eos.hpp"
@@ -183,6 +186,46 @@ TEST(Cfl, GloballySynchronized) {
   });
   EXPECT_EQ(dts[0], dts[1]);
   EXPECT_EQ(dts[1], dts[2]);
+}
+
+TEST(Cfl, NonPositiveTemperatureOrDensityThrowsWithinTheStep) {
+  // One owned cell of rank 0 goes unhealthy: the CFL max turns NaN and is
+  // allreduced, so every rank throws from the same step, before advecting.
+  for (const int nranks : {1, 2}) {
+    for (const bool bad_rho : {false, true}) {
+      std::vector<std::string> errors(static_cast<std::size_t>(nranks));
+      std::vector<int> steps(static_cast<std::size_t>(nranks), -1);
+      EXPECT_THROW(
+          with_solver(test_cfg(), nranks,
+                      [&](MasSolver& solver, int rank) {
+                        solver.step();
+                        auto& st = solver.state();
+                        if (rank == 0) {
+                          if (bad_rho)
+                            st.rho(1, 3, 5) = 0.0;
+                          else
+                            st.temp(1, 3, 5) = -0.5;
+                        }
+                        const real vr = st.vr(2, 4, 6);
+                        try {
+                          solver.step();
+                        } catch (const std::exception& e) {
+                          errors[static_cast<std::size_t>(rank)] = e.what();
+                          steps[static_cast<std::size_t>(rank)] =
+                              solver.steps_taken();
+                          EXPECT_EQ(st.vr(2, 4, 6), vr);  // not advected
+                          throw;
+                        }
+                      }),
+          std::runtime_error);
+      for (int r = 0; r < nranks; ++r) {
+        EXPECT_NE(errors[static_cast<std::size_t>(r)].find("CFL"),
+                  std::string::npos)
+            << "rank " << r << ": " << errors[static_cast<std::size_t>(r)];
+        EXPECT_EQ(steps[static_cast<std::size_t>(r)], 1) << "rank " << r;
+      }
+    }
+  }
 }
 
 TEST(Diagnostics, ShellProfileMatchesDirectAverage) {

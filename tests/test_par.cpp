@@ -55,11 +55,32 @@ namespace simas::par {
 namespace {
 
 TEST(ThreadPool, RunsEveryBlockExactlyOnce) {
-  for (int nthreads : {1, 2, 4}) {
+  // Lanes split each component's claims: component counts 1 and 3, claim
+  // counts that do not divide by the lane count, and fewer claims than
+  // lanes (empty lanes) must all still run every block exactly once.
+  testutil::Watchdog watchdog(120);
+  for (const int nthreads : {1, 2, 3, 4, 5}) {
     ThreadPool pool(nthreads);
-    std::vector<std::atomic<int>> hits(257);
-    pool.run_blocks(257, [&](i64 b) { hits[static_cast<std::size_t>(b)]++; });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+    for (const int components : {1, 3}) {
+      for (const i64 per : {1, 2, 3, 5, 7, 13, 64, 257}) {
+        const i64 nblocks = components * per;
+        for (int round = 0; round < 20; ++round) {
+          std::vector<std::atomic<int>> hits(
+              static_cast<std::size_t>(nblocks));
+          pool.run_blocks(
+              nblocks,
+              [&](i64 b) {
+                hits[static_cast<std::size_t>(b)].fetch_add(
+                    1, std::memory_order_relaxed);
+              },
+              components);
+          for (i64 b = 0; b < nblocks; ++b)
+            ASSERT_EQ(hits[static_cast<std::size_t>(b)].load(), 1)
+                << "threads " << nthreads << " components " << components
+                << " claims " << per << " block " << b;
+        }
+      }
+    }
   }
 }
 
@@ -104,8 +125,8 @@ TEST(ThreadPool, FewerBlocksThanThreads) {
 
 TEST(ThreadPool, RapidBackToBackJobsStress) {
   // Hammers the job-boundary handoff: the publish epoch seen by spinning
-  // workers, the claimers teardown fence, and the caller-sleep protocol
-  // under immediate reuse.
+  // workers, the slot's hazard-count teardown, and the caller-sleep
+  // protocol under immediate reuse of the same slot.
   ThreadPool pool(4);
   std::atomic<i64> total{0};
   i64 expected = 0;
@@ -151,7 +172,7 @@ TEST(ThreadPool, DestroyWhileWorkersSpin) {
 
 TEST(ThreadPool, ConcurrentCallersOnOnePool) {
   // Four callers hammer one bare 4-wide pool: jobs interleave in the
-  // active list, and every block of every launch runs exactly once.
+  // pool's slots, and every block of every launch runs exactly once.
   testutil::Watchdog watchdog(120);
   constexpr int kCallers = 4, kLaunches = 500;
   constexpr i64 kBlocks = 24;
@@ -194,6 +215,113 @@ TEST(ThreadPool, ExceptionPropagatesAndPoolRemainsUsable) {
     std::atomic<i64> sum{0};
     pool.run_blocks(32, [&](i64 b) { sum += b; });
     ASSERT_EQ(sum.load(), 32 * 31 / 2);
+  }
+}
+
+TEST(ThreadPool, StolenBlockThrowsOnCaller) {
+  // 2 lanes of 2 blocks: the caller's lane is {0, 1}, the worker's {2, 3}.
+  // Block 0 holds the caller until block 1 has started, so block 1 runs on
+  // the worker, stolen from the caller's lane after its own. It throws:
+  // the error reaches the caller, and the pool stays usable.
+  testutil::Watchdog watchdog(60);
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  int stolen_throws = 0;
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<bool> started{false};
+    std::thread::id thrower;
+    try {
+      pool.run_blocks(4, [&](i64 b) {
+        if (b == 0) {
+          while (!started.load(std::memory_order_acquire))
+            std::this_thread::yield();
+        } else if (b == 1) {
+          thrower = std::this_thread::get_id();
+          started.store(true, std::memory_order_release);
+          throw std::runtime_error("stolen block");
+        }
+      });
+      ADD_FAILURE() << "round " << round << ": no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "stolen block");
+    }
+    stolen_throws += thrower != caller ? 1 : 0;
+    std::atomic<i64> sum{0};
+    pool.run_blocks(32, [&](i64 b) { sum += b; });
+    ASSERT_EQ(sum.load(), 32 * 31 / 2);
+  }
+  // Block 0 runs on the caller unless a worker drained its own lane and
+  // stole it before the caller's first claim.
+  EXPECT_GT(stolen_throws, 0);
+}
+
+TEST(ThreadPool, OverflowLaunchesRunOnTheirCallers) {
+  // More callers in flight at once than the pool has slots (one per
+  // hardware thread): block 0 of every launch waits until every caller
+  // has a launch running, so at least two launches find no free slot.
+  // Those run every block on their caller, and every block of every
+  // launch still runs exactly once.
+  testutil::Watchdog watchdog(120);
+  constexpr int kWidth = 3;
+  constexpr i64 kBlocks = 8;
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  const int callers = (hw > 0 ? hw : kWidth) + 2;
+  ThreadPool pool(kWidth);
+  for (int round = 0; round < 5; ++round) {
+    std::latch all_in_flight(callers);
+    std::vector<std::vector<std::atomic<int>>> hits(
+        static_cast<std::size_t>(callers));
+    std::vector<std::vector<std::thread::id>> ran_on(
+        static_cast<std::size_t>(callers));
+    std::vector<std::thread::id> caller_id(static_cast<std::size_t>(callers));
+    for (int c = 0; c < callers; ++c) {
+      hits[static_cast<std::size_t>(c)] =
+          std::vector<std::atomic<int>>(static_cast<std::size_t>(kBlocks));
+      ran_on[static_cast<std::size_t>(c)].resize(
+          static_cast<std::size_t>(kBlocks));
+    }
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<std::size_t>(callers));
+    for (int c = 0; c < callers; ++c) {
+      threads.emplace_back([&, c] {
+        const auto cs = static_cast<std::size_t>(c);
+        caller_id[cs] = std::this_thread::get_id();
+        pool.run_blocks(kBlocks, [&](i64 b) {
+          const auto bs = static_cast<std::size_t>(b);
+          if (b == 0) all_in_flight.arrive_and_wait();
+          ran_on[cs][bs] = std::this_thread::get_id();
+          hits[cs][bs].fetch_add(1, std::memory_order_relaxed);
+        });
+      });
+    }
+    for (auto& t : threads) t.join();
+    int on_caller = 0;
+    for (int c = 0; c < callers; ++c) {
+      const auto cs = static_cast<std::size_t>(c);
+      bool all_mine = true;
+      for (i64 b = 0; b < kBlocks; ++b) {
+        const auto bs = static_cast<std::size_t>(b);
+        ASSERT_EQ(hits[cs][bs].load(), 1) << "caller " << c << " block " << b;
+        all_mine = all_mine && ran_on[cs][bs] == caller_id[cs];
+      }
+      on_caller += all_mine ? 1 : 0;
+    }
+    EXPECT_GE(on_caller, 2) << "round " << round;
+  }
+}
+
+TEST(ThreadPool, DestroyWhileWorkersParked) {
+  // Idle past the spin budget, so the workers have parked: the
+  // destructor's stop must wake them, or join() hangs and the watchdog
+  // fires.
+  testutil::Watchdog watchdog(60);
+  for (int round = 0; round < 20; ++round) {
+    auto pool = std::make_unique<ThreadPool>(4);
+    std::atomic<i64> sum{0};
+    pool->run_blocks(16, [&](i64 b) { sum += b; });
+    ASSERT_EQ(sum.load(), 16 * 15 / 2);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    pool.reset();
   }
 }
 
