@@ -8,7 +8,7 @@
 // Engine; the static pass replays a StreamCapture through it. Either way
 // the checker owns:
 //
-//   * fusion-chain stepping (the scheduler's own par::FusionChain under
+//   * fusion-chain stepping (the engine's own par::FusionChain under
 //     the engine's par::LoweringPolicy);
 //   * the single async queue: every async launch's writes stay pending
 //     until a sync, a fusion break (every modeled MPI entry point emits
@@ -38,7 +38,7 @@
 namespace simas::analysis {
 
 /// The model facts the checkers resolve from an engine configuration: the
-/// scheduler's LoweringPolicy (a toolchain that never fuses cannot have
+/// engine's LoweringPolicy (a toolchain that never fuses cannot have
 /// fused-chain races; one that ignores a hint class turns that class's
 /// findings into notes) plus the memory mode and target.
 struct StaticModel {

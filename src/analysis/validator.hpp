@@ -5,7 +5,7 @@
 // The Engine owns one Validator when EngineConfig::validate is on (or the
 // SIMAS_VALIDATE environment variable is set) and feeds it, in program
 // order on the rank thread:
-//   * every par::StreamEvent — IR ops (before the scheduler consumes
+//   * every par::StreamEvent — IR ops (before the engine accounts
 //     them), data-management directives and host/device access notes,
 //     and overlapped-halo windows — via on_event(), from the same engine
 //     call that writes the flight ring and the stream capture;
@@ -17,7 +17,7 @@
 //
 // Ops and data events go straight into the analysis::OpChecker that the
 // static verifier replays captures through: fusion chains (the
-// scheduler's own par::LoweringPolicy and par::FusionChain, so
+// engine's own par::LoweringPolicy and par::FusionChain, so
 // personality lowering applies), the single async queue, the Manual-mode
 // coherence machine and the op-level checks live there once, and every
 // finding lands in its fold. Both build flavors run those. What stays

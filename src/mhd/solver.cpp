@@ -11,6 +11,22 @@ namespace simas::mhd {
 
 using par::SiteKind;
 
+namespace {
+
+/// An implicit stage returns -1 when its PCG stops unconverged (iteration
+/// cap, or a non-finite inner product); the step must not go on. The
+/// convergence test reads allreduced dots, so every rank throws at the
+/// same step.
+void require_converged(int iters, const char* stage, int maxit, int step) {
+  if (iters >= 0) return;
+  throw std::runtime_error("MasSolver::step: " + std::string(stage) +
+                           " solve not converged within " +
+                           std::to_string(maxit) + " iterations at step " +
+                           std::to_string(step));
+}
+
+}  // namespace
+
 MasSolver::MasSolver(par::Engine& engine, mpisim::Comm& comm,
                      const SolverConfig& cfg)
     : engine_(engine), comm_(comm), cfg_(cfg) {
@@ -173,10 +189,14 @@ StepStats MasSolver::step() {
     SIMAS_RANGE(engine_, "viscosity");
     stats.viscosity_iters = viscous_update(c, stats.dt);
   }
+  require_converged(stats.viscosity_iters, "viscosity", c.phys.visc_maxit,
+                    steps_);
   {
     SIMAS_RANGE(engine_, "conduction");
     stats.conduction_iters = conduction_update(c, stats.dt);
   }
+  require_converged(stats.conduction_iters, "conduction", c.phys.cond_maxit,
+                    steps_);
   {
     SIMAS_RANGE(engine_, "radiation");
     radiation_heating(c, stats.dt);

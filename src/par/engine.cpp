@@ -24,8 +24,8 @@ Engine::Engine(EngineConfig cfg)
                       : std::make_unique<ThreadPool>(cfg_.host_threads)),
       pool_(owned_pool_ != nullptr ? owned_pool_.get() : ctx_.shared_pool()),
       pool_lease_(*pool_),
-      sched_(SchedulerContext{&cfg_, &cost_, &ledger_, &mem_, &tracer_,
-                              &metrics_, &profiler_}) {
+      policy_(lowering_policy(cfg_)),
+      chain_(policy_.fuse) {
   if (mem_.unified()) {
     // Paging pressure costs some sustained bandwidth even once resident
     // (observed as the modest non-MPI slowdown of the UM codes, Fig. 3).
@@ -39,7 +39,18 @@ Engine::Engine(EngineConfig cfg)
   // Environment overrides come from the context's one-time snapshot, not
   // from getenv(): engines never observe ambient process state directly.
   if (ctx_.env().validate || ctx_.env().validate_fatal) cfg_.validate = true;
-  metrics_.bind(registry_);
+  // The engine.* totals are published at snapshot time (from the site
+  // profile) but registered first, so the snapshot order does not depend
+  // on when they are set.
+  for (const char* total :
+       {"engine.launches", "engine.loops", "engine.fused_launches",
+        "engine.reduction_loops", "engine.bytes_touched"})
+    registry_.counter(total);
+  pool_jobs_ = registry_.counter("pool.jobs");
+  pool_inline_ = registry_.counter("pool.inline_kernels");
+  pool_joins_ = registry_.counter("pool.joins");
+  kernel_cells_ = registry_.histogram("engine.kernel_cells",
+                                      std::span<const double>(kCellBounds));
   if (cfg_.validate) {
     validator_ = std::make_unique<analysis::Validator>(cfg_, mem_);
 #ifdef SIMAS_ELEMENT_SHADOW
@@ -216,7 +227,123 @@ void Engine::emit(StreamEvent ev) {
     case GraphMode::Diverged:
       break;
   }
-  sched_.consume(*op);
+  consume(*op);
+}
+
+// ---- Accounting ----
+
+void Engine::consume(const StreamOp& op) {
+  switch (op_kind(op)) {
+    case OpKind::Launch: on_launch(std::get<LaunchOp>(op)); break;
+    // Reductions are synchronous under every model (the DC reduce clause
+    // and the OpenACC reduction clause both imply a result dependency).
+    case OpKind::Reduce: on_reduce(std::get<ReduceOp>(op), 1.0); break;
+    case OpKind::ArrayReduce:
+      on_reduce(std::get<ArrayReduceOp>(op), policy_.array_reduce_traffic);
+      break;
+    case OpKind::Sync: on_sync(); break;
+    case OpKind::FusionBreak: chain_.reset(); break;
+    case OpKind::MemHint: on_mem_hint(std::get<MemHintOp>(op)); break;
+  }
+}
+
+i64 Engine::touch_accesses(const AccessList& accesses, i64 cells) {
+  i64 bytes = 0;
+  for (const Access& a : accesses) {
+    const i64 touched = std::min<i64>(cells * static_cast<i64>(sizeof(real)),
+                                      mem_.record(a.id).bytes);
+    bytes += touched;
+    if (cfg_.gpu) {
+      // Span-driven driver prefetch: move the declared footprint ahead of
+      // the launch as one batched transfer, so the demand path below finds
+      // the pages resident and no per-page fault service is charged. A
+      // personality that ignores prefetch hints leaves the pages to
+      // demand-fault exactly as if hints were off.
+      if (cfg_.um_hints && policy_.honors_mem_prefetch)
+        mem_.mem_prefetch(a.id, touched, /*to_device=*/true,
+                          gpusim::TimeCategory::DataMotion);
+      mem_.on_device_access(a.id, touched, gpusim::TimeCategory::DataMotion,
+                            a.write);
+    }
+  }
+  return bytes;
+}
+
+void Engine::on_mem_hint(const MemHintOp& op) {
+  if (!cfg_.gpu || !mem_.unified()) return;
+  // Hint lowering is a personality trait: a toolchain that ignores a hint
+  // class accepts the call and does nothing — no page state change, no
+  // time. The op stays in the recorded stream either way (the source is
+  // the same; graph cache scopes are keyed by personality).
+  const bool is_advise = op.hint == MemHint::AdviseReadMostly ||
+                         op.hint == MemHint::AdvisePreferredHost;
+  if (is_advise ? !policy_.honors_mem_advise : !policy_.honors_mem_prefetch)
+    return;
+  const double t0 = ledger_.now();
+  switch (op.hint) {
+    case MemHint::PrefetchToDevice:
+      mem_.mem_prefetch(op.id, op.bytes, /*to_device=*/true, op.category);
+      break;
+    case MemHint::PrefetchToHost:
+      mem_.mem_prefetch(op.id, op.bytes, /*to_device=*/false, op.category);
+      break;
+    case MemHint::AdviseReadMostly:
+      mem_.mem_advise(op.id, gpusim::UmAdvise::ReadMostly, op.category);
+      break;
+    case MemHint::AdvisePreferredHost:
+      mem_.mem_advise(op.id, gpusim::UmAdvise::PreferredHost, op.category);
+      break;
+  }
+  const double t1 = ledger_.now();
+  if (tracer_.enabled() && t1 > t0)
+    tracer_.record(t0, t1, trace::Lane::UmHint,
+                   std::string(mem_hint_name(op.hint)) + ":" +
+                       mem_.record(op.id).name);
+}
+
+void Engine::charge(const KernelOp& op, bool fused, bool async,
+                    bool reduction, double extra_traffic_factor) {
+  kernel_cells_.observe(static_cast<double>(op.cells));
+  const i64 bytes = touch_accesses(op.accesses, op.cells);
+  const bool unified = mem_.unified() && cfg_.gpu;
+  const double t0 = ledger_.now();
+  double launch = cost_.launch_time(fused, async, unified);
+  if (graph_mode_ == GraphMode::Replay) {
+    // Inside a replayed graph the kernel was pre-instantiated: no launch
+    // submission cost. UM inter-kernel gaps are a paging artifact, not a
+    // launch artifact, so they persist under graphs.
+    const double graphed = unified ? cost_.device().um_kernel_gap_s : 0.0;
+    graph_stats_.kernel_launch_seconds_saved += launch - graphed;
+    launch = graphed;
+  }
+  ledger_.advance(launch, gpusim::TimeCategory::LaunchGap);
+  const double traffic =
+      cost_.kernel_time(bytes, op.scale) * extra_traffic_factor;
+  ledger_.advance(traffic, op.category);
+  profiler_.record(*op.site, ledger_.now() - t0, op.cells, bytes, fused,
+                   reduction);
+  if (tracer_.enabled())
+    tracer_.record(t0, ledger_.now(), trace::Lane::Kernel, op.site->name);
+}
+
+void Engine::on_launch(const LaunchOp& op) {
+  const bool fused = chain_.launch(op.site->fusion_group);
+  charge(op, fused, policy_.async_launch(*op.site), /*reduction=*/false,
+         1.0 + cfg_.wrapper_init_overhead);
+}
+
+void Engine::on_reduce(const KernelOp& op, double traffic_factor) {
+  chain_.reset();  // reductions synchronize; they never fuse
+  charge(op, /*fused=*/false, /*async=*/false, /*reduction=*/true,
+         traffic_factor);
+}
+
+void Engine::on_sync() {
+  chain_.reset();
+  // Draining the async queue costs one launch latency on the GPU.
+  if (cfg_.gpu)
+    ledger_.advance(cfg_.device.launch_overhead_s * 0.5,
+                    gpusim::TimeCategory::LaunchGap);
 }
 
 /// The live stream no longer matches the capture: stop replaying (the
@@ -225,7 +352,6 @@ void Engine::emit(StreamEvent ev) {
 void Engine::diverge() {
   graph_stats_.divergences++;
   active_graph_->invalidate();
-  sched_.set_replay_active(false);
   graph_mode_ = GraphMode::Diverged;
 }
 
@@ -247,7 +373,6 @@ void Engine::graph_begin(const std::string& name) {
   if (active_graph_->captured()) {
     graph_mode_ = GraphMode::Replay;
     replay_cursor_ = 0;
-    sched_.set_replay_active(true);
     graph_stats_.replays++;
     // One submission launches the whole instantiated graph
     // (cudaGraphLaunch): a single launch overhead, not async-hidden.
@@ -282,7 +407,6 @@ void Engine::graph_end() {
             *active_graph_);
       break;
     case GraphMode::Replay:
-      sched_.set_replay_active(false);
       if (replay_cursor_ != active_graph_->size()) {
         // The pass ended before exhausting the capture: shorter sequence.
         graph_stats_.divergences++;
@@ -362,7 +486,7 @@ telemetry::MetricsSnapshot Engine::metrics_snapshot() {
         .set(um.read_dup_invalidations);
   }
 
-  const GraphStats gs = graph_stats();
+  const GraphStats& gs = graph_stats_;
   registry_.counter("graph.captures").set(gs.captures);
   registry_.counter("graph.replays").set(gs.replays);
   registry_.counter("graph.divergences").set(gs.divergences);
@@ -374,12 +498,6 @@ telemetry::MetricsSnapshot Engine::metrics_snapshot() {
       .set(gs.kernel_launch_seconds_saved);
 
   return registry_.snapshot();
-}
-
-GraphStats Engine::graph_stats() const {
-  GraphStats s = graph_stats_;
-  s.kernel_launch_seconds_saved = sched_.replay_launch_saved();
-  return s;
 }
 
 const CapturedGraph* Engine::find_graph(const std::string& name) const {

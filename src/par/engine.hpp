@@ -2,14 +2,15 @@
 // The parallel execution engine: SIMAS's analog of the OpenACC /
 // `do concurrent` programming models compared in the paper.
 //
-// One Engine per simulated rank. The Engine is a *recording front-end*:
-// every parallel loop, reduction, sync and fusion break is reified as a
-// kernel-stream IR op (par/stream.hpp) and handed to the Scheduler
-// (par/scheduler.hpp), which performs all modeled-time accounting.
-// Kernels *execute* on host threads with deterministic partitioning
-// (results are independent of thread count and execution model), while the
-// scheduler *accounts* modeled time on the configured device under one
-// LoweringPolicy resolved from the config:
+// One Engine per simulated rank. Every parallel loop, reduction, sync and
+// fusion break is reified as a kernel-stream IR op (par/stream.hpp) and
+// passes through one per-op pipeline: observers, graph capture/replay,
+// then the engine's own accounting of modeled time (consume() and the
+// charge() it drives, engine.cpp). Kernels *execute* on host threads with
+// deterministic partitioning (results are independent of thread count and
+// execution model), while the accounting charges modeled time on the
+// configured device under one LoweringPolicy resolved from the config
+// (par/scheduler.hpp):
 //
 //  * LoopModel::Acc    — OpenACC analog: consecutive kernels in the same
 //    fusion group merge into one launch (kernel fusion); launches can be
@@ -58,7 +59,6 @@
 #include "par/site_table.hpp"
 #include "par/stream.hpp"
 #include "par/thread_pool.hpp"
-#include "telemetry/engine_metrics.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/profiler.hpp"
 #include "trace/trace.hpp"
@@ -82,8 +82,7 @@ class Validator;
 namespace simas::par {
 
 /// One part of a cell-local chain (Engine::chain_sum_n): a component
-/// sweep's site, access_of(c) and body_of(c), as for_each_n and
-/// reduce_sum_n take them.
+/// sweep's site, access_of(c) and body_of(c), as for_each_n takes them.
 template <class AccessOf, class BodyOf>
 struct Sweep {
   const KernelSite& site;
@@ -227,38 +226,26 @@ class Engine {
   template <class F>
   real reduce_sum(const KernelSite& site, Range3 r,
                   std::initializer_list<Access> acc, F&& term) {
-    return reduce_n(site, r, 1, [acc](int) { return acc; },
-                    [&term](int) -> F& { return term; }, /*take_max=*/false);
+    return reduce(site, r, acc, term, /*take_max=*/false);
   }
 
   template <class F>
   real reduce_max(const KernelSite& site, Range3 r,
                   std::initializer_list<Access> acc, F&& term) {
-    return reduce_n(site, r, 1, [acc](int) { return acc; },
-                    [&term](int) -> F& { return term; }, /*take_max=*/true);
-  }
-
-  /// Component reduction: the sum over components of n reduce_sum calls
-  /// over one range, recorded as n ReduceOps and run as one host job (the
-  /// component-sweep rules of for_each_n). Each component's partials are
-  /// summed in block order, then the component totals in component order
-  /// from 0.0: bit for bit the loop `s += reduce_sum(...)` over c.
-  template <class AccessOf, class TermOf>
-  real reduce_sum_n(const KernelSite& site, Range3 r, int n,
-                    AccessOf&& access_of, TermOf&& term_of) {
-    return reduce_n(site, r, n, access_of, term_of, /*take_max=*/false);
+    return reduce(site, r, acc, term, /*take_max=*/true);
   }
 
   /// Cell-local chain: k component sweeps over one range, then a
   /// component sum. parts are k + 1 Sweeps: the k stages, then the sum,
-  /// whose body_of(c) returns the term (k = 0 is a plain component sum).
-  /// Recorded exactly as k for_each_n calls and one reduce_sum_n record
-  /// them (all n ops of stage 1, then stage 2, ..., then the n ReduceOps)
-  /// and run as ONE host job over the sum's pinned partition (launch()). Each (j, k) row of component c
+  /// whose body_of(c) returns the term. Recorded exactly as k for_each_n
+  /// calls and n reduce_sum calls record them (all n ops of stage 1, then
+  /// stage 2, ..., then the n ReduceOps) and run as ONE host job over the
+  /// sum's pinned partition (launch()). Each (j, k) row of component c
   /// runs stage 1 ... k of c over the row, then the term; each stage
   /// writes a cell once and the partials combine in block order, then
-  /// component order, so the stages' outputs and the sum are bit for bit
-  /// those of the separate launches.
+  /// component order from 0.0, so the stages' outputs and the sum are bit
+  /// for bit those of the separate launches and the loop
+  /// `s += reduce_sum(...)` over c. k = 0 is a plain component sum.
   ///
   /// Legality, which the caller guarantees: a stage may read an array
   /// written earlier in the chain only at its own cell (i, j, k); only
@@ -277,8 +264,8 @@ class Engine {
   // Array reduction: out[i - r.i0] accumulates term(i, j, k) over (j, k).
   //
   // Executed as a flipped loop (outer over i, inner reduce) for
-  // determinism under every model; the *accounting* follows the active
-  // scheduler: ACC / DC+atomic issue one kernel with atomic traffic, DC2X
+  // determinism under every model; the *accounting* follows the lowering
+  // policy: ACC / DC+atomic issue one kernel with atomic traffic, DC2X
   // issues the flipped loop (paper Listing 3 -> 4 -> 5).
   template <class F>
   void array_reduce(const KernelSite& site, Range3 r,
@@ -324,7 +311,7 @@ class Engine {
     Engine& engine_;
   };
 
-  GraphStats graph_stats() const;
+  const GraphStats& graph_stats() const { return graph_stats_; }
   /// The captured graph registered under `name`, if any.
   const CapturedGraph* find_graph(const std::string& name) const;
 
@@ -458,9 +445,30 @@ class Engine {
   /// The one place the engine's observers learn about an event: every op,
   /// data event and halo window is encoded into the flight ring, appended
   /// to the stream capture and fed to the validator here, in program
-  /// order. Ops then go on to graph capture/replay and the scheduler.
+  /// order. Ops then go on to graph capture/replay and consume().
   void emit(StreamEvent ev);
   void diverge();
+
+  // ---- Accounting (the end of the per-op pipeline, engine.cpp) ----
+  //
+  // Drives the cost model, clock ledger, memory manager, site profile and
+  // trace recorder. Ops must be consumed in program order: fusion and
+  // unified-memory residency are stateful.
+  void consume(const StreamOp& op);
+  void on_launch(const LaunchOp& op);
+  void on_reduce(const KernelOp& op, double traffic_factor);
+  void on_sync();
+  /// UM prefetch/advise hint: drives the page engine and charges the
+  /// batched prefetch cost. Hints never break fusion chains.
+  void on_mem_hint(const MemHintOp& op);
+  /// Sum the logical bytes the op touches and notify the memory manager
+  /// (unified-memory page migration). Returns the byte total.
+  i64 touch_accesses(const AccessList& accesses, i64 cells);
+  /// Charge one kernel op: touch its accesses, advance the ledger by its
+  /// launch and traffic time, and count it in the per-site profile. Inside
+  /// a replayed graph no per-kernel launch overhead is charged.
+  void charge(const KernelOp& op, bool fused, bool async, bool reduction,
+              double extra_traffic_factor);
 #ifdef SIMAS_ELEMENT_SHADOW
   // Validator body brackets around one op's cells; defined in engine.cpp
   // so this header needs only the forward declaration.
@@ -544,11 +552,11 @@ class Engine {
   void dispatch_blocks(int kernels, int components, i64 claims, i64 cells,
                        Fn&& fn) {
     if (cells <= kInlineCells || pool_->saturated()) {
-      metrics_.pool_inline.add(kernels);
+      pool_inline_.add(kernels);
       for (i64 b = 0; b < claims; ++b) fn(b);
     } else {
-      metrics_.pool_jobs.add(kernels);
-      metrics_.pool_joins.add();
+      pool_jobs_.add(kernels);
+      pool_joins_.add();
       pool_->run_blocks(claims, fn, components);
     }
   }
@@ -631,19 +639,17 @@ class Engine {
     return take_max ? nan_max(acc, v) : acc + v;
   }
 
-  /// Record and run n component reductions (reduce_sum / reduce_max are
-  /// n = 1). Each run's total combines into the result in component
-  /// order, so an op-by-op launch returns the same bits as one job.
-  template <class AccessOf, class TermOf>
-  real reduce_n(const KernelSite& site, Range3 r, int n, AccessOf&& access_of,
-                TermOf&& term_of, bool take_max) {
-    real total = identity(take_max);
-    launch(r.count(), n,
-           [&](auto, int, int c0, int cn) {
-             total = combine(total, reduce3(r, c0, cn, term_of, take_max),
-                             take_max);
+  /// Record and run one scalar reduction (reduce_sum / reduce_max).
+  template <class F>
+  real reduce(const KernelSite& site, Range3 r,
+              std::initializer_list<Access> acc, F& term, bool take_max) {
+    const auto term_of = [&term](int) -> F& { return term; };
+    real total = 0.0;
+    launch(r.count(), 1,
+           [&](auto, int, int, int) {
+             total = reduce3(r, 0, 1, term_of, take_max);
            },
-           ops<ReduceOp>(site, access_of));
+           ops<ReduceOp>(site, [acc](int) { return acc; }));
     return total;
   }
 
@@ -754,11 +760,21 @@ class Engine {
   ThreadPool::Lease pool_lease_;
   /// Store of record for every per-rank metric (see DESIGN.md §13).
   telemetry::Registry registry_;
-  /// Hot-path handles into registry_, bound once in the constructor.
-  telemetry::EngineMetrics metrics_;
+  /// Hot-path handles into registry_, registered once in the constructor
+  /// so the launch path never does a name lookup (or allocates).
+  telemetry::Counter pool_jobs_;    ///< pool.jobs — kernels run on the pool
+  telemetry::Counter pool_inline_;  ///< pool.inline_kernels — on the caller
+  telemetry::Counter pool_joins_;   ///< pool.joins — pooled host jobs
+  telemetry::Histogram kernel_cells_;  ///< engine.kernel_cells
+  /// Upper bounds of engine.kernel_cells: decades from 1e3 (the inline
+  /// threshold neighbourhood) to 1e7, overflow above.
+  static constexpr double kCellBounds[] = {1e3, 1e4, 1e5, 1e6, 1e7};
   telemetry::SiteProfiler profiler_;
   gpusim::TimeCategory kernel_category_ = gpusim::TimeCategory::Compute;
-  Scheduler sched_;
+  /// How this engine's loops lower (fusion, async, reduction traffic,
+  /// hints), resolved once from cfg_.
+  LoweringPolicy policy_;
+  FusionChain chain_;
   std::unique_ptr<analysis::Validator> validator_;
   /// Event-trace recorder; feeds static_verify().
   std::unique_ptr<analysis::StreamCapture> capture_;

@@ -1,12 +1,13 @@
 #pragma once
-// The scheduler: the one execution policy of every paper code version, as a
-// consumer of the kernel-stream IR (par/stream.hpp).
+// The one execution policy of every paper code version: the engine
+// configuration, the lowering it resolves to, and the fusion-chain rule.
 //
-// The Engine records ops; the Scheduler consumes them and drives the cost
-// model, clock ledger, memory manager and trace recorder. The paper's three
-// loop models are lowering decisions, not backends: lowering_policy()
-// resolves them once per engine into a LoweringPolicy, from the loop model,
-// the compiler personality, the target, and the fusion/async ablations.
+// The Engine records ops and accounts them itself (par/engine.hpp); this
+// header holds what its accounting and both checkers share. The paper's
+// three loop models are lowering decisions, not backends:
+// lowering_policy() resolves them once per engine into a LoweringPolicy,
+// from the loop model, the compiler personality, the target, and the
+// fusion/async ablations.
 //
 //  * Acc    — OpenACC analog: consecutive same-group launches merge into
 //    one kernel (fusion); async-capable launches hide part of the launch
@@ -17,24 +18,19 @@
 //    reductions flip the loop order (paper Listing 5) and avoid the atomic
 //    read-modify-write traffic.
 //
-// FusionChain is the one chain rule; the Scheduler and both checkers
-// (analysis/validator.hpp, analysis/static_verifier.hpp) step the same
-// type, so "the launch the scheduler merged" and "the launch the checkers
-// race-check" cannot disagree. The golden-equivalence test
+// FusionChain is the one chain rule; the Engine's accounting and both
+// checkers (analysis/validator.hpp, analysis/static_verifier.hpp) step the
+// same type, so "the launch the engine merged" and "the launch the
+// checkers race-check" cannot disagree. The golden-equivalence test
 // (tests/test_scheduler_golden.cpp) pins the accounting against the
 // pre-refactor monolithic engine arithmetic.
 
 #include <string>
 
-#include "gpusim/clock_ledger.hpp"
-#include "gpusim/cost_model.hpp"
 #include "gpusim/device_spec.hpp"
 #include "gpusim/memory_manager.hpp"
 #include "par/compiler_personality.hpp"
-#include "par/stream.hpp"
-#include "telemetry/engine_metrics.hpp"
-#include "telemetry/profiler.hpp"
-#include "trace/trace.hpp"
+#include "par/kernel_site.hpp"
 #include "util/types.hpp"
 
 namespace simas::par {
@@ -74,11 +70,11 @@ struct EngineConfig {
   /// Overlapped halo exchange: HaloExchanger posts nonblocking sends on the
   /// rank's copy stream and the solver splits radial sweeps into interior
   /// (runs while halos are in flight) and boundary-shell launches. Never
-  /// consulted by the Scheduler itself — accounting per op is unchanged;
+  /// consulted by the engine's accounting — the charge per op is unchanged;
   /// only the op sequence differs. Off = synchronous golden reference.
   bool overlap_halo = false;
   /// Span-driven unified-memory hints (cudaMemPrefetchAsync/cudaMemAdvise
-  /// analogues): the scheduler bulk-prefetches each launch's declared
+  /// analogues): the engine bulk-prefetches each launch's declared
   /// access footprint ahead of the kernel (batched move, no per-page fault
   /// service), and the halo layer pins its staging buffers host-side and
   /// prefetches ghost spans around exchange windows. Off = the paper's
@@ -89,8 +85,8 @@ struct EngineConfig {
   gpusim::DeviceSpec device = gpusim::a100_40gb();
   /// How the modeled toolchain lowers loops, reductions and hints
   /// (par/compiler_personality.hpp). Nvfortran is the identity: it
-  /// reproduces the pre-matrix scheduler arithmetic exactly. Personalities
-  /// gate scheduler policy and hint lowering only — one kernel body per
+  /// reproduces the pre-matrix accounting arithmetic exactly. Personalities
+  /// gate the lowering policy and hint lowering only — one kernel body per
   /// launch under every personality, so physics never changes.
   CompilerPersonality personality = CompilerPersonality::Nvfortran;
 
@@ -130,22 +126,11 @@ struct EngineCounters {
   i64 bytes_touched = 0;    ///< logical bytes (run scale)
 };
 
-/// Borrowed views of the per-rank accounting state a scheduler drives.
-/// All pointers outlive the scheduler (they are Engine members).
-struct SchedulerContext {
-  const EngineConfig* cfg = nullptr;
-  gpusim::CostModel* cost = nullptr;
-  gpusim::ClockLedger* ledger = nullptr;
-  gpusim::MemoryManager* mem = nullptr;
-  trace::Recorder* tracer = nullptr;
-  telemetry::EngineMetrics* metrics = nullptr;
-  telemetry::SiteProfiler* profiler = nullptr;
-};
-
 /// How the modeled toolchain lowers this engine's loops: the one answer to
 /// "does this launch fuse or run async, and what does an array reduction
-/// cost?". Resolved once per engine by lowering_policy(); the Scheduler,
-/// the runtime validator and the static verifier all read the same value.
+/// cost?". Resolved once per engine by lowering_policy(); the Engine's
+/// accounting, the runtime validator and the static verifier all read the
+/// same value.
 struct LoweringPolicy {
   /// Same-group launches may merge into one kernel (FusionChain applies
   /// the chain rule).
@@ -212,46 +197,6 @@ class FusionChain {
   int group_ = 0;
   u64 id_ = 1;
   u64 slot_ = 0;
-};
-
-class Scheduler {
- public:
-  explicit Scheduler(SchedulerContext ctx)
-      : ctx_(ctx), policy_(lowering_policy(*ctx.cfg)), chain_(policy_.fuse) {}
-  Scheduler(const Scheduler&) = delete;
-  Scheduler& operator=(const Scheduler&) = delete;
-
-  /// Account one op of the stream. Ops must be consumed in program order:
-  /// fusion and unified-memory residency are stateful.
-  void consume(const StreamOp& op);
-
-  /// While active, per-kernel launch overhead is not charged (the kernels
-  /// run inside a replayed graph); UM inter-kernel gaps remain.
-  void set_replay_active(bool on) { replay_active_ = on; }
-  /// Accumulated launch overhead elided by replay.
-  double replay_launch_saved() const { return replay_launch_saved_; }
-
- private:
-  void on_launch(const LaunchOp& op);
-  void on_reduce(const KernelOp& op, double traffic_factor);
-  void on_sync();
-  /// UM prefetch/advise hint: drives the page engine and charges the
-  /// batched prefetch cost. Hints never break fusion chains.
-  void on_mem_hint(const MemHintOp& op);
-
-  /// Sum the logical bytes the op touches and notify the memory manager
-  /// (unified-memory page migration). Returns the byte total.
-  i64 touch_accesses(const AccessList& accesses, i64 cells);
-  /// Charge one kernel op: touch its accesses, advance the ledger by its
-  /// launch and traffic time, and count it in the per-site profile.
-  void charge(const KernelOp& op, bool fused, bool async, bool reduction,
-              double extra_traffic_factor);
-
-  SchedulerContext ctx_;
-  LoweringPolicy policy_;
-  FusionChain chain_;
-  bool replay_active_ = false;
-  double replay_launch_saved_ = 0.0;
 };
 
 }  // namespace simas::par

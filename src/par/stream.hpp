@@ -4,8 +4,7 @@
 // Every operation the solver hands to the Engine — parallel loop launches,
 // scalar/array reductions, device syncs, fusion breaks — is reified as a
 // typed op before any time accounting happens. The ops form a stream that
-// the Scheduler (par/scheduler.hpp) consumes to drive the cost
-// model, and that a CapturedGraph can record for CUDA-Graph-style replay:
+// the Engine's accounting consumes to drive the cost model, and that a CapturedGraph can record for CUDA-Graph-style replay:
 // one launch overhead per *graph* instead of per *kernel*, the
 // launch-amortization technique that extends the paper's fusion/async
 // story (see bench/bench_ablation_graph.cpp).
@@ -115,7 +114,7 @@ struct KernelOp {
 
 /// A data-parallel loop nest (for_each / for_each1).
 struct LaunchOp : KernelOp {};
-/// A scalar reduction (reduce_sum / reduce_max / reduce_sum_n).
+/// A scalar reduction (reduce_sum / reduce_max / the sum of chain_sum_n).
 struct ReduceOp : KernelOp {};
 /// An indexed accumulation (array_reduce).
 struct ArrayReduceOp : KernelOp {};
@@ -211,7 +210,7 @@ telemetry::FlightEvent flight_event(const StreamEvent& ev);
 // Graph capture/replay (CUDA-Graph analog).
 
 /// One recorded op sequence (e.g. a PCG inner iteration). After capture it
-/// can be replayed: the scheduler charges a single per-graph launch
+/// can be replayed: the engine charges a single per-graph launch
 /// overhead instead of one per kernel, while per-kernel memory traffic and
 /// UM behaviour are unchanged.
 class CapturedGraph {

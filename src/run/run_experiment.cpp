@@ -199,6 +199,14 @@ class RankRun {
                                    boundary_surface_br(cfg_.boundary),
                                    static_cast<real>(cfg_.boundary.tol),
                                    cfg_.boundary.maxit);
+      // An unconverged potential field is not divergence-free: never run
+      // on it, never hand it to the caller's cache. PCG's convergence
+      // test reads allreduced dots, so every rank throws here.
+      if (!pfss_.converged)
+        throw std::runtime_error(
+            "run_experiment: PFSS boundary solve not converged within " +
+            std::to_string(cfg_.boundary.maxit) + " iterations (max div B " +
+            std::to_string(pfss_.max_div_b) + ")");
     }
     // Extract *now*, before any step evolves the field: the cache holds
     // the PFSS solution itself. Each rank writes only its own vector slot

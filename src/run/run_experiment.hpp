@@ -99,7 +99,7 @@ struct ExperimentConfig {
   /// byte-identical; only the modeled MPI exposure changes.
   bool overlap_halo = false;
   /// Span-driven unified-memory prefetch/advise hints
-  /// (EngineConfig::um_hints): the scheduler bulk-prefetches kernel
+  /// (EngineConfig::um_hints): the engine bulk-prefetches kernel
   /// footprints and the halo layer pins its staging buffers host-side.
   /// Only meaningful for the unified-memory code versions; physics is
   /// byte-identical, only the modeled paging/MPI exposure changes.

@@ -8,7 +8,7 @@
 // what the paper's Fig. 4 profiles ("viscosity solver iterations").
 //
 // On the host each vector operation is one component sweep
-// (Engine::for_each_n / reduce_sum_n): one op per component, one host job
+// (Engine::for_each_n / chain_sum_n): one op per component, one host job
 // and one join for all of them. Stages that meet only at a cell run as
 // one cell-local chain (Engine::chain_sum_n): the opening A x, residual,
 // preconditioner, p = z and <r, z>; every iteration's A p and <p, Ap>;

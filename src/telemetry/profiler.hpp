@@ -6,13 +6,13 @@
 // record for per-kernel counts: the engine.* launch, loop, fusion,
 // reduction and byte totals are its column sums (SiteProfiler::totals).
 //
-// The Scheduler feeds every charged kernel op into SiteProfiler::record;
-// the hot path is a single indexed accumulate into a vector keyed by the
-// KernelSite's registry id (the vector grows only when a new site first
-// appears, so the steady-state launch path stays allocation-free). Reports
-// are taken as SiteProfileSnapshot: mergeable across ranks, sortable by
-// modeled seconds or launches, printable as a table and exportable
-// as BENCH_profile.json.
+// The Engine's accounting (Engine::charge) feeds every charged kernel op
+// into SiteProfiler::record; the hot path is a single indexed accumulate
+// into a vector keyed by the KernelSite's registry id (the vector grows
+// only when a new site first appears, so the steady-state launch path
+// stays allocation-free). Reports are taken as SiteProfileSnapshot:
+// mergeable across ranks, sortable by modeled seconds or launches,
+// printable as a table and exportable as BENCH_profile.json.
 
 #include <iosfwd>
 #include <string>

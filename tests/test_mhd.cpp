@@ -14,6 +14,7 @@
 #include "mhd/solver.hpp"
 #include "mpisim/comm.hpp"
 #include "variants/code_version.hpp"
+#include "watchdog.hpp"
 
 namespace simas::mhd {
 namespace {
@@ -223,6 +224,54 @@ TEST(Cfl, NonPositiveTemperatureOrDensityThrowsWithinTheStep) {
                   std::string::npos)
             << "rank " << r << ": " << errors[static_cast<std::size_t>(r)];
         EXPECT_EQ(steps[static_cast<std::size_t>(r)], 1) << "rank " << r;
+      }
+    }
+  }
+}
+
+TEST(Step, NonConvergedImplicitSolveThrowsWithinTheStep) {
+  // One PCG iteration cannot reach the 1e-9 tolerance: the stage returns
+  // -1, and the step throws right after it, naming the stage. Viscosity
+  // fails in the first step. Conduction starts from an equilibrium
+  // temperature (its first solve converges in 0 iterations), so it fails
+  // in the second. The convergence test reads allreduced dots, so every
+  // rank throws at the same step (the watchdog turns a rank left waiting
+  // into a failure).
+  testutil::Watchdog watchdog(60);
+  struct Case {
+    const char* stage;
+    int fails_at;
+  };
+  for (const Case& cs : {Case{"viscosity", 0}, Case{"conduction", 1}}) {
+    const std::string stage = cs.stage;
+    for (const int nranks : {1, 2}) {
+      SCOPED_TRACE(stage + ", " + std::to_string(nranks) + " rank(s)");
+      auto cfg = test_cfg();
+      (stage == "viscosity" ? cfg.phys.visc_maxit : cfg.phys.cond_maxit) = 1;
+      std::vector<std::string> errors(static_cast<std::size_t>(nranks));
+      std::vector<int> steps(static_cast<std::size_t>(nranks), -1);
+      EXPECT_THROW(
+          with_solver(cfg, nranks,
+                      [&](MasSolver& solver, int rank) {
+                        try {
+                          solver.run(cs.fails_at + 1);
+                        } catch (const std::exception& e) {
+                          errors[static_cast<std::size_t>(rank)] = e.what();
+                          steps[static_cast<std::size_t>(rank)] =
+                              solver.steps_taken();
+                          throw;
+                        }
+                      }),
+          std::runtime_error);
+      const std::string want = stage +
+                               " solve not converged within 1 iterations "
+                               "at step " +
+                               std::to_string(cs.fails_at);
+      for (int r = 0; r < nranks; ++r) {
+        const std::string& e = errors[static_cast<std::size_t>(r)];
+        EXPECT_NE(e.find(want), std::string::npos) << "rank " << r << ": " << e;
+        EXPECT_EQ(steps[static_cast<std::size_t>(r)], cs.fails_at)
+            << "rank " << r;
       }
     }
   }

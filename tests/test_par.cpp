@@ -610,9 +610,9 @@ TEST(Engine, PoolLeaseCountsLiveEngines) {
 }
 
 // ---------------------------------------------------------------------
-// Component sweeps (for_each_n / reduce_sum_n) and grouped reduction
-// claims. Every comparison is bitwise: host placement may never change a
-// result.
+// Component sweeps (for_each_n, and chain_sum_n of no stages) and grouped
+// reduction claims. Every comparison is bitwise: host placement may never
+// change a result.
 
 /// Flat cell index of (i, j, k) in an (ni, nj, nk) box.
 std::size_t flat(idx i, idx j, idx k, idx ni, idx nj) {
@@ -705,13 +705,13 @@ TEST(EngineBatch, ReduceSumNMatchesSeparateReductionsBitForBit) {
           ids_s.push_back(separate.memory().register_array(
               kComponentNames[c], r.count() * 8));
         }
-        const real got = batched.reduce_sum_n(
-            site, r, n, [&](int c) { return std::array{in(ids_b[c])}; },
-            [](int c) {
-              return [c](idx i, idx j, idx k) {
-                return cell_value(c, i, j, k);
-              };
-            });
+        const real got = batched.chain_sum_n(
+            r, n, Sweep{site, [&](int c) { return std::array{in(ids_b[c])}; },
+                        [](int c) {
+                          return [c](idx i, idx j, idx k) {
+                            return cell_value(c, i, j, k);
+                          };
+                        }});
         real want = 0.0;
         for (int c = 0; c < n; ++c)
           want += separate.reduce_sum(
@@ -774,10 +774,13 @@ TEST(EngineBatch, ConflictingComponentsThrowBeforeRecording) {
   EXPECT_THROW(eng.for_each_n(
                    loop, r, 2, [&](int) { return std::array{out(a)}; }, cell),
                std::logic_error);
-  EXPECT_THROW(eng.reduce_sum_n(
-                   red, r, 2,
-                   [&](int c) { return std::array{c == 0 ? out(a) : in(a)}; },
-                   [](int) { return [](idx, idx, idx) { return 1.0; }; }),
+  EXPECT_THROW((void)eng.chain_sum_n(
+                   r, 2,
+                   Sweep{red,
+                         [&](int c) {
+                           return std::array{c == 0 ? out(a) : in(a)};
+                         },
+                         [](int) { return [](idx, idx, idx) { return 1.0; }; }}),
                std::logic_error);
   // Nothing reached the op stream; disjoint components still run.
   EXPECT_EQ(eng.counters().loops_executed, 0);
@@ -803,9 +806,9 @@ TEST(EngineBatch, PoolJoinsCountOncePerPooledSweep) {
   const auto sweep = [&](Range3 r) {
     eng.for_each_n(loop, r, 3, acc,
                    [](int) { return [](idx, idx, idx) {}; });
-    (void)eng.reduce_sum_n(red, r, 3, acc, [](int) {
-      return [](idx, idx, idx) { return 1.0; };
-    });
+    (void)eng.chain_sum_n(r, 3, Sweep{red, acc, [](int) {
+                                        return [](idx, idx, idx) { return 1.0; };
+                                      }});
   };
   const auto count = [&](const char* name) {
     return eng.metrics_snapshot().counter(name);
@@ -963,8 +966,7 @@ TEST(Engine, CellLocalChainMatchesSeparateLaunches) {
             separate.for_each_n(st.site, r, n, st.access_of, st.body_of);
           }
           const auto sm = b.sum(k);
-          const real want =
-              separate.reduce_sum_n(sm.site, r, n, sm.access_of, sm.body_of);
+          const real want = separate.chain_sum_n(r, n, sm);
 
           EXPECT_EQ(std::bit_cast<u64>(got), std::bit_cast<u64>(want));
           for (int s = 0; s < k; ++s)
@@ -1023,7 +1025,7 @@ TEST(Engine, CellLocalChainRejectsCrossComponentWrites) {
 /// Cells written and the sum of one 3-component sweep, compared bitwise.
 using SweepResult = std::pair<std::vector<std::vector<real>>, real>;
 
-/// A pooled-size (8192 cells per component) for_each_n + reduce_sum_n
+/// A pooled-size (8192 cells per component) for_each_n + chain_sum_n
 /// sweep on `eng`, over three freshly registered component arrays.
 SweepResult component_sweep(Engine& eng) {
   static const KernelSite& loop =
@@ -1046,11 +1048,13 @@ SweepResult component_sweep(Engine& eng) {
           got.first[c][flat(i, j, k, r.ni(), r.nj())] = cell_value(c, i, j, k);
         };
       });
-  got.second = eng.reduce_sum_n(
-      red, r, 3, [&](int c) { return std::array{in(ids[c])}; },
-      [](int c) {
-        return [c](idx i, idx j, idx k) { return cell_value(c, i, j, k); };
-      });
+  got.second = eng.chain_sum_n(
+      r, 3, Sweep{red, [&](int c) { return std::array{in(ids[c])}; },
+                  [](int c) {
+                    return [c](idx i, idx j, idx k) {
+                      return cell_value(c, i, j, k);
+                    };
+                  }});
   for (const auto id : ids) eng.memory().unregister_array(id);
   return got;
 }
@@ -1202,13 +1206,14 @@ TEST(Engine, SteadyStateLaunchPathIsAllocationFree) {
     eng.for_each_n(
         loop_site, r, 3, [&](int c) { return std::array{out(ids[c])}; },
         [](int) { return [](idx, idx, idx) {}; });
-    sink += eng.reduce_sum_n(
-        red_site, r, 3, [&](int c) { return std::array{in(ids[c])}; },
-        [](int c) {
-          return [c](idx i, idx, idx) {
-            return 1e-3 * static_cast<real>(i + c);
-          };
-        });
+    sink += eng.chain_sum_n(
+        r, 3,
+        Sweep{red_site, [&](int c) { return std::array{in(ids[c])}; },
+              [](int c) {
+                return [c](idx i, idx, idx) {
+                  return 1e-3 * static_cast<real>(i + c);
+                };
+              }});
     sink += eng.chain_sum_n(
         r, 3,
         Sweep{loop_site, [&](int c) { return std::array{out(ids[c])}; },

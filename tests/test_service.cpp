@@ -468,5 +468,41 @@ TEST(JobServer, CorruptFieldCacheEntryFailsTheJob) {
   EXPECT_EQ(server.metrics().counter("jobs.failed"), 1);
 }
 
+TEST(JobServer, UnconvergedBoundaryFailsTheJobAndIsNotCached) {
+  // Three PCG iterations leave the PFSS field unconverged (not
+  // divergence-free). Every rank throws before the extract, so the job
+  // fails, nothing is published, and the next same-shape job solves
+  // again instead of hitting a bad entry.
+  testutil::Watchdog watchdog(60);
+  auto cfg = tiny_job_cfg(57);
+  cfg.nranks = 2;
+  cfg.boundary.maxit = 3;
+  service::JobServerConfig scfg;
+  scfg.workers = 1;  // the second job looks up after the first has failed
+  scfg.host_threads_total = 2;
+  service::JobServer server(scfg);
+  for (i64 id = 0; id < 2; ++id) {
+    service::JobDescription d;
+    d.id = id;
+    d.config = cfg;
+    ASSERT_TRUE(server.submit(std::move(d)));
+  }
+  const auto results = server.drain();
+  ASSERT_EQ(results.size(), 2u);
+  for (const auto& r : results) {
+    EXPECT_FALSE(r.ok) << "job " << r.id;
+    EXPECT_TRUE(r.field_cache_used);
+    EXPECT_FALSE(r.field_cache_hit) << "job " << r.id;
+    EXPECT_NE(r.error.find("PFSS boundary solve not converged"),
+              std::string::npos)
+        << r.error;
+  }
+  const auto snap = server.metrics();
+  EXPECT_EQ(snap.counter("jobs.failed"), 2);
+  EXPECT_EQ(snap.counter("field_cache.inserts"), 0);
+  EXPECT_EQ(snap.counter("field_cache.hits"), 0);
+  EXPECT_EQ(snap.counter("field_cache.misses"), 2);
+}
+
 }  // namespace
 }  // namespace simas

@@ -8,7 +8,6 @@
 
 #include "par/engine.hpp"
 #include "par/site_table.hpp"
-#include "telemetry/engine_metrics.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/perf_compare.hpp"
 #include "telemetry/perfetto.hpp"

@@ -23,23 +23,12 @@
 // whole matrix, not just the nvfortran/A100 column. To keep the cell
 // count bounded, matrix mode defaults to --ranks 2 --overlap 1.
 //
-// Usage:
-//   simas_lint [--steps N] [--ranks 1,2] [--overlap 0,1] [--hints 0,1]
-//              [--matrix] [--json FILE] [--verbose]
-//
-//   --steps N     measured steps per configuration (default 2)
-//   --ranks LIST  comma-separated rank counts to sweep (default "1,2")
-//   --overlap L   halo modes to sweep: 0=sync, 1=overlapped (default "0,1")
-//   --hints L     um_hints modes for UM versions (default "0,1")
-//   --matrix      sweep device classes x compiler personalities too
-//                 (defaults become --ranks 2 --overlap 1)
-//   --json FILE   also write the full report as JSON
-//   --verbose     print every diagnostic, not just per-config counts
+// Usage: kUsage below. An unknown option, or --json without a file path,
+// prints it on stderr and exits 2 before the sweep runs.
 
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -57,14 +46,19 @@ namespace {
 
 using namespace simas;
 
-std::vector<int> parse_int_list(const std::string& s) {
-  std::vector<int> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ','))
-    if (!item.empty()) out.push_back(std::stoi(item));
-  return out;
-}
+constexpr const char* kUsage = R"(usage:
+  simas_lint [--steps N] [--ranks 1,2] [--overlap 0,1] [--hints 0,1]
+             [--matrix] [--json FILE] [--verbose]
+
+  --steps N     measured steps per configuration (default 2)
+  --ranks LIST  comma-separated rank counts to sweep (default "1,2")
+  --overlap L   halo modes to sweep: 0=sync, 1=overlapped (default "0,1")
+  --hints L     um_hints modes for UM versions (default "0,1")
+  --matrix      sweep device classes x compiler personalities too
+                (defaults become --ranks 2 --overlap 1)
+  --json FILE   also write the full report as JSON
+  --verbose     print every diagnostic, not just per-config counts
+)";
 
 struct ConfigReport {
   variants::CodeVersion version;
@@ -100,15 +94,29 @@ double hint_coverage(const telemetry::MetricsSnapshot& m) {
 
 int main(int argc, char** argv) {
   const Options opt(argc, argv);
+  const std::string json_path = opt.get("json");
+  // A bare --json parses as the flag value "true": reject it rather than
+  // write the report to a file of that name.
+  const bool json_without_path =
+      opt.has("json") && (json_path.empty() || json_path == "true");
+  if (json_without_path) std::cerr << "--json needs a file path\n";
+  if (!opt.only({"steps", "ranks", "overlap", "hints", "matrix", "json",
+                 "verbose"},
+                std::cerr) ||
+      json_without_path) {
+    std::cerr << kUsage;
+    return 2;
+  }
   const bool matrix = opt.get_bool("matrix", false);
   const int steps = static_cast<int>(opt.get_int("steps", 2));
   const std::vector<int> ranks =
-      parse_int_list(opt.get("ranks", matrix ? "2" : "1,2"));
+      opt.get_int_list("ranks", matrix ? std::vector<int>{2}
+                                       : std::vector<int>{1, 2});
   const std::vector<int> overlaps =
-      parse_int_list(opt.get("overlap", matrix ? "1" : "0,1"));
-  const std::vector<int> hint_modes = parse_int_list(opt.get("hints", "0,1"));
+      opt.get_int_list("overlap", matrix ? std::vector<int>{1}
+                                         : std::vector<int>{0, 1});
+  const std::vector<int> hint_modes = opt.get_int_list("hints", {0, 1});
   const bool verbose = opt.get_bool("verbose", false);
-  const std::string json_path = opt.get("json");
 
   const std::vector<gpusim::DeviceClass> devices =
       matrix ? gpusim::all_device_classes()
